@@ -8,6 +8,11 @@ some summed-shortest path form a subgraph in which *every* s-t path is
 such a path, so k disjoint witnesses exist precisely when a unit-capacity
 max flow on that subgraph reaches k. Paths are then peeled off the flow
 one at a time, discarding any flow cycles met along the way.
+
+Every search stops at its target's distance: no node farther than d(s,t)
+from s (or from t, walking arcs backwards) can lie on a shortest s-t
+path, so none is settled, and the backward search walks the graph's
+incoming arcs instead of a reversed copy.
 """
 
 from __future__ import annotations
@@ -16,7 +21,9 @@ from collections import deque
 from dataclasses import dataclass
 
 from .dijkstra import Path, shortest_distances, trace_path
-from .graph import Edge, Graph, GraphError, NoPathError, reverse
+# ``reverse`` is unused here but stays importable: bench/tracer.py wraps
+# ``mcpaths.allcriteria.reverse`` by name.
+from .graph import Edge, Graph, GraphError, InvariantError, NoPathError, reverse  # noqa: F401
 from .lexweight import BitLayout, compute_layout
 
 __all__ = [
@@ -55,7 +62,13 @@ class TooFewPathsError(Exception):
 
 @dataclass(frozen=True)
 class AggregatedWeights:
-    """Summed edge weights and the q+1 distance functions built on them."""
+    """Summed edge weights and the distances built on them.
+
+    ``dist_from_source[v]`` and ``dist_to_dest[v]`` are the exact
+    summed-weight distances s->v and v->t when they are at most
+    d(s,t) = ``total_distance``, and None beyond it or when unreachable.
+    ``per_criterion_dist[i]`` is d(s,t) under criterion i alone.
+    """
 
     graph: Graph
     source: int
@@ -68,14 +81,17 @@ class AggregatedWeights:
     @property
     def total_distance(self) -> int:
         d = self.dist_from_source[self.dest]
-        assert d is not None
+        if d is None:
+            raise InvariantError(f"dest {self.dest} was not reached from {self.source}")
         return d
 
 
 def aggregate_and_distances(g: Graph, s: int, t: int) -> AggregatedWeights:
     """Summed weights plus distances from s, to t, and per criterion to t.
 
-    Raises NoPathError when t is unreachable from s.
+    All q+2 searches stop once they pass their target, so only the nodes
+    within d(s,t) are settled. Raises NoPathError when t is unreachable
+    from s.
     """
     if not g.directed:
         raise GraphError("all-criteria search requires a directed graph")
@@ -83,16 +99,16 @@ def aggregate_and_distances(g: Graph, s: int, t: int) -> AggregatedWeights:
         if not g.has_node(node):
             raise GraphError(f"{name} {node} out of range [0, {g.node_count})")
     combined = {e.eid: sum(e.weights) for e in g.edges}
-    dist_fwd, _ = shortest_distances(g, combined, s)
+    dist_fwd, _ = shortest_distances(g, combined, s, target=t)
     if dist_fwd[t] is None:
         raise NoPathError(f"no path from {s} to {t}")
-    rev = reverse(g)
-    dist_bwd, _ = shortest_distances(rev, combined, t)
+    dist_bwd, _ = shortest_distances(g, combined, t, incoming=True, target=s)
     per_criterion = []
     for i in range(g.q):
         weights_i = {e.eid: e.weights[i] for e in g.edges}
-        dist_i, _ = shortest_distances(g, weights_i, s)
-        assert dist_i[t] is not None
+        dist_i, _ = shortest_distances(g, weights_i, s, target=t)
+        if dist_i[t] is None:
+            raise InvariantError(f"criterion {i} cannot reach {t} from {s}")
         per_criterion.append(dist_i[t])
     return AggregatedWeights(
         g, s, t, combined, tuple(dist_fwd), tuple(dist_bwd), tuple(per_criterion)
@@ -242,7 +258,8 @@ def decompose_flow(
         arcs = incoming[v]
         while arcs and flow[arcs[-1][0]] == 0:
             arcs.pop()
-        assert arcs, "flow conservation violated: no live arc enters the walk"
+        if not arcs:
+            raise InvariantError(f"flow conservation violated: no live arc enters node {v}")
         return arcs[-1]
 
     paths: list[Path] = []

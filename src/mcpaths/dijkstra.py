@@ -13,7 +13,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Collection, Mapping, Sequence
 
-from .graph import Graph, GraphError, NoPathError
+from .graph import Graph, GraphError, InvariantError, NoPathError
 from .lexweight import BitLayout, pack
 
 __all__ = [
@@ -88,6 +88,7 @@ def shortest_distances(
     banned_nodes: Collection[int] = (),
     banned_edges: Collection[int] = (),
     incoming: bool = False,
+    target: int | None = None,
 ) -> tuple[list[int | None], list[tuple[int, int] | None]]:
     """Dijkstra core shared by every module.
 
@@ -96,6 +97,12 @@ def shortest_distances(
     ``banned_edges`` mask parts of the graph without copying it; with
     ``incoming=True`` the search walks arcs backwards (distance to a
     destination instead of from a source).
+
+    With ``target`` set, the search stops at the first pop farther than
+    ``dist[target]``: every node at distance <= d(target) is settled
+    exactly as in a full run (same ``dist`` and ``pred``, ties and
+    zero-weight arcs included), and every other node reads None in both
+    lists. An unreachable target leaves the search running to completion.
     """
     n = g.node_count
     dist: list[int | None] = [None] * n
@@ -106,11 +113,21 @@ def shortest_distances(
     best[source] = 0
     heap: list[tuple[int, int]] = [(0, source)]
     arcs = g.in_arcs if incoming else g.out_arcs
+    horizon: int | None = None
     while heap:
         d, u = heapq.heappop(heap)
+        if horizon is not None and d > horizon:
+            # Nodes still queued were relaxed but never settled.
+            heap.append((d, u))
+            for _, v in heap:
+                if dist[v] is None:
+                    pred[v] = None
+            break
         if dist[u] is not None:
             continue
         dist[u] = d
+        if u == target:
+            horizon = d
         for v, eid in arcs(u):
             if dist[v] is not None or v in banned_nodes or eid in banned_edges:
                 continue
@@ -171,5 +188,6 @@ def extract_path(dm: DistanceMap, t: int) -> Path:
         at = prev
     edge_ids.reverse()
     path = trace_path(dm.graph, dm.layout, edge_ids, dm.source)
-    assert path.ew_length == dm.dist[t]
+    if path.ew_length != dm.dist[t]:
+        raise InvariantError(f"path to {t} recosts to {path.ew_length}, not {dm.dist[t]}")
     return path

@@ -20,6 +20,7 @@ __all__ = [
     "Edge",
     "Graph",
     "GraphError",
+    "InvariantError",
     "NoPathError",
     "PruneResult",
     "build_graph",
@@ -34,6 +35,14 @@ class GraphError(ValueError):
 
 class NoPathError(Exception):
     """No path exists between the queried endpoints."""
+
+
+class InvariantError(RuntimeError):
+    """An internal invariant failed: a bug in mcpaths, not bad input.
+
+    Raised explicitly rather than through ``assert`` so the checks still
+    run under ``python -O``.
+    """
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dijkstra import Path, filter_by_threshold, packed_weights, shortest_distances, trace_path
-from .graph import Graph, GraphError
+from .graph import Graph, GraphError, InvariantError
 from .lexweight import BitLayout
 
 __all__ = ["KspResult", "yen_ksp"]
@@ -56,8 +56,16 @@ def _lexmin_shortest(
     banned_edges: frozenset[int],
 ) -> _Route | None:
     """Shortest path with the lexicographically smallest node sequence."""
+    # The walk only steps onto nodes with to_dest <= d(source, dest), so the
+    # backward search may stop there; the recheck reads only masked[dest].
     to_dest, _ = shortest_distances(
-        g, weights, dest, banned_nodes=banned_nodes, banned_edges=banned_edges, incoming=True
+        g,
+        weights,
+        dest,
+        banned_nodes=banned_nodes,
+        banned_edges=banned_edges,
+        incoming=True,
+        target=source,
     )
     remaining = to_dest[source] if source not in banned_nodes else None
     if remaining is None:
@@ -91,12 +99,14 @@ def _lexmin_shortest(
                     v,
                     banned_nodes=banned_nodes | visited,
                     banned_edges=banned_edges,
+                    target=dest,
                 )
                 if masked[dest] != remaining - w:
                     continue
             chosen = (v, eid, w)
             break
-        assert chosen is not None, "gradient walk lost the shortest path"
+        if chosen is None:
+            raise InvariantError(f"gradient walk lost the shortest path at node {at}")
         v, eid, w = chosen
         nodes.append(v)
         edges.append(eid)

@@ -2,11 +2,22 @@
 
 from __future__ import annotations
 
+import os
 import random
+from pathlib import Path
 
 import pytest
 
+import mcpaths
 from mcpaths import Graph, build_graph
+
+
+def subprocess_env() -> dict[str, str]:
+    """The current environment, with the imported ``mcpaths`` importable by
+    child interpreters even when it is not installed."""
+    src = str(Path(mcpaths.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + inherited if inherited else "")}
 
 
 def random_graph(

@@ -1,4 +1,7 @@
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -22,8 +25,10 @@ from mcpaths import (
     max_edge_disjoint_count,
     max_flow_unit,
 )
-from mcpaths.graph import Graph
-from conftest import random_connected_query, random_graph
+from mcpaths.allcriteria import AggregatedWeights
+from mcpaths.dijkstra import shortest_distances
+from mcpaths.graph import Graph, InvariantError
+from conftest import random_connected_query, random_graph, subprocess_env
 
 
 def conflicting_two_route_graph():
@@ -92,6 +97,65 @@ def test_requires_directed_graph():
     g = build_graph(False, 2, 1, [(0, 1, (1,))])
     with pytest.raises(GraphError):
         aggregate_and_distances(g, 0, 1)
+
+
+def planted_chains_graph():
+    # two unit chains 0->2->3->1 and 0->4->5->1, a tail past t, a heavy
+    # spur out of s, and a heavy arc from a far node into t
+    return build_graph(
+        True,
+        10,
+        2,
+        [
+            (0, 2, (1, 1)), (2, 3, (1, 1)), (3, 1, (1, 1)),
+            (0, 4, (1, 1)), (4, 5, (1, 1)), (5, 1, (1, 1)),
+            (1, 6, (1, 1)), (6, 7, (1, 1)),
+            (0, 8, (5, 5)), (9, 1, (4, 4)), (8, 9, (0, 0)),
+        ],
+    )
+
+
+def test_distances_are_exact_up_to_the_span():
+    g = planted_chains_graph()
+    aw = aggregate_and_distances(g, 0, 1)
+    span = aw.total_distance
+    assert span == 6
+    beyond = 0
+    for got, incoming, start in (
+        (aw.dist_from_source, False, 0),
+        (aw.dist_to_dest, True, 1),
+    ):
+        full, _ = shortest_distances(g, aw.combined, start, incoming=incoming)
+        for v in range(g.node_count):
+            if full[v] is not None and full[v] <= span:
+                assert got[v] == full[v]
+            else:
+                beyond += full[v] is not None
+                assert got[v] is None
+    assert beyond >= 4
+    assert {e.eid for e in build_subgraph(g, aw).edges} == {0, 1, 2, 3, 4, 5}
+
+
+def test_pipeline_builds_no_graph(monkeypatch):
+    g = planted_chains_graph()
+    builds = []
+    original = Graph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    paths = k_disjoint_all_criteria(g, 0, 1, 2)
+    assert [p.nodes for p in paths] == [(0, 2, 3, 1), (0, 4, 5, 1)]
+    assert builds == []
+
+
+def test_total_distance_of_unreached_dest_is_an_invariant_error():
+    g = build_graph(True, 2, 1, [(0, 1, (1,))])
+    aw = AggregatedWeights(g, 0, 1, {0: 1}, (0, None), (None, 0), (1,))
+    with pytest.raises(InvariantError):
+        aw.total_distance
 
 
 # ---- shortest-path subgraph -----------------------------------------------
@@ -267,6 +331,29 @@ def test_decompose_requires_enough_value():
     fs = max_flow_unit(sub, 0, 3, 2)
     with pytest.raises(TooFewPathsError):
         decompose_flow(fs, 0, 3, 3)
+
+
+def test_decompose_checks_conservation_under_python_O():
+    # The arc into node 1 carries no flow, so the walk back from t stalls.
+    script = textwrap.dedent(
+        """
+        from mcpaths.allcriteria import FlowState, ShortestSubgraph, decompose_flow
+        from mcpaths.graph import InvariantError, build_graph
+
+        assert False, "asserts must be stripped"
+        g = build_graph(True, 3, 1, [(0, 1, (1,)), (1, 2, (1,))])
+        sub = ShortestSubgraph(g, 0, 2, 2, frozenset(range(3)), g.edges)
+        try:
+            decompose_flow(FlowState(sub, {0: 0, 1: 1}, 1), 0, 2, 1)
+        except InvariantError as exc:
+            print("InvariantError:", exc)
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=subprocess_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("InvariantError: flow conservation violated")
 
 
 # ---- end-to-end pipeline ----------------------------------------------------

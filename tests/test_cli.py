@@ -6,6 +6,7 @@ import pytest
 
 from mcpaths import GraphError, parse_graph_file
 from mcpaths.cli import render, run_cli
+from conftest import subprocess_env
 
 TABLE1 = """\
 # four-edge line, three criteria
@@ -234,6 +235,7 @@ def test_console_entry_point(table1_file):
          "--source", "0", "--dest", "4"],
         capture_output=True,
         text=True,
+        env=subprocess_env(),
     )
     assert proc.returncode == 0
     assert "ensembled=6478" in proc.stdout

@@ -12,6 +12,7 @@ from mcpaths import (
     filter_by_threshold,
     pack,
 )
+from mcpaths.dijkstra import packed_weights, shortest_distances
 from conftest import random_graph
 
 
@@ -127,3 +128,35 @@ def test_dijkstra_is_deterministic():
         b = dijkstra(g, layout, 0)
         assert a.dist == b.dist
         assert a.pred == b.pred
+
+
+def test_target_bound_settles_exactly_the_ball():
+    # Zero weights, ties and masks; every node of every graph as the target.
+    rng = random.Random(61)
+    bounded = unreachable = 0
+    for _ in range(120):
+        g = random_graph(rng, directed=rng.random() < 0.5, q_hi=2, weight_max=2, edge_prob=0.35)
+        weights = packed_weights(g, compute_layout(g))
+        nodes = range(g.node_count)
+        masks = {
+            "banned_nodes": frozenset(v for v in nodes if v and rng.random() < 0.15),
+            "banned_edges": frozenset(e.eid for e in g.edges if rng.random() < 0.15),
+        }
+        for incoming in (False, True):
+            full_dist, full_pred = shortest_distances(g, weights, 0, incoming=incoming, **masks)
+            for target in nodes:
+                dist, pred = shortest_distances(
+                    g, weights, 0, incoming=incoming, target=target, **masks
+                )
+                horizon = full_dist[target]
+                if horizon is None:
+                    unreachable += 1
+                    assert (dist, pred) == (full_dist, full_pred)
+                    continue
+                for v in nodes:
+                    if full_dist[v] is not None and full_dist[v] <= horizon:
+                        assert (dist[v], pred[v]) == (full_dist[v], full_pred[v])
+                    else:
+                        bounded += full_dist[v] is not None
+                        assert (dist[v], pred[v]) == (None, None)
+    assert bounded > 100 and unreachable > 100
