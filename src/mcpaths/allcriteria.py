@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .dijkstra import Path, shortest_distances, trace_path
 # ``reverse`` is unused here but stays importable: bench/tracer.py wraps
 # ``mcpaths.allcriteria.reverse`` by name.
-from .graph import Edge, Graph, GraphError, InvariantError, NoPathError, reverse  # noqa: F401
+from .graph import Edge, Graph, GraphError, InvariantError, NoPathError, check_endpoints, reverse  # noqa: F401
 from .lexweight import BitLayout, compute_layout
 
 __all__ = [
@@ -95,9 +95,7 @@ def aggregate_and_distances(g: Graph, s: int, t: int) -> AggregatedWeights:
     """
     if not g.directed:
         raise GraphError("all-criteria search requires a directed graph")
-    for name, node in (("source", s), ("dest", t)):
-        if not g.has_node(node):
-            raise GraphError(f"{name} {node} out of range [0, {g.node_count})")
+    check_endpoints(g, source=s, dest=t)
     combined = {e.eid: sum(e.weights) for e in g.edges}
     dist_fwd, _ = shortest_distances(g, combined, s, target=t)
     if dist_fwd[t] is None:

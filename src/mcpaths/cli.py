@@ -198,8 +198,7 @@ def _run_query(args: argparse.Namespace) -> tuple[int, dict]:
                     break
     elif args.command == "sp":
         doc["query"] = {"source": args.source, "dest": args.dest, "threshold": args.threshold}
-        work = filter_by_threshold(g, layout, args.threshold)
-        dm = dijkstra(work, layout, args.source)
+        dm = dijkstra(g, layout, args.source, target=args.dest, threshold=args.threshold)
         try:
             path = extract_path(dm, args.dest)
         except NoPathError as exc:
@@ -298,7 +297,7 @@ def run_cli(argv: Sequence[str]) -> tuple[int, dict]:
             "status": "error",
             "message": str(exc),
         }
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return EXIT_ERROR, {
             "command": args.command,
             "format": args.format,

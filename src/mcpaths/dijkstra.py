@@ -1,4 +1,4 @@
-"""Single-source search over packed weights, plus threshold edge filtering.
+"""Single-source search over packed weights, plus threshold edge masks.
 
 The search is plain Dijkstra; the only twist is that distances are the
 arbitrary-precision packed integers from :mod:`mcpaths.lexweight`, so one
@@ -13,7 +13,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Collection, Mapping, Sequence
 
-from .graph import Graph, GraphError, InvariantError, NoPathError
+from .graph import Graph, GraphError, InvariantError, NoPathError, check_endpoints
 from .lexweight import BitLayout, pack
 
 __all__ = [
@@ -21,6 +21,7 @@ __all__ = [
     "DistanceMap",
     "packed_weights",
     "shortest_distances",
+    "threshold_mask",
     "filter_by_threshold",
     "dijkstra",
     "extract_path",
@@ -139,11 +140,24 @@ def shortest_distances(
     return dist, pred
 
 
+def threshold_mask(weight_by_eid: Mapping[int, int], threshold: int | None) -> frozenset[int]:
+    """Ids of the edges a threshold drops: packed weight at or above it.
+
+    ``None`` drops nothing. Passed as ``banned_edges``, the mask makes a
+    search see exactly the graph ``filter_by_threshold`` would build.
+    """
+    if threshold is None:
+        return frozenset()
+    return frozenset(eid for eid, w in weight_by_eid.items() if w >= threshold)
+
+
 def filter_by_threshold(g: Graph, layout: BitLayout, threshold: int | None) -> Graph:
     """Drop every edge whose packed weight is at or above the threshold.
 
     ``None`` disables filtering. Edge ids of the survivors are preserved.
-    May disconnect the graph; callers detect that downstream.
+    May disconnect the graph; callers detect that downstream. Queries mask
+    edges with ``threshold_mask`` instead; the brute-force oracle, which
+    enumerates paths over a whole graph, needs the filtered copy.
     """
     if threshold is None:
         return g
@@ -165,19 +179,35 @@ class DistanceMap:
         return self.dist[v] is not None
 
 
-def dijkstra(g: Graph, layout: BitLayout, source: int) -> DistanceMap:
-    """Shortest packed distance from ``source`` to every node."""
-    if not g.has_node(source):
-        raise GraphError(f"source {source} out of range [0, {g.node_count})")
+def dijkstra(
+    g: Graph,
+    layout: BitLayout,
+    source: int,
+    *,
+    target: int | None = None,
+    threshold: int | None = None,
+) -> DistanceMap:
+    """Shortest packed distance from ``source`` to every node.
+
+    ``threshold`` masks every edge whose packed weight is at or above it,
+    so the map equals one over ``filter_by_threshold(g, layout,
+    threshold)`` without building that graph. With ``target`` set the
+    search stops once it passes the target, as in ``shortest_distances``:
+    only nodes no farther than the target are reached in the map.
+    """
+    check_endpoints(g, source=source)
+    if target is not None:
+        check_endpoints(g, dest=target)
     weights = packed_weights(g, layout)
-    dist, pred = shortest_distances(g, weights, source)
+    dist, pred = shortest_distances(
+        g, weights, source, banned_edges=threshold_mask(weights, threshold), target=target
+    )
     return DistanceMap(g, layout, source, dist, pred)
 
 
 def extract_path(dm: DistanceMap, t: int) -> Path:
     """Reconstruct one shortest path from the map's source to ``t``."""
-    if not dm.graph.has_node(t):
-        raise GraphError(f"dest {t} out of range [0, {dm.graph.node_count})")
+    check_endpoints(dm.graph, dest=t)
     if dm.dist[t] is None:
         raise NoPathError(f"no path from {dm.source} to {t}")
     edge_ids: list[int] = []

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dijkstra import Path, shortest_distances, trace_path
-from .graph import Edge, Graph, GraphError
+from .graph import Edge, Graph, GraphError, InvariantError, check_endpoints
 from .lexweight import BitLayout, compute_layout, pack
 
 __all__ = [
@@ -86,9 +86,7 @@ class DisjointPair:
 def _require_undirected_query(g: Graph, s: int, t: int) -> None:
     if g.directed:
         raise GraphError("disjoint-pair search requires an undirected graph")
-    for name, node in (("source", s), ("dest", t)):
-        if not g.has_node(node):
-            raise GraphError(f"{name} {node} out of range [0, {g.node_count})")
+    check_endpoints(g, source=s, dest=t)
     if s == t:
         raise GraphError("source and destination must differ")
 
@@ -386,8 +384,8 @@ def two_disjoint_shortest(
         return None
     result = abridge(gadget, solution)
     if mode == MODE_NODE:
-        shared = set(result.first.nodes) & set(result.second.nodes)
-        assert shared == {s, t}, "node-disjoint result shares interior nodes"
-    else:
-        assert not set(result.first.edges) & set(result.second.edges)
+        if set(result.first.nodes) & set(result.second.nodes) != {s, t}:
+            raise InvariantError("node-disjoint result shares interior nodes")
+    elif set(result.first.edges) & set(result.second.edges):
+        raise InvariantError("edge-disjoint result shares an edge")
     return result

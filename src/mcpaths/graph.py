@@ -24,6 +24,7 @@ __all__ = [
     "NoPathError",
     "PruneResult",
     "build_graph",
+    "check_endpoints",
     "reverse",
     "reachability_prune",
 ]
@@ -58,6 +59,10 @@ class Edge:
         return self.v if node == self.u else self.u
 
 
+def _edge_error(e: Edge, reason: str) -> GraphError:
+    return GraphError(f"edge {e.eid} ({e.u}, {e.v}): {reason}")
+
+
 class Graph:
     """Adjacency-list graph over integer node ids.
 
@@ -79,34 +84,32 @@ class Graph:
         self.q = q
         self.edges: tuple[Edge, ...] = tuple(edges)
 
-        self._by_id: dict[int, Edge] = {}
+        by_id: dict[int, Edge] = {}
         seen_pairs: set[tuple[int, int]] = set()
         adj: list[list[tuple[int, int]]] = [[] for _ in range(node_count)]
         radj: list[list[tuple[int, int]]] = [[] for _ in range(node_count)] if directed else adj
 
         for e in self.edges:
-            label = f"edge {e.eid} ({e.u}, {e.v})"
-            if not (0 <= e.u < node_count and 0 <= e.v < node_count):
-                raise GraphError(f"{label}: endpoint out of range [0, {node_count})")
-            if e.u == e.v:
-                raise GraphError(f"{label}: self-loops are not allowed")
+            u, v, eid = e.u, e.v, e.eid
+            if not (0 <= u < node_count and 0 <= v < node_count):
+                raise _edge_error(e, f"endpoint out of range [0, {node_count})")
+            if u == v:
+                raise _edge_error(e, "self-loops are not allowed")
             if len(e.weights) != q:
-                raise GraphError(f"{label}: expected {q} weights, got {len(e.weights)}")
-            if any(w < 0 for w in e.weights):
-                raise GraphError(f"{label}: negative weight")
-            key = (e.u, e.v) if directed else (min(e.u, e.v), max(e.u, e.v))
+                raise _edge_error(e, f"expected {q} weights, got {len(e.weights)}")
+            if min(e.weights) < 0:
+                raise _edge_error(e, "negative weight")
+            key = (u, v) if directed or u < v else (v, u)
             if key in seen_pairs:
-                raise GraphError(f"{label}: parallel edge")
+                raise _edge_error(e, "parallel edge")
             seen_pairs.add(key)
-            if e.eid in self._by_id:
-                raise GraphError(f"{label}: duplicate edge id")
-            self._by_id[e.eid] = e
-            adj[e.u].append((e.v, e.eid))
-            if directed:
-                radj[e.v].append((e.u, e.eid))
-            else:
-                adj[e.v].append((e.u, e.eid))
+            if eid in by_id:
+                raise _edge_error(e, "duplicate edge id")
+            by_id[eid] = e
+            adj[u].append((v, eid))
+            radj[v].append((u, eid))
 
+        self._by_id = by_id
         self._adj = tuple(tuple(sorted(arcs)) for arcs in adj)
         self._radj = self._adj if not directed else tuple(tuple(sorted(arcs)) for arcs in radj)
 
@@ -135,6 +138,16 @@ class Graph:
     def __repr__(self) -> str:
         kind = "directed" if self.directed else "undirected"
         return f"Graph({kind}, nodes={self.node_count}, edges={self.edge_count}, q={self.q})"
+
+
+def check_endpoints(g: Graph, **nodes: int) -> None:
+    """Reject query endpoints outside the graph, named by their keyword.
+
+    ``check_endpoints(g, source=s, dest=t)`` checks ``s`` before ``t``.
+    """
+    for name, node in nodes.items():
+        if not g.has_node(node):
+            raise GraphError(f"{name} {node} out of range [0, {g.node_count})")
 
 
 def build_graph(
@@ -197,9 +210,7 @@ def reachability_prune(g: Graph, s: int, t: int) -> PruneResult:
 
     Raises NoPathError when ``t`` is unreachable from ``s``.
     """
-    for name, node in (("source", s), ("dest", t)):
-        if not g.has_node(node):
-            raise GraphError(f"{name} {node} out of range [0, {g.node_count})")
+    check_endpoints(g, source=s, dest=t)
     forward = _bfs(g, s, incoming=False)
     if t not in forward:
         raise NoPathError(f"no path from {s} to {t}")

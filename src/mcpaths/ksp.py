@@ -17,8 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dijkstra import Path, filter_by_threshold, packed_weights, shortest_distances, trace_path
-from .graph import Graph, GraphError, InvariantError
+from .dijkstra import Path, packed_weights, shortest_distances, threshold_mask, trace_path
+# ``filter_by_threshold`` is unused here but stays importable: bench/tracer.py
+# wraps ``mcpaths.ksp.filter_by_threshold`` by name (ROADMAP item 6).
+from .dijkstra import filter_by_threshold  # noqa: F401
+from .graph import Graph, GraphError, InvariantError, check_endpoints
 from .lexweight import BitLayout
 
 __all__ = ["KspResult", "yen_ksp"]
@@ -126,22 +129,22 @@ def yen_ksp(
 ) -> KspResult:
     """The k smallest simple s-t paths under (packed length, node sequence).
 
-    Threshold filtering is applied before the search, so every returned
-    path survives it. Returns all existing paths with ``exhausted=True``
-    when fewer than k exist; ``s == t`` yields the single empty path.
+    The threshold masks every edge whose packed weight is at or above it,
+    so every returned path survives it; the mask joins every search's
+    banned edges, the zero-weight scan included. Returns all existing
+    paths with ``exhausted=True`` when fewer than k exist; ``s == t``
+    yields the single empty path.
     """
     if k < 1:
         raise GraphError(f"k must be >= 1, got {k}")
-    for name, node in (("source", s), ("dest", t)):
-        if not g.has_node(node):
-            raise GraphError(f"{name} {node} out of range [0, {g.node_count})")
-    work = filter_by_threshold(g, layout, threshold)
+    check_endpoints(g, source=s, dest=t)
     if s == t:
-        trivial = trace_path(work, layout, [], s)
+        trivial = trace_path(g, layout, [], s)
         return KspResult((trivial,), exhausted=k > 1)
-    weights = packed_weights(work, layout)
+    weights = packed_weights(g, layout)
+    masked = threshold_mask(weights, threshold)
 
-    first = _lexmin_shortest(work, weights, s, t, frozenset(), frozenset())
+    first = _lexmin_shortest(g, weights, s, t, frozenset(), masked)
     if first is None:
         return KspResult((), exhausted=True)
     accepted: list[_Route] = [first]
@@ -159,7 +162,7 @@ def yen_ksp(
             }
             banned_nodes = frozenset(root_nodes[:-1])
             spur_route = _lexmin_shortest(
-                work, weights, spur, t, banned_nodes, frozenset(banned_edges)
+                g, weights, spur, t, banned_nodes, masked.union(banned_edges)
             )
             if spur_route is not None:
                 total = _Route(
@@ -177,5 +180,5 @@ def yen_ksp(
         del candidates[best.nodes]
         accepted.append(best)
 
-    paths = tuple(trace_path(work, layout, r.edges, s) for r in accepted)
+    paths = tuple(trace_path(g, layout, r.edges, s) for r in accepted)
     return KspResult(paths, exhausted=len(paths) < k)

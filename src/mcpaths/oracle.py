@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dijkstra import Path, trace_path
-from .graph import Graph, GraphError
+from .graph import Graph, GraphError, check_endpoints
 from .lexweight import BitLayout, compute_layout
 from .ksp import KspResult
 
@@ -50,9 +50,7 @@ def enumerate_simple_paths(
         raise GraphError(
             f"graph has {g.node_count} nodes, enumeration bound is {node_bound}"
         )
-    for name, node in (("source", s), ("dest", t)):
-        if not g.has_node(node):
-            raise GraphError(f"{name} {node} out of range [0, {g.node_count})")
+    check_endpoints(g, source=s, dest=t)
     layout = compute_layout(g)
     found: list[Path] = []
     if s == t:

@@ -3,9 +3,22 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mcpaths import GraphError, parse_graph_file
-from mcpaths.cli import render, run_cli
+from mcpaths import (
+    GraphError,
+    NoPathError,
+    build_graph,
+    compute_layout,
+    dijkstra,
+    extract_path,
+    filter_by_threshold,
+    pack,
+    parse_graph_file,
+    yen_ksp,
+)
+from mcpaths.cli import _graph_doc, _layout_doc, _path_doc, render, run_cli
 from conftest import subprocess_env
 
 TABLE1 = """\
@@ -68,6 +81,41 @@ def test_parse_errors_name_the_line():
         parse_graph_file("mcgraph undirected 3 1\n0 1 -2\n")
     with pytest.raises(GraphError, match="header"):
         parse_graph_file("# nothing\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("mcgraph undirected 3 1\n0 3 2\n",
+         "line 2: edge 0 (0, 3): endpoint out of range [0, 3)"),
+        ("mcgraph directed 3 1\n\n# c\n1 1 2\n",
+         "line 4: edge 0 (1, 1): self-loops are not allowed"),
+        ("mcgraph undirected 3 2\n0 1 2\n",
+         "line 2: expected 'u v' plus 2 weights, got 3 tokens"),
+        ("mcgraph directed 3 1\n0 1 2\n1 0 2\n0 1 4\n",
+         "line 4: edge 2 (0, 1): parallel edge"),
+        ("mcgraph undirected 3 1\n0 1 2\n  1 0 2\n",
+         "line 3: edge 1 (1, 0): parallel edge"),
+        ("mcgraph undirected 3 0\n0 1\n", "criterion count must be >= 1, got 0"),
+        ("mcgraph undirected 3 1\n0 b 2\n",
+         "line 2: endpoint must be a non-negative integer, got 'b'"),
+        ("mcgraph undirected 3 2\n0 1 2 +3\n",
+         "line 2: weight must be a non-negative integer, got '+3'"),
+        ("mcgraph undirected 3 1\n0 1 \u00b2\n",
+         "line 2: weight must be a non-negative integer, got '\u00b2'"),
+        ("mcgraph undirected \u0663 1\n",
+         "line 1: node count must be a non-negative integer, got '\u0663'"),
+    ],
+)
+def test_parse_error_messages_are_pinned(text, message):
+    with pytest.raises(GraphError) as info:
+        parse_graph_file(text)
+    assert str(info.value) == message
+
+
+def test_parse_rejects_integers_too_long_to_convert():
+    with pytest.raises(GraphError, match=r"^line 3: weight is too large: "):
+        parse_graph_file("mcgraph undirected 3 1\n0 1 2\n1 2 " + "9" * 5000 + "\n")
 
 
 # ---- subcommands -------------------------------------------------------------
@@ -173,6 +221,26 @@ def test_malformed_file_is_input_error(tmp_path):
     assert "line 2" in doc["message"]
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("mcgraph undirected 3 1\n0 1 \u00b2\n".encode(),
+         "line 2: weight must be a non-negative integer, got '\u00b2'"),
+        (b"mcgraph undirected 3 1\n0 1 " + b"7" * 5000 + b"\n", "line 2: weight is too large: "),
+        (b"mcgraph undirected 3 1\n0 1 \xff\n", "cannot read "),
+    ],
+    ids=["superscript-digit", "5000-digit-weight", "not-utf8"],
+)
+def test_hostile_file_is_input_error(tmp_path, body, message):
+    p = tmp_path / "hostile.mcg"
+    p.write_bytes(body)
+    code, doc = run_cli(["sp", "--graph", str(p), "--source", "0", "--dest", "2"])
+    assert code == 1
+    assert doc["status"] == "error"
+    assert doc["message"].startswith(message)
+    assert render(doc).startswith("status: error\nmessage: ")
+
+
 def test_output_is_deterministic(table1_file):
     args = ["ksp", "--graph", table1_file, "--source", "0", "--dest", "4", "-k", "2",
             "--format", "json"]
@@ -239,3 +307,65 @@ def test_console_entry_point(table1_file):
     )
     assert proc.returncode == 0
     assert "ensembled=6478" in proc.stdout
+
+
+# ---- threshold masks equal the filtered graph --------------------------------
+
+
+@st.composite
+def threshold_queries(draw):
+    directed = draw(st.booleans())
+    n = draw(st.integers(min_value=1, max_value=12))
+    q = draw(st.integers(min_value=1, max_value=3))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=18)) if pairs else []
+    weights = st.lists(st.integers(min_value=0, max_value=3), min_size=q, max_size=q)
+    g = build_graph(directed, n, q, [(u, v, tuple(draw(weights))) for u, v in chosen])
+    packed = sorted({pack(compute_layout(g), e.weights) for e in g.edges})
+    # None and 0 drop nothing and everything; the rest cut at or just past
+    # an edge weight, where ties decide which edges survive.
+    cut = draw(st.sampled_from([None, 0, *packed, *(w + 1 for w in packed)]))
+    s, t = (draw(st.integers(min_value=0, max_value=n - 1)) for _ in range(2))
+    return g, s, t, cut, draw(st.integers(min_value=1, max_value=4))
+
+
+def _graph_text(g):
+    lines = [f"mcgraph {'directed' if g.directed else 'undirected'} {g.node_count} {g.q}"]
+    lines += [" ".join(map(str, (e.u, e.v, *e.weights))) for e in g.edges]
+    return "\n".join(lines) + "\n"
+
+
+def _filtered_docs(g, s, t, cut, k):
+    """The sp and ksp documents built by searching the filtered graph."""
+    layout = compute_layout(g)
+    work = filter_by_threshold(g, layout, cut)
+    base = {"graph": _graph_doc(g), "layout": _layout_doc(layout), "status": "ok", "verify": "ok"}
+    sp = {**base, "command": "sp", "query": {"source": s, "dest": t, "threshold": cut}}
+    try:
+        sp["paths"] = [_path_doc(extract_path(dijkstra(work, layout, s), t))]
+    except NoPathError as exc:
+        sp.update(status="no-path", message=str(exc), paths=[])
+    result = yen_ksp(work, layout, s, t, k)
+    ksp = {**base, "command": "ksp", "query": {"source": s, "dest": t, "k": k, "threshold": cut},
+           "paths": [_path_doc(p) for p in result.paths], "exhausted": result.exhausted}
+    if not result.paths:
+        ksp.update(status="no-path", message=f"no path from {s} to {t}")
+    return sp, ksp
+
+
+@settings(max_examples=60, deadline=None)
+@given(threshold_queries())
+def test_threshold_mask_matches_filtered_graph(tmp_path_factory, query):
+    g, s, t, cut, k = query
+    path = tmp_path_factory.mktemp("mask") / "g.mcg"
+    path.write_text(_graph_text(g))
+    sp, ksp = _filtered_docs(g, s, t, cut, k)
+    common = ["--graph", str(path), "--source", str(s), "--dest", str(t), "--verify"]
+    if cut is not None:
+        common += ["--threshold", str(cut)]
+    for want, argv in ((sp, ["sp", *common]), (ksp, ["ksp", *common, "-k", str(k)])):
+        for fmt in ("text", "json"):
+            code, doc = run_cli([*argv, "--format", fmt])
+            assert doc["verify"] == "ok"
+            assert code == (0 if want["status"] == "ok" else 2)
+            assert render(doc) == render({**want, "format": fmt})

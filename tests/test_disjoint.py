@@ -1,4 +1,7 @@
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -20,7 +23,7 @@ from mcpaths import (
     two_disjoint_shortest,
 )
 from mcpaths.disjoint import GadgetGraph
-from conftest import random_graph
+from conftest import random_graph, subprocess_env
 
 
 def four_cycle():
@@ -399,3 +402,36 @@ def test_abridged_outputs_contain_only_original_edges():
                 assert set(p.edges) <= valid
                 assert len(set(p.nodes)) == len(p.nodes)
                 assert p.nodes[0] == s and p.nodes[-1] == t
+
+
+def test_disjointness_is_checked_under_python_O():
+    # A solver that hands back one path twice must be caught in both modes.
+    script = textwrap.dedent(
+        """
+        import mcpaths.disjoint as d
+        from mcpaths.graph import InvariantError, build_graph
+
+        assert False, "asserts must be stripped"
+        g = build_graph(False, 4, 1, [(0, 1, (1,)), (1, 2, (1,)), (2, 3, (1,)), (3, 0, (1,))])
+        real = d.abridge
+
+        def doubled(gadget, pair):
+            result = real(gadget, pair)
+            return d.DisjointPair(result.first, result.first, result.mode)
+
+        d.abridge = doubled
+        for mode in ("node", "edge"):
+            try:
+                d.two_disjoint_shortest(g, 0, 2, mode)
+            except InvariantError as exc:
+                print("InvariantError:", exc)
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=subprocess_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "InvariantError: node-disjoint result shares interior nodes",
+        "InvariantError: edge-disjoint result shares an edge",
+    ]

@@ -7,9 +7,16 @@ from hypothesis import strategies as st
 from mcpaths import (
     GraphError,
     NoPathError,
+    aggregate_and_distances,
     build_graph,
+    compute_layout,
+    dijkstra,
+    enumerate_simple_paths,
+    extract_path,
     reachability_prune,
     reverse,
+    two_disjoint_shortest,
+    yen_ksp,
 )
 from conftest import random_graph
 
@@ -77,6 +84,28 @@ def test_build_rejects_bad_vectors():
         build_graph(False, 2, 1, [(0, 1, (-1,))])
     with pytest.raises(GraphError, match="out of range"):
         build_graph(False, 2, 1, [(0, 2, (1,))])
+
+
+def test_query_endpoints_are_checked_with_one_message():
+    line = build_graph(False, 3, 1, [(0, 1, (1,)), (1, 2, (1,))])
+    arcs = build_graph(True, 3, 1, [(0, 1, (1,)), (1, 2, (1,))])
+    layout = compute_layout(line)
+    queries = [
+        lambda s, t: reachability_prune(line, s, t),
+        lambda s, t: extract_path(dijkstra(line, layout, s), t),
+        lambda s, t: dijkstra(line, layout, s, target=t, threshold=2),
+        lambda s, t: yen_ksp(line, layout, s, t, 2),
+        lambda s, t: two_disjoint_shortest(line, s, t, "edge"),
+        lambda s, t: enumerate_simple_paths(line, s, t),
+        lambda s, t: aggregate_and_distances(arcs, s, t),
+    ]
+    for query in queries:
+        with pytest.raises(GraphError) as info:
+            query(3, -1)
+        assert str(info.value) == "source 3 out of range [0, 3)"
+        with pytest.raises(GraphError) as info:
+            query(0, -1)
+        assert str(info.value) == "dest -1 out of range [0, 3)"
 
 
 @given(edge_lists(), st.booleans())
