@@ -9,125 +9,55 @@ Three query families share one graph model:
 * k edge-disjoint paths simultaneously shortest under every criterion,
   via a shortest-path subgraph and unit-capacity max flow.
 
-Brute-force reference implementations live in :mod:`mcpaths.oracle` and
-back both the test suite and the CLI ``--verify`` flag.
+The package exports the query API. Pipeline stages stay in their
+submodules. Brute-force reference implementations live in
+:mod:`mcpaths.oracle` and back both the test suite and the CLI
+``--verify`` flag.
 """
 
-from .allcriteria import (
-    MSG_INFEASIBLE,
-    MSG_TOO_FEW_PATHS,
-    AggregatedWeights,
-    FlowState,
-    InfeasibleError,
-    ShortestSubgraph,
-    TooFewPathsError,
-    aggregate_and_distances,
-    build_subgraph,
-    decompose_flow,
-    feasibility_check,
-    k_disjoint_all_criteria,
-    max_flow_unit,
-)
-from .dijkstra import (
-    DistanceMap,
-    Path,
-    dijkstra,
-    extract_path,
-    filter_by_threshold,
-    trace_path,
-)
+from .allcriteria import InfeasibleError, TooFewPathsError, k_disjoint_all_criteria
+from .dijkstra import Path, dijkstra, extract_path
 from .disjoint import (
     MODE_EDGE,
     MODE_NODE,
     OBJECTIVE_EACH_SHORTEST,
     OBJECTIVE_MIN_TOTAL,
     DisjointPair,
-    GadgetGraph,
     SolverBoundError,
-    abridge,
-    build_edge_disjoint_gadget,
-    build_node_disjoint_gadget,
-    check_not_rigid,
-    solve_2dsp_exhaustive,
     two_disjoint_shortest,
 )
 from .fileio import parse_graph_file
-from .graph import (
-    Edge,
-    Graph,
-    GraphError,
-    NoPathError,
-    PruneResult,
-    build_graph,
-    reachability_prune,
-    reverse,
-)
+from .graph import Edge, Graph, GraphError, InvariantError, NoPathError, build_graph
 from .ksp import KspResult, yen_ksp
-from .lexweight import BitLayout, compare_lex, compute_layout, pack, unpack
-from .oracle import (
-    PathEnumeration,
-    all_criteria_shortest,
-    enumerate_simple_paths,
-    max_edge_disjoint_count,
-    oracle_disjoint,
-    oracle_ksp,
-)
+from .lexweight import BitLayout, compute_layout, pack, unpack
 
 __all__ = [
-    "AggregatedWeights",
-    "BitLayout",
-    "DisjointPair",
-    "DistanceMap",
     "Edge",
-    "FlowState",
-    "GadgetGraph",
     "Graph",
     "GraphError",
-    "InfeasibleError",
+    "InvariantError",
+    "NoPathError",
+    "build_graph",
+    "parse_graph_file",
+    "BitLayout",
+    "compute_layout",
+    "pack",
+    "unpack",
+    "Path",
+    "dijkstra",
+    "extract_path",
     "KspResult",
+    "yen_ksp",
+    "DisjointPair",
     "MODE_EDGE",
     "MODE_NODE",
-    "MSG_INFEASIBLE",
-    "MSG_TOO_FEW_PATHS",
-    "NoPathError",
     "OBJECTIVE_EACH_SHORTEST",
     "OBJECTIVE_MIN_TOTAL",
-    "Path",
-    "PathEnumeration",
-    "PruneResult",
-    "ShortestSubgraph",
     "SolverBoundError",
-    "TooFewPathsError",
-    "abridge",
-    "aggregate_and_distances",
-    "all_criteria_shortest",
-    "build_edge_disjoint_gadget",
-    "build_graph",
-    "build_node_disjoint_gadget",
-    "build_subgraph",
-    "check_not_rigid",
-    "compare_lex",
-    "compute_layout",
-    "decompose_flow",
-    "dijkstra",
-    "enumerate_simple_paths",
-    "extract_path",
-    "feasibility_check",
-    "filter_by_threshold",
-    "k_disjoint_all_criteria",
-    "max_edge_disjoint_count",
-    "max_flow_unit",
-    "oracle_disjoint",
-    "oracle_ksp",
-    "pack",
-    "parse_graph_file",
-    "reachability_prune",
-    "reverse",
-    "solve_2dsp_exhaustive",
-    "trace_path",
     "two_disjoint_shortest",
-    "unpack",
-    "yen_ksp",
+    "InfeasibleError",
+    "TooFewPathsError",
+    "k_disjoint_all_criteria",
 ]
 
 __version__ = "0.1.0"

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import Sequence
 
 from .allcriteria import InfeasibleError, TooFewPathsError, k_disjoint_all_criteria
@@ -30,8 +31,10 @@ from .ksp import yen_ksp
 from .lexweight import BitLayout, compute_layout, pack, unpack
 from .oracle import (
     DEFAULT_NODE_BOUND,
+    PathEnumeration,
     all_criteria_shortest,
     enumerate_simple_paths,
+    max_edge_disjoint_count,
     oracle_disjoint,
     oracle_ksp,
 )
@@ -114,22 +117,56 @@ def _graph_doc(g: Graph) -> dict:
     }
 
 
-def _verify_sp(g: Graph, s: int, t: int, threshold, result: Path | None) -> str:
-    layout = compute_layout(g)
-    enum = enumerate_simple_paths(filter_by_threshold(g, layout, threshold), s, t)
-    if not enum.paths:
-        return "ok" if result is None else "mismatch: oracle found no path"
-    if result is None:
-        return "mismatch: oracle found a path"
-    best = min(p.criteria_length for p in enum.paths)
-    if result.criteria_length != best:
-        return f"mismatch: oracle lengths {best}, got {result.criteria_length}"
+def _pack(g: Graph, layout: BitLayout):
+    edges = [
+        {
+            "id": e.eid,
+            "u": e.u,
+            "v": e.v,
+            "weights": list(e.weights),
+            "ensembled": str(pack(layout, e.weights)),
+        }
+        for e in g.edges
+    ]
+    return {"edges": edges}, g.edges
+
+
+def _check_pack(enum: None, edges, layout: BitLayout) -> str:
+    for e in edges:
+        if unpack(layout, pack(layout, e.weights)) != e.weights:
+            return f"mismatch: edge {e.eid} does not round-trip"
     return "ok"
 
 
-def _verify_ksp(g: Graph, s: int, t: int, k: int, threshold, result) -> str:
-    layout = compute_layout(g)
-    enum = enumerate_simple_paths(filter_by_threshold(g, layout, threshold), s, t)
+def _sp(g: Graph, layout: BitLayout, source: int, dest: int, threshold: int | None):
+    dm = dijkstra(g, layout, source, target=dest, threshold=threshold)
+    try:
+        path = extract_path(dm, dest)
+    except NoPathError as exc:
+        return {"status": "no-path", "message": str(exc), "paths": []}, None
+    return {"paths": [_path_doc(path)]}, path
+
+
+def _check_sp(enum: PathEnumeration, path: Path | None, layout: BitLayout, **query) -> str:
+    if not enum.paths:
+        return "ok" if path is None else "mismatch: oracle found no path"
+    if path is None:
+        return "mismatch: oracle found a path"
+    best = min(p.criteria_length for p in enum.paths)
+    if path.criteria_length != best:
+        return f"mismatch: oracle lengths {best}, got {path.criteria_length}"
+    return "ok"
+
+
+def _ksp(g: Graph, layout: BitLayout, source: int, dest: int, k: int, threshold: int | None):
+    result = yen_ksp(g, layout, source, dest, k, threshold)
+    fields = {"paths": [_path_doc(p) for p in result.paths], "exhausted": result.exhausted}
+    if not result.paths:
+        fields.update(status="no-path", message=f"no path from {source} to {dest}")
+    return fields, result
+
+
+def _check_ksp(enum: PathEnumeration, result, layout: BitLayout, *, k: int, **query) -> str:
     want = oracle_ksp(enum, layout, k)
     got = [(p.nodes, p.criteria_length) for p in result.paths]
     expected = [(p.nodes, p.criteria_length) for p in want.paths]
@@ -138,30 +175,93 @@ def _verify_ksp(g: Graph, s: int, t: int, k: int, threshold, result) -> str:
     return "ok"
 
 
-def _verify_2dsp(g: Graph, s: int, t: int, mode: str, objective: str, result) -> str:
-    enum = enumerate_simple_paths(g, s, t)
+def _2dsp(g: Graph, layout: BitLayout, source: int, dest: int, mode: str, objective: str):
+    pair = two_disjoint_shortest(g, source, dest, mode, objective)
+    if pair is None:
+        message = f"no {mode}-disjoint pair of paths from {source} to {dest}"
+        return {"status": "no-disjoint-pair", "message": message, "paths": []}, None
+    return {"paths": [_path_doc(pair.first), _path_doc(pair.second)]}, pair
+
+
+def _check_2dsp(enum: PathEnumeration, pair, layout: BitLayout, *, mode: str, objective: str, **query) -> str:
     want = oracle_disjoint(enum, mode, objective)
-    if want is None or result is None:
-        return "ok" if (want is None) == (result is None) else "mismatch: disjoint pair existence"
-    got = (result.first.nodes, result.second.nodes)
+    if want is None or pair is None:
+        return "ok" if (want is None) == (pair is None) else "mismatch: disjoint pair existence"
+    got = (pair.first.nodes, pair.second.nodes)
     expected = (want[0].nodes, want[1].nodes)
     return "ok" if got == expected else "mismatch: oracle pair differs"
 
 
-def _verify_kdisjoint(g: Graph, s: int, t: int, paths) -> str:
-    enum = enumerate_simple_paths(g, s, t)
+_KDISJOINT_STATUS = {NoPathError: "no-path", InfeasibleError: "infeasible", TooFewPathsError: "too-few-paths"}
+
+
+def _kdisjoint(g: Graph, layout: BitLayout, source: int, dest: int, k: int):
+    """The paths, or the exception that names the negative answer."""
+    try:
+        paths = k_disjoint_all_criteria(g, source, dest, k)
+    except tuple(_KDISJOINT_STATUS) as exc:
+        return {"status": _KDISJOINT_STATUS[type(exc)], "message": str(exc), "paths": []}, exc
+    return {"paths": [_path_doc(p) for p in paths]}, paths
+
+
+def _check_kdisjoint(enum: PathEnumeration, answer, layout: BitLayout, *, k: int, **query) -> str:
     witnesses = all_criteria_shortest(enum)
-    if not witnesses:
-        return "mismatch: oracle says infeasible"
+    got = _KDISJOINT_STATUS.get(type(answer), "ok")
+    if not enum.paths:
+        expected = "no-path"
+    elif not witnesses:
+        expected = "infeasible"
+    elif got == "too-few-paths" and max_edge_disjoint_count(replace(enum, paths=witnesses)) < k:
+        expected = "too-few-paths"
+    else:
+        # Backtracking over every witness is exponential; k disjoint
+        # witnesses in a positive answer, checked below, already prove it.
+        expected = "ok"
+    if got != expected:
+        return f"mismatch: oracle answer is {expected}"
+    if got != "ok":
+        return "ok"
+    if len(answer) != k:
+        return f"mismatch: {len(answer)} paths, not {k}"
     best = witnesses[0].criteria_length
     used: set[int] = set()
-    for p in paths:
+    for p in answer:
         if p.criteria_length != best:
             return "mismatch: path not all-criteria shortest"
         if used & set(p.edges):
             return "mismatch: paths share an edge"
         used.update(p.edges)
     return "ok"
+
+
+# Subcommand -> (answer, check). ``answer(g, layout, **query)`` returns the
+# document fields and the raw answer; ``check(enum, answer, layout,
+# **query)`` compares that answer with the oracle's enumeration.
+_COMMANDS = {
+    "pack": (_pack, _check_pack),
+    "sp": (_sp, _check_sp),
+    "ksp": (_ksp, _check_ksp),
+    "2dsp": (_2dsp, _check_2dsp),
+    "kdisjoint": (_kdisjoint, _check_kdisjoint),
+}
+# Flags every subcommand takes; the rest of the parsed arguments is the query.
+_COMMON_FLAGS = ("command", "graph", "format", "verify")
+
+
+def _verify(g: Graph, layout: BitLayout, query: dict, check, answer) -> str:
+    """The oracle's verdict on one answer.
+
+    A query with endpoints is checked against every simple path of the
+    graph its threshold leaves, and only on graphs within the oracle's
+    node bound; ``pack`` has no endpoints and checks its edges alone.
+    """
+    enum = None
+    if "source" in query:
+        if g.node_count > DEFAULT_NODE_BOUND:
+            return f"skipped: graph exceeds oracle bound ({DEFAULT_NODE_BOUND} nodes)"
+        kept = filter_by_threshold(g, layout, query.get("threshold"))
+        enum = enumerate_simple_paths(kept, query["source"], query["dest"])
+    return check(enum, answer, layout, **query)
 
 
 def _run_query(args: argparse.Namespace) -> tuple[int, dict]:
@@ -175,108 +275,17 @@ def _run_query(args: argparse.Namespace) -> tuple[int, dict]:
         "layout": _layout_doc(layout),
         "status": "ok",
     }
-    verify_wanted = args.verify
-    oracle_fits = g.node_count <= DEFAULT_NODE_BOUND
-    verify: str | None = None
-
-    if args.command == "pack":
-        doc["edges"] = [
-            {
-                "id": e.eid,
-                "u": e.u,
-                "v": e.v,
-                "weights": list(e.weights),
-                "ensembled": str(pack(layout, e.weights)),
-            }
-            for e in g.edges
-        ]
-        if verify_wanted:
-            verify = "ok"
-            for e in g.edges:
-                if unpack(layout, pack(layout, e.weights)) != e.weights:
-                    verify = f"mismatch: edge {e.eid} does not round-trip"
-                    break
-    elif args.command == "sp":
-        doc["query"] = {"source": args.source, "dest": args.dest, "threshold": args.threshold}
-        dm = dijkstra(g, layout, args.source, target=args.dest, threshold=args.threshold)
-        try:
-            path = extract_path(dm, args.dest)
-        except NoPathError as exc:
-            doc["status"] = "no-path"
-            doc["message"] = str(exc)
-            doc["paths"] = []
-            if verify_wanted and oracle_fits:
-                verify = _verify_sp(g, args.source, args.dest, args.threshold, None)
-            path = None
-        if path is not None:
-            doc["paths"] = [_path_doc(path)]
-            if verify_wanted and oracle_fits:
-                verify = _verify_sp(g, args.source, args.dest, args.threshold, path)
-    elif args.command == "ksp":
-        doc["query"] = {
-            "source": args.source,
-            "dest": args.dest,
-            "k": args.k,
-            "threshold": args.threshold,
-        }
-        result = yen_ksp(g, layout, args.source, args.dest, args.k, args.threshold)
-        doc["paths"] = [_path_doc(p) for p in result.paths]
-        doc["exhausted"] = result.exhausted
-        if not result.paths:
-            doc["status"] = "no-path"
-            doc["message"] = f"no path from {args.source} to {args.dest}"
-        if verify_wanted and oracle_fits:
-            verify = _verify_ksp(g, args.source, args.dest, args.k, args.threshold, result)
-    elif args.command == "2dsp":
-        doc["query"] = {
-            "source": args.source,
-            "dest": args.dest,
-            "mode": args.mode,
-            "objective": args.objective,
-        }
-        pair = two_disjoint_shortest(g, args.source, args.dest, args.mode, args.objective)
-        if pair is None:
-            doc["status"] = "no-disjoint-pair"
-            doc["message"] = (
-                f"no {args.mode}-disjoint pair of paths from {args.source} to {args.dest}"
-            )
-            doc["paths"] = []
-        else:
-            doc["paths"] = [_path_doc(pair.first), _path_doc(pair.second)]
-        if verify_wanted and oracle_fits:
-            verify = _verify_2dsp(g, args.source, args.dest, args.mode, args.objective, pair)
-    elif args.command == "kdisjoint":
-        doc["query"] = {"source": args.source, "dest": args.dest, "k": args.k}
-        try:
-            paths = k_disjoint_all_criteria(g, args.source, args.dest, args.k)
-        except NoPathError as exc:
-            doc["status"] = "no-path"
-            doc["message"] = str(exc)
-            doc["paths"] = []
-            paths = None
-        except InfeasibleError as exc:
-            doc["status"] = "infeasible"
-            doc["message"] = str(exc)
-            doc["paths"] = []
-            paths = None
-        except TooFewPathsError as exc:
-            doc["status"] = "too-few-paths"
-            doc["message"] = str(exc)
-            doc["paths"] = []
-            paths = None
-        if paths is not None:
-            doc["paths"] = [_path_doc(p) for p in paths]
-            if verify_wanted and oracle_fits:
-                verify = _verify_kdisjoint(g, args.source, args.dest, paths)
-
-    if verify_wanted:
-        if verify is None:
-            verify = f"skipped: graph exceeds oracle bound ({DEFAULT_NODE_BOUND} nodes)"
-        doc["verify"] = verify
-        if verify.startswith("mismatch"):
+    query = {k: v for k, v in vars(args).items() if k not in _COMMON_FLAGS}
+    if query:
+        doc["query"] = query
+    answer_fn, check = _COMMANDS[args.command]
+    fields, answer = answer_fn(g, layout, **query)
+    doc.update(fields)
+    if args.verify:
+        doc["verify"] = _verify(g, layout, query, check, answer)
+        if doc["verify"].startswith("mismatch"):
             doc["status"] = "verify-failed"
             return EXIT_ERROR, doc
-
     code = EXIT_OK if doc["status"] == "ok" else EXIT_NO_SOLUTION
     return code, doc
 

@@ -175,9 +175,6 @@ class DistanceMap:
     dist: list[int | None]
     pred: list[tuple[int, int] | None]
 
-    def reached(self, v: int) -> bool:
-        return self.dist[v] is not None
-
 
 def dijkstra(
     g: Graph,

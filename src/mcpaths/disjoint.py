@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from .dijkstra import Path, shortest_distances, trace_path
 from .graph import Edge, Graph, GraphError, InvariantError, check_endpoints
 from .lexweight import BitLayout, compute_layout, pack
+from .oracle import enumerate_simple_paths
 
 __all__ = [
     "MODE_EDGE",
@@ -200,6 +201,8 @@ def check_not_rigid(gg: GadgetGraph) -> bool:
     Membership in L(x, y), the nodes on at least one shortest x-y path, is
     decided by the distance identity d(x, u) + d(u, y) = d(x, y).
     Disconnected terminal pairs have empty L-sets and are never rigid.
+    ``two_disjoint_shortest`` does not call it: the exhaustive solver has
+    no rigidity precondition.
     """
     weights = {e.eid: e.weights[0] for e in gg.graph.edges}
     s1, s2, t1, t2 = gg.terminals
@@ -219,41 +222,6 @@ def check_not_rigid(gg: GadgetGraph) -> bool:
 
     rigid = l_set_contains(s2, t2, (s1, t1)) and l_set_contains(s1, t1, (s2, t2))
     return not rigid
-
-
-def _terminal_paths(g: Graph, source: int, dest: int) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
-    """All simple source-dest paths as (nodes, edge ids, weight)."""
-    results: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
-    # Iterative DFS; each stack frame remembers which arc to try next.
-    stack: list[tuple[int, int]] = [(source, 0)]
-    nodes = [source]
-    eids: list[int] = []
-    weight = [0]
-    on_path = {source}
-    while stack:
-        u, idx = stack[-1]
-        arcs = g.out_arcs(u)
-        if idx >= len(arcs):
-            stack.pop()
-            if len(nodes) > 1:
-                on_path.discard(nodes.pop())
-                weight[0] -= g.edge(eids.pop()).weights[0]
-            continue
-        stack[-1] = (u, idx + 1)
-        v, eid = arcs[idx]
-        if v in on_path:
-            continue
-        if v == dest:
-            results.append(
-                (tuple(nodes) + (v,), tuple(eids) + (eid,), weight[0] + g.edge(eid).weights[0])
-            )
-            continue
-        stack.append((v, 0))
-        nodes.append(v)
-        eids.append(eid)
-        weight[0] += g.edge(eid).weights[0]
-        on_path.add(v)
-    return results
 
 
 def solve_2dsp_exhaustive(
@@ -277,8 +245,14 @@ def solve_2dsp_exhaustive(
             f"exhaustive solver bound exceeded: {gg.graph.node_count} nodes > {node_bound}"
         )
     s1, s2, t1, t2 = gg.terminals
-    first_routes = _terminal_paths(gg.graph, s1, t1)
-    second_routes = _terminal_paths(gg.graph, s2, t2)
+
+    def routes(a: int, b: int) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
+        # The gadget has one criterion: a path's length is its weight.
+        enum = enumerate_simple_paths(gg.graph, a, b, node_bound)
+        return [(p.nodes, p.edges, p.criteria_length[0]) for p in enum.paths]
+
+    first_routes = routes(s1, t1)
+    second_routes = routes(s2, t2)
     if objective == OBJECTIVE_EACH_SHORTEST:
         if not first_routes or not second_routes:
             return None
@@ -367,18 +341,14 @@ def two_disjoint_shortest(
 ) -> DisjointPair | None:
     """End-to-end disjoint-pair pipeline; None when no disjoint pair exists.
 
-    Packs the criteria, builds the mode's gadget, records the rigidity
-    probe, solves the two-pair instance, and shrinks the answer back to
-    the input graph.
+    Packs the criteria, builds the mode's gadget, solves the two-pair
+    instance, and shrinks the answer back to the input graph.
     """
     if mode not in (MODE_EDGE, MODE_NODE):
         raise GraphError(f"unknown disjointness mode {mode!r}")
     layout = compute_layout(g)
     builder = build_edge_disjoint_gadget if mode == MODE_EDGE else build_node_disjoint_gadget
     gadget = builder(g, layout, s, t)
-    # The exhaustive solver has no rigidity precondition; the probe runs
-    # for pipeline parity and is exercised directly by the test suite.
-    check_not_rigid(gadget)
     solution = solve_2dsp_exhaustive(gadget, objective, node_bound)
     if solution is None:
         return None

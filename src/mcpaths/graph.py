@@ -12,7 +12,6 @@ to share across concurrent queries.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -22,11 +21,9 @@ __all__ = [
     "GraphError",
     "InvariantError",
     "NoPathError",
-    "PruneResult",
     "build_graph",
     "check_endpoints",
     "reverse",
-    "reachability_prune",
 ]
 
 
@@ -159,13 +156,17 @@ def build_graph(
     """Validate and assemble a graph from (u, v, weights) triples.
 
     Edge ids are assigned in input order starting at 0. Rejects
-    self-loops, parallel edges, wrong-length weight vectors, and negative
-    weights, naming the offending edge in the diagnostic.
+    endpoints and weights that are not ``int`` (so ``bool``, ``float`` and
+    ``str`` too), self-loops, parallel edges, wrong-length weight vectors,
+    and negative weights, naming the offending edge in the diagnostic.
     """
-    edges = [
-        Edge(u, v, tuple(int(w) for w in weights), eid)
-        for eid, (u, v, weights) in enumerate(edge_list)
-    ]
+    edges = []
+    for eid, (u, v, weights) in enumerate(edge_list):
+        e = Edge(u, v, tuple(weights), eid)
+        bad = next((x for x in (u, v, *e.weights) if type(x) is not int), None)
+        if bad is not None:
+            raise _edge_error(e, f"endpoints and weights must be int, got {bad!r}")
+        edges.append(e)
     return Graph(directed, node_count, q, edges)
 
 
@@ -175,52 +176,3 @@ def reverse(g: Graph) -> Graph:
         raise GraphError("reverse() requires a directed graph")
     flipped = [Edge(e.v, e.u, e.weights, e.eid) for e in g.edges]
     return Graph(True, g.node_count, g.q, flipped)
-
-
-@dataclass(frozen=True)
-class PruneResult:
-    """Subgraph of nodes reachable from the source and co-reachable to the
-    destination, with node ids remapped densely.
-
-    ``to_original[new_id]`` recovers the input node id; edge ids are kept
-    unchanged so results can be reported against the input graph.
-    """
-
-    graph: Graph
-    to_original: tuple[int, ...]
-    source: int
-    dest: int
-
-
-def _bfs(g: Graph, start: int, incoming: bool) -> set[int]:
-    seen = {start}
-    queue = deque([start])
-    arcs = g.in_arcs if incoming else g.out_arcs
-    while queue:
-        u = queue.popleft()
-        for v, _ in arcs(u):
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return seen
-
-
-def reachability_prune(g: Graph, s: int, t: int) -> PruneResult:
-    """Drop every node that no s-t path can visit.
-
-    Raises NoPathError when ``t`` is unreachable from ``s``.
-    """
-    check_endpoints(g, source=s, dest=t)
-    forward = _bfs(g, s, incoming=False)
-    if t not in forward:
-        raise NoPathError(f"no path from {s} to {t}")
-    backward = _bfs(g, t, incoming=True)
-    kept = sorted(forward & backward)
-    remap = {old: new for new, old in enumerate(kept)}
-    edges = [
-        Edge(remap[e.u], remap[e.v], e.weights, e.eid)
-        for e in g.edges
-        if e.u in remap and e.v in remap
-    ]
-    pruned = Graph(g.directed, len(kept), g.q, edges)
-    return PruneResult(pruned, tuple(kept), remap[s], remap[t])

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import mcpaths
-from mcpaths import Graph, build_graph
+from mcpaths import Graph, build_graph, compute_layout, dijkstra
 
 
 def subprocess_env() -> dict[str, str]:
@@ -49,18 +49,13 @@ def random_connected_query(
     rng: random.Random, *, directed: bool, **kwargs
 ) -> tuple[Graph, int, int]:
     """A random graph plus an s-t pair with at least one s-t path."""
-    from mcpaths import NoPathError, reachability_prune
-
     while True:
         g = random_graph(rng, directed=directed, **kwargs)
         if g.node_count < 2:
             continue
         s, t = 0, g.node_count - 1
-        try:
-            reachability_prune(g, s, t)
-        except NoPathError:
-            continue
-        return g, s, t
+        if dijkstra(g, compute_layout(g), s).dist[t] is not None:
+            return g, s, t
 
 
 @pytest.fixture

@@ -12,29 +12,31 @@ from contextlib import contextmanager
 from mcpaths import (
     Edge,
     TooFewPathsError,
-    aggregate_and_distances,
-    all_criteria_shortest,
     build_graph,
-    build_node_disjoint_gadget,
-    build_subgraph,
-    check_not_rigid,
-    compare_lex,
     compute_layout,
-    decompose_flow,
     dijkstra,
-    enumerate_simple_paths,
-    feasibility_check,
     k_disjoint_all_criteria,
-    max_edge_disjoint_count,
-    max_flow_unit,
-    oracle_disjoint,
-    oracle_ksp,
     pack,
     two_disjoint_shortest,
     unpack,
     yen_ksp,
 )
+from mcpaths.allcriteria import (
+    aggregate_and_distances,
+    build_subgraph,
+    feasibility_check,
+    max_flow_unit,
+)
+from mcpaths.disjoint import build_node_disjoint_gadget, check_not_rigid
 from mcpaths.graph import Graph
+from mcpaths.lexweight import compare_lex
+from mcpaths.oracle import (
+    all_criteria_shortest,
+    enumerate_simple_paths,
+    max_edge_disjoint_count,
+    oracle_disjoint,
+    oracle_ksp,
+)
 from conftest import random_connected_query, random_graph
 
 

@@ -6,28 +6,28 @@ import textwrap
 import pytest
 
 from mcpaths import (
-    FlowState,
     GraphError,
     InfeasibleError,
+    NoPathError,
+    TooFewPathsError,
+    build_graph,
+    k_disjoint_all_criteria,
+)
+from mcpaths.allcriteria import (
+    AggregatedWeights,
+    FlowState,
     MSG_INFEASIBLE,
     MSG_TOO_FEW_PATHS,
-    NoPathError,
     ShortestSubgraph,
-    TooFewPathsError,
     aggregate_and_distances,
-    all_criteria_shortest,
-    build_graph,
     build_subgraph,
     decompose_flow,
-    enumerate_simple_paths,
     feasibility_check,
-    k_disjoint_all_criteria,
-    max_edge_disjoint_count,
     max_flow_unit,
 )
-from mcpaths.allcriteria import AggregatedWeights
 from mcpaths.dijkstra import shortest_distances
 from mcpaths.graph import Graph, InvariantError
+from mcpaths.oracle import all_criteria_shortest, enumerate_simple_paths, max_edge_disjoint_count
 from conftest import random_connected_query, random_graph, subprocess_env
 
 

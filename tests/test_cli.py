@@ -6,19 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mcpaths.cli
 from mcpaths import (
     GraphError,
+    InfeasibleError,
     NoPathError,
+    TooFewPathsError,
     build_graph,
     compute_layout,
     dijkstra,
     extract_path,
-    filter_by_threshold,
     pack,
     parse_graph_file,
     yen_ksp,
 )
 from mcpaths.cli import _graph_doc, _layout_doc, _path_doc, render, run_cli
+from mcpaths.dijkstra import filter_by_threshold
 from conftest import subprocess_env
 
 TABLE1 = """\
@@ -276,6 +279,37 @@ def test_verify_flag_passes_on_small_graphs(table1_file, two_route_file):
         assert doc["verify"] == "ok"
 
 
+@pytest.mark.parametrize(
+    "edges, k, status",
+    [
+        ("0 1 1 5\n", 1, "no-path"),
+        ("0 1 1 5\n1 2 1 5\n0 2 5 1\n", 1, "infeasible"),
+        ("0 1 1 5\n1 2 1 5\n", 2, "too-few-paths"),
+    ],
+    ids=["no-path", "infeasible", "too-few-paths"],
+)
+def test_verify_kdisjoint_negative_answers(tmp_path, edges, k, status):
+    p = tmp_path / "g.mcg"
+    p.write_text("mcgraph directed 3 2\n" + edges)
+    code, doc = run_cli(
+        ["kdisjoint", "--graph", str(p), "--source", "0", "--dest", "2", "-k", str(k), "--verify"]
+    )
+    assert (code, doc["status"], doc["verify"]) == (2, status, "ok")
+
+
+@pytest.mark.parametrize("error", [NoPathError, InfeasibleError, TooFewPathsError])
+def test_verify_kdisjoint_catches_a_wrong_negative_answer(monkeypatch, two_route_file, error):
+    def refuse(*args):
+        raise error()
+
+    monkeypatch.setattr(mcpaths.cli, "k_disjoint_all_criteria", refuse)
+    code, doc = run_cli(
+        ["kdisjoint", "--graph", two_route_file, "--source", "0", "--dest", "3", "-k", "2",
+         "--verify"]
+    )
+    assert (code, doc["status"], doc["verify"]) == (1, "verify-failed", "mismatch: oracle answer is ok")
+
+
 def test_verify_2dsp(tmp_path):
     p = tmp_path / "cycle.mcg"
     p.write_text("mcgraph undirected 4 1\n0 1 1\n1 2 1\n2 3 1\n3 0 1\n")
@@ -369,3 +403,47 @@ def test_threshold_mask_matches_filtered_graph(tmp_path_factory, query):
             assert doc["verify"] == "ok"
             assert code == (0 if want["status"] == "ok" else 2)
             assert render(doc) == render({**want, "format": fmt})
+
+
+@st.composite
+def verify_queries(draw):
+    """Denser graphs than ``threshold_queries``, so that disjoint pairs and
+    all-criteria witnesses occur, with weights 0-2 for zeros and ties."""
+    directed = draw(st.booleans())
+    n = draw(st.integers(min_value=2, max_value=12))
+    q = draw(st.integers(min_value=1, max_value=3))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
+    m = draw(st.integers(min_value=min(len(pairs), n), max_value=min(len(pairs), 3 * n)))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=m, max_size=m))
+    weights = st.lists(st.integers(min_value=0, max_value=2), min_size=q, max_size=q)
+    g = build_graph(directed, n, q, [(u, v, tuple(draw(weights))) for u, v in chosen])
+    s = draw(st.integers(min_value=0, max_value=n - 1))
+    t = draw(st.integers(min_value=0, max_value=n - 1).filter(lambda v: v != s))
+    cut = draw(st.sampled_from([None, 1 << 8, 1 << 16]))
+    return g, s, t, cut, draw(st.integers(min_value=1, max_value=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(verify_queries())
+def test_verify_agrees_with_oracle(tmp_path_factory, query):
+    """``--verify`` reads ok on every answer, positive or negative."""
+    g, s, t, cut, k = query
+    path = tmp_path_factory.mktemp("verify") / "g.mcg"
+    path.write_text(_graph_text(g))
+    common = ["--graph", str(path), "--source", str(s), "--dest", str(t), "--verify"]
+    threshold = [] if cut is None else ["--threshold", str(cut)]
+    runs = [(["sp", *common, *threshold], False), (["ksp", *common, *threshold, "-k", str(k)], False)]
+    runs += [
+        (["2dsp", *common, "--mode", mode, "--objective", objective], g.directed)
+        for mode in ("node", "edge")
+        for objective in ("min-total", "each-shortest")
+    ]
+    runs.append((["kdisjoint", *common, "-k", str(k)], not g.directed))
+    for argv, refused in runs:
+        code, doc = run_cli(argv)
+        if refused or doc["status"] == "error":
+            assert refused or doc["message"].startswith("exhaustive solver bound exceeded"), doc
+            assert (code, doc["status"]) == (1, "error")
+            continue
+        assert doc["verify"] == "ok", (argv, doc)
+        assert code == (0 if doc["status"] == "ok" else 2)

@@ -7,12 +7,11 @@ from mcpaths import (
     build_graph,
     compute_layout,
     dijkstra,
-    enumerate_simple_paths,
     extract_path,
-    filter_by_threshold,
     pack,
 )
-from mcpaths.dijkstra import packed_weights, shortest_distances
+from mcpaths.dijkstra import filter_by_threshold, packed_weights, shortest_distances
+from mcpaths.oracle import enumerate_simple_paths
 from conftest import random_graph
 
 

@@ -9,20 +9,21 @@ from mcpaths import (
     GraphError,
     Path,
     SolverBoundError,
-    abridge,
-    build_edge_disjoint_gadget,
     build_graph,
-    build_node_disjoint_gadget,
-    check_not_rigid,
     compute_layout,
     dijkstra,
-    enumerate_simple_paths,
-    oracle_disjoint,
     pack,
-    solve_2dsp_exhaustive,
     two_disjoint_shortest,
 )
-from mcpaths.disjoint import GadgetGraph
+from mcpaths.disjoint import (
+    GadgetGraph,
+    abridge,
+    build_edge_disjoint_gadget,
+    build_node_disjoint_gadget,
+    check_not_rigid,
+    solve_2dsp_exhaustive,
+)
+from mcpaths.oracle import enumerate_simple_paths, oracle_disjoint
 from conftest import random_graph, subprocess_env
 
 

@@ -6,18 +6,16 @@ from hypothesis import strategies as st
 
 from mcpaths import (
     GraphError,
-    NoPathError,
-    aggregate_and_distances,
     build_graph,
     compute_layout,
     dijkstra,
-    enumerate_simple_paths,
     extract_path,
-    reachability_prune,
-    reverse,
     two_disjoint_shortest,
     yen_ksp,
 )
+from mcpaths.allcriteria import aggregate_and_distances
+from mcpaths.graph import reverse
+from mcpaths.oracle import enumerate_simple_paths
 from conftest import random_graph
 
 
@@ -86,12 +84,30 @@ def test_build_rejects_bad_vectors():
         build_graph(False, 2, 1, [(0, 2, (1,))])
 
 
+@pytest.mark.parametrize(
+    "triple, bad",
+    [
+        ((0, 1, (2.7,)), "2.7"),
+        ((0, 1, (True,)), "True"),
+        ((0, 1, ("3",)), "'3'"),
+        ((0.0, 1, (3,)), "0.0"),
+        ((0, False, (3,)), "False"),
+        ((0, "1", (3,)), "'1'"),
+    ],
+    ids=["float-weight", "bool-weight", "str-weight", "float-endpoint", "bool-endpoint", "str-endpoint"],
+)
+def test_build_rejects_non_int_endpoints_and_weights(triple, bad):
+    u, v, _ = triple
+    with pytest.raises(GraphError) as info:
+        build_graph(False, 2, 1, [triple])
+    assert str(info.value) == f"edge 0 ({u}, {v}): endpoints and weights must be int, got {bad}"
+
+
 def test_query_endpoints_are_checked_with_one_message():
     line = build_graph(False, 3, 1, [(0, 1, (1,)), (1, 2, (1,))])
     arcs = build_graph(True, 3, 1, [(0, 1, (1,)), (1, 2, (1,))])
     layout = compute_layout(line)
     queries = [
-        lambda s, t: reachability_prune(line, s, t),
         lambda s, t: extract_path(dijkstra(line, layout, s), t),
         lambda s, t: dijkstra(line, layout, s, target=t, threshold=2),
         lambda s, t: yen_ksp(line, layout, s, t, 2),
@@ -163,68 +179,3 @@ def test_reverse_rejects_undirected():
     g = build_graph(False, 2, 1, [(0, 1, (1,))])
     with pytest.raises(GraphError):
         reverse(g)
-
-
-def test_prune_drops_isolated_node():
-    g = build_graph(True, 4, 1, [(0, 1, (1,)), (1, 2, (1,))])
-    res = reachability_prune(g, 0, 2)
-    assert res.graph.node_count == 3
-    assert res.to_original == (0, 1, 2)
-    assert res.source == 0 and res.dest == 2
-
-
-def test_prune_drops_dead_end_branch():
-    # 0 -> 1 leads nowhere useful; 0 -> 2 is the direct route
-    g = build_graph(True, 3, 1, [(0, 1, (1,)), (0, 2, (1,))])
-    res = reachability_prune(g, 0, 2)
-    assert res.graph.node_count == 2
-    assert res.to_original == (0, 2)
-    assert res.graph.edge_count == 1
-
-
-def test_prune_keeps_strongly_connected_graph():
-    g = build_graph(True, 3, 1, [(0, 1, (1,)), (1, 2, (1,)), (2, 0, (1,))])
-    res = reachability_prune(g, 0, 2)
-    assert res.graph.node_count == 3
-    assert res.to_original == (0, 1, 2)
-
-
-def test_prune_unreachable_raises():
-    g = build_graph(True, 3, 1, [(1, 2, (1,))])
-    with pytest.raises(NoPathError):
-        reachability_prune(g, 0, 2)
-
-
-def _dfs_reach(adj, start):
-    seen = {start}
-    todo = [start]
-    while todo:
-        u = todo.pop()
-        for v in adj.get(u, ()):
-            if v not in seen:
-                seen.add(v)
-                todo.append(v)
-    return seen
-
-
-def test_prune_matches_bruteforce_reachability():
-    rng = random.Random(23)
-    checked = 0
-    for _ in range(120):
-        g = random_graph(rng, directed=True, n_lo=3, n_hi=10, edge_prob=0.3)
-        s, t = 0, g.node_count - 1
-        fwd_adj = {}
-        bwd_adj = {}
-        for e in g.edges:
-            fwd_adj.setdefault(e.u, []).append(e.v)
-            bwd_adj.setdefault(e.v, []).append(e.u)
-        expected = _dfs_reach(fwd_adj, s) & _dfs_reach(bwd_adj, t)
-        try:
-            res = reachability_prune(g, s, t)
-        except NoPathError:
-            assert t not in _dfs_reach(fwd_adj, s)
-            continue
-        checked += 1
-        assert set(res.to_original) == expected
-        assert s in res.to_original and t in res.to_original
-    assert checked > 20

@@ -6,11 +6,10 @@ from mcpaths import (
     GraphError,
     build_graph,
     compute_layout,
-    enumerate_simple_paths,
-    oracle_ksp,
     pack,
     yen_ksp,
 )
+from mcpaths.oracle import enumerate_simple_paths, oracle_ksp
 from conftest import random_graph
 
 

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 from mcpaths import (
     GraphError,
     build_graph,
-    compare_lex,
     compute_layout,
-    enumerate_simple_paths,
     pack,
     unpack,
 )
+from mcpaths.lexweight import compare_lex
+from mcpaths.oracle import enumerate_simple_paths
 from conftest import random_graph
 
 TABLE1_PACKED = [1605, 2098, 613, 2162]

@@ -7,6 +7,8 @@ from mcpaths import (
     GraphError,
     build_graph,
     compute_layout,
+)
+from mcpaths.oracle import (
     enumerate_simple_paths,
     max_edge_disjoint_count,
     oracle_disjoint,
