@@ -43,7 +43,7 @@ class InvariantError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     """One weighted link; (u, v) is the stored orientation."""
 

@@ -6,11 +6,17 @@ packed length, which keeps results reproducible and directly checkable
 against exhaustive enumeration.
 
 To honour that order exactly, every shortest-path subcall here returns
-the lexicographically smallest node sequence among equally short paths.
-With strictly positive edge weights a greedy walk down the
-distance-to-destination gradient does this outright; zero-weight edges
-admit equal-length detours that can strand the walk, so each greedy step
-is then verified with a masked re-search before being committed.
+the lexicographically smallest node sequence among equally short paths:
+one backward search gives every node's distance to the destination, and
+a greedy walk takes the smallest neighbour down that gradient. A step
+over a positive-weight edge always leads on to the destination. A
+zero-weight step stays on its distance level, where the walk's own
+earlier nodes may cut it off, so it is taken only when a search within
+that level, avoiding the walk, reaches the destination or an edge down
+to a lower level.
+
+Spurs follow Lawler's deviation rule: an accepted path spurs only from
+the node where it left the path it was found from.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from .lexweight import BitLayout
 __all__ = ["KspResult", "yen_ksp"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KspResult:
     """At most k distinct simple paths in non-decreasing packed order.
 
@@ -44,6 +50,9 @@ class _Route:
     cost: int
     nodes: tuple[int, ...]
     edges: tuple[int, ...]
+    # Spur index at which this route left the accepted route it was found
+    # from; the two share their nodes up to and including it.
+    deviation: int = 0
 
     @property
     def order_key(self) -> tuple[int, tuple[int, ...]]:
@@ -58,9 +67,17 @@ def _lexmin_shortest(
     banned_nodes: frozenset[int],
     banned_edges: frozenset[int],
 ) -> _Route | None:
-    """Shortest path with the lexicographically smallest node sequence."""
+    """Shortest path with the lexicographically smallest node sequence.
+
+    Runs one search: the backward one from ``dest``. Every step of the
+    walk is tight (``w + to_dest[v] == remaining``), so ``to_dest`` never
+    rises along it and every visited node lies on the current level
+    ``remaining`` or above. A shortest path from a step that drops below
+    that level therefore meets no visited node, while a zero-weight step
+    is checked by ``leaves_level``.
+    """
     # The walk only steps onto nodes with to_dest <= d(source, dest), so the
-    # backward search may stop there; the recheck reads only masked[dest].
+    # backward search may stop at source.
     to_dest, _ = shortest_distances(
         g,
         weights,
@@ -74,16 +91,31 @@ def _lexmin_shortest(
     if remaining is None:
         return None
     total = remaining
-    has_zero = any(
-        weights[e.eid] == 0
-        and e.eid not in banned_edges
-        and e.u not in banned_nodes
-        and e.v not in banned_nodes
-        for e in g.edges
-    )
     nodes = [source]
     edges: list[int] = []
     visited = {source}
+
+    def leaves_level(start: int) -> bool:
+        """Whether zero-weight tight arcs lead from ``start`` around the
+        visited nodes to ``dest`` or to a tight arc down a level."""
+        seen = {start}
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            if u == dest:
+                return True
+            for x, eid in g.out_arcs(u):
+                if x in visited or x in seen or x in banned_nodes or eid in banned_edges:
+                    continue
+                w = weights[eid]
+                if to_dest[x] is None or w + to_dest[x] != remaining:
+                    continue
+                if w > 0:
+                    return True
+                seen.add(x)
+                stack.append(x)
+        return False
+
     at = source
     while at != dest:
         chosen = None
@@ -93,19 +125,8 @@ def _lexmin_shortest(
             w = weights[eid]
             if to_dest[v] is None or w + to_dest[v] != remaining:
                 continue
-            if has_zero:
-                # A zero-weight detour can make the gradient step a dead
-                # end for *simple* paths; re-check against visited nodes.
-                masked, _ = shortest_distances(
-                    g,
-                    weights,
-                    v,
-                    banned_nodes=banned_nodes | visited,
-                    banned_edges=banned_edges,
-                    target=dest,
-                )
-                if masked[dest] != remaining - w:
-                    continue
+            if w == 0 and not leaves_level(v):
+                continue
             chosen = (v, eid, w)
             break
         if chosen is None:
@@ -131,9 +152,13 @@ def yen_ksp(
 
     The threshold masks every edge whose packed weight is at or above it,
     so every returned path survives it; the mask joins every search's
-    banned edges, the zero-weight scan included. Returns all existing
-    paths with ``exhausted=True`` when fewer than k exist; ``s == t``
-    yields the single empty path.
+    banned edges, the zero-level check included. Each accepted path spurs
+    only from its deviation index onward (Lawler's rule): for a root
+    ending before that index, the spur of the path it was found from
+    already searched the same root with a ban set that the paths accepted
+    since could not widen. Returns all existing paths with
+    ``exhausted=True`` when fewer than k exist; ``s == t`` yields the
+    single empty path.
     """
     if k < 1:
         raise GraphError(f"k must be >= 1, got {k}")
@@ -152,8 +177,8 @@ def yen_ksp(
 
     while len(accepted) < k:
         prev = accepted[-1]
-        prefix_cost = 0
-        for i in range(len(prev.nodes) - 1):
+        prefix_cost = sum(weights[eid] for eid in prev.edges[: prev.deviation])
+        for i in range(prev.deviation, len(prev.nodes) - 1):
             spur = prev.nodes[i]
             root_nodes = prev.nodes[: i + 1]
             root_edges = prev.edges[:i]
@@ -169,6 +194,7 @@ def yen_ksp(
                     prefix_cost + spur_route.cost,
                     root_nodes + spur_route.nodes[1:],
                     root_edges + spur_route.edges,
+                    i,
                 )
                 known = candidates.get(total.nodes)
                 if known is None or total.order_key < known.order_key:

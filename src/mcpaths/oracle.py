@@ -151,10 +151,46 @@ def oracle_disjoint(
     return best
 
 
+def _flow_bound(enum: PathEnumeration) -> int:
+    """Unit-capacity max flow from source to dest over the arcs the paths
+    traverse. Edge-disjoint paths among them form a feasible flow, so no
+    more of them exist than this. Kept apart from
+    ``allcriteria.max_flow_unit``, which this oracle checks."""
+    if enum.source == enum.dest:
+        return len(enum.paths)
+    residual: dict[int, dict[int, int]] = {}
+    for p in enum.paths:
+        for u, v in zip(p.nodes, p.nodes[1:]):
+            residual.setdefault(u, {})[v] = 1
+            residual.setdefault(v, {}).setdefault(u, 0)
+    flow = 0
+    while True:
+        parent: dict[int, int | None] = {enum.source: None}
+        queue = [enum.source]
+        for u in queue:
+            for v, cap in residual.get(u, {}).items():
+                if cap and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        if enum.dest not in parent:
+            return flow
+        v = enum.dest
+        while (u := parent[v]) is not None:
+            residual[u][v] -= 1
+            residual[v][u] += 1
+            v = u
+        flow += 1
+
+
 def max_edge_disjoint_count(enum: PathEnumeration) -> int:
-    """Largest number of pairwise edge-disjoint paths, by backtracking."""
+    """Largest number of pairwise edge-disjoint paths, by backtracking.
+
+    The search stops once it reaches the flow bound; below it, it tries
+    every subset of paths.
+    """
     edge_sets = sorted({p.edges for p in enum.paths}, key=lambda es: (len(es), es))
     sets = [frozenset(es) for es in edge_sets]
+    bound = _flow_bound(enum)
     best = 0
 
     def grow(start: int, used: frozenset[int], count: int) -> None:
@@ -163,6 +199,8 @@ def max_edge_disjoint_count(enum: PathEnumeration) -> int:
         if count + (len(sets) - start) <= best:
             return
         for i in range(start, len(sets)):
+            if best == bound:
+                return
             if not sets[i] & used:
                 grow(i + 1, used | sets[i], count + 1)
 

@@ -297,6 +297,27 @@ def test_verify_kdisjoint_negative_answers(tmp_path, edges, k, status):
     assert (code, doc["status"], doc["verify"]) == (2, status, "ok")
 
 
+# Directed, 12 nodes, 59 all-zero arcs: all 2290 simple 5-10 paths are
+# all-criteria shortest, and at most 5 of them are edge-disjoint. Plain
+# backtracking over every subset of those witnesses runs for minutes.
+DENSE_ZERO_ARCS = (
+    "0>3 0>5 1>2 1>3 1>7 1>10 1>11 2>3 2>4 2>5 2>6 3>0 3>1 3>4 3>5 3>8 3>9 3>11 4>0 "
+    "4>5 4>6 4>8 4>11 5>0 5>3 5>9 5>10 5>11 6>4 6>5 6>7 6>8 6>10 7>1 7>2 7>9 7>10 "
+    "8>1 8>2 8>10 9>0 9>5 9>6 9>7 9>8 9>10 10>1 10>2 10>3 10>4 10>5 10>8 10>11 11>0 "
+    "11>1 11>2 11>6 11>8 11>9"
+)
+
+
+def test_verify_too_few_paths_on_dense_zero_graph(tmp_path):
+    arcs = [arc.split(">") for arc in DENSE_ZERO_ARCS.split()]
+    p = tmp_path / "dense.mcg"
+    p.write_text("mcgraph directed 12 1\n" + "".join(f"{u} {v} 0\n" for u, v in arcs))
+    code, doc = run_cli(
+        ["kdisjoint", "--graph", str(p), "--source", "5", "--dest", "10", "-k", "6", "--verify"]
+    )
+    assert (code, doc["status"], doc["verify"]) == (2, "too-few-paths", "ok")
+
+
 @pytest.mark.parametrize("error", [NoPathError, InfeasibleError, TooFewPathsError])
 def test_verify_kdisjoint_catches_a_wrong_negative_answer(monkeypatch, two_route_file, error):
     def refuse(*args):

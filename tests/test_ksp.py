@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mcpaths.ksp
 from mcpaths import (
     GraphError,
     build_graph,
@@ -9,6 +12,7 @@ from mcpaths import (
     pack,
     yen_ksp,
 )
+from mcpaths.dijkstra import filter_by_threshold
 from mcpaths.oracle import enumerate_simple_paths, oracle_ksp
 from conftest import random_graph
 
@@ -124,3 +128,88 @@ def test_all_returned_paths_are_simple_and_distinct():
             assert len(set(p.nodes)) == len(p.nodes)
             assert p.edges not in seen
             seen.add(p.edges)
+
+
+@st.composite
+def zero_heavy_queries(draw):
+    """Small graphs where a drawn share of the edges weighs zero on every
+    criterion, so zero-weight cycles and all-zero graphs occur."""
+    directed = draw(st.booleans())
+    n = draw(st.integers(min_value=2, max_value=10))
+    q = draw(st.integers(min_value=1, max_value=2))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
+    m = draw(st.integers(min_value=1, max_value=min(len(pairs), 3 * n)))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=m, max_size=m))
+    zero_tenths = draw(st.sampled_from([0, 3, 6, 10]))
+    weights = st.lists(st.integers(min_value=0, max_value=2), min_size=q, max_size=q)
+    triples = [
+        (u, v, (0,) * q if draw(st.integers(min_value=0, max_value=9)) < zero_tenths
+         else tuple(draw(weights)))
+        for u, v in chosen
+    ]
+    g = build_graph(directed, n, q, triples)
+    layout = compute_layout(g)
+    packed = sorted(pack(layout, e.weights) for e in g.edges)
+    threshold = draw(st.sampled_from([None, packed[len(packed) // 2] + 1, 1]))
+    s, t = (draw(st.integers(min_value=0, max_value=n - 1)) for _ in range(2))
+    return g, layout, s, t, draw(st.integers(min_value=1, max_value=12)), threshold
+
+
+@settings(max_examples=300, deadline=None)
+@given(zero_heavy_queries())
+def test_matches_oracle_on_zero_heavy_graphs(query):
+    g, layout, s, t, k, threshold = query
+    got = yen_ksp(g, layout, s, t, k, threshold)
+    kept = filter_by_threshold(g, layout, threshold)
+    want = oracle_ksp(enumerate_simple_paths(kept, s, t), layout, k)
+    assert [(p.ew_length, p.nodes) for p in got.paths] == [
+        (p.ew_length, p.nodes) for p in want.paths
+    ]
+    assert got.exhausted == want.exhausted
+
+
+@pytest.fixture
+def search_calls(monkeypatch):
+    """Sources of the Dijkstra runs yen_ksp makes, and its number of
+    lexmin shortest-path searches."""
+    searches: list[int] = []
+    lexmin = [0]
+    real_search = mcpaths.ksp.shortest_distances
+    real_lexmin = mcpaths.ksp._lexmin_shortest
+
+    def search(g, weights, source, **kwargs):
+        searches.append(source)
+        return real_search(g, weights, source, **kwargs)
+
+    def counted_lexmin(*args):
+        lexmin[0] += 1
+        return real_lexmin(*args)
+
+    monkeypatch.setattr(mcpaths.ksp, "shortest_distances", search)
+    monkeypatch.setattr(mcpaths.ksp, "_lexmin_shortest", counted_lexmin)
+    return searches, lexmin
+
+
+def test_zero_weight_step_into_a_dead_end_pocket_is_skipped(search_calls):
+    # Nodes 0, 1 and 2 share the level d(., 4) = 2; the pocket 1-2 is
+    # reached over zero-weight edges and its only way out is back through
+    # the walk's own node 0. The lexmin walk must pass it by, after one
+    # backward search.
+    g = build_graph(False, 5, 1, [(0, 1, (0,)), (1, 2, (0,)), (0, 3, (1,)), (3, 4, (1,))])
+    result = yen_ksp(g, compute_layout(g), 0, 4, 1)
+    assert [p.nodes for p in result.paths] == [(0, 3, 4)]
+    searches, lexmin = search_calls
+    assert searches == [4]
+    assert lexmin == [1]
+
+
+def test_one_backward_search_per_lexmin_search(search_calls):
+    rng = random.Random(5)
+    g = random_graph(rng, directed=False, n_lo=10, n_hi=10, q_lo=1, q_hi=1, weight_max=1)
+    result = yen_ksp(g, compute_layout(g), 0, 9, 8)
+    searches, lexmin = search_calls
+    assert sum(1 for e in g.edges if e.weights == (0,)) >= g.edge_count // 3
+    assert len(result.paths) == 8
+    assert searches == [9] * lexmin[0]
+    # The first search plus 26 spurs; spurring from every index takes 44.
+    assert lexmin == [27]
