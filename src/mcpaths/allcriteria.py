@@ -12,7 +12,11 @@ one at a time, discarding any flow cycles met along the way.
 Every search stops at its target's distance: no node farther than d(s,t)
 from s (or from t, walking arcs backwards) can lie on a shortest s-t
 path, so none is settled, and the backward search walks the graph's
-incoming arcs instead of a reversed copy.
+incoming arcs instead of a reversed copy. The summed and per-criterion
+weights are ``edge_column``s stored with the graph, built by its first
+query, so a repeat query on one graph scans no edge list: it reads the
+columns, searches, and collects the subgraph's arcs from the nodes
+found on shortest paths.
 """
 
 from __future__ import annotations
@@ -21,9 +25,10 @@ from collections import deque
 from dataclasses import dataclass
 
 from .dijkstra import Path, shortest_distances, trace_path
+from .graph import Edge, Graph, GraphError, InvariantError, NoPathError, check_endpoints, edge_column
 # ``reverse`` is unused here but stays importable: bench/tracer.py wraps
 # ``mcpaths.allcriteria.reverse`` by name.
-from .graph import Edge, Graph, GraphError, InvariantError, NoPathError, check_endpoints, reverse  # noqa: F401
+from .graph import reverse  # noqa: F401
 from .lexweight import BitLayout, compute_layout
 
 __all__ = [
@@ -64,6 +69,7 @@ class TooFewPathsError(Exception):
 class AggregatedWeights:
     """Summed edge weights and the distances built on them.
 
+    ``combined`` is the graph's summed-weight ``edge_column``.
     ``dist_from_source[v]`` and ``dist_to_dest[v]`` are the exact
     summed-weight distances s->v and v->t when they are at most
     d(s,t) = ``total_distance``, and None beyond it or when unreachable.
@@ -73,7 +79,7 @@ class AggregatedWeights:
     graph: Graph
     source: int
     dest: int
-    combined: dict[int, int]
+    combined: tuple[int | None, ...]
     dist_from_source: tuple[int | None, ...]
     dist_to_dest: tuple[int | None, ...]
     per_criterion_dist: tuple[int, ...]
@@ -86,25 +92,32 @@ class AggregatedWeights:
         return d
 
 
+def _summed_column(g: Graph) -> tuple[int | None, ...]:
+    return g.derived("summed", lambda g: edge_column(g, lambda e: sum(e.weights)))
+
+
+def _criterion_column(g: Graph, i: int) -> tuple[int | None, ...]:
+    return g.derived(("criterion", i), lambda g: edge_column(g, lambda e: e.weights[i]))
+
+
 def aggregate_and_distances(g: Graph, s: int, t: int) -> AggregatedWeights:
     """Summed weights plus distances from s, to t, and per criterion to t.
 
     All q+2 searches stop once they pass their target, so only the nodes
-    within d(s,t) are settled. Raises NoPathError when t is unreachable
-    from s.
+    within d(s,t) are settled. The weights are the graph's stored
+    columns. Raises NoPathError when t is unreachable from s.
     """
     if not g.directed:
         raise GraphError("all-criteria search requires a directed graph")
     check_endpoints(g, source=s, dest=t)
-    combined = {e.eid: sum(e.weights) for e in g.edges}
+    combined = _summed_column(g)
     dist_fwd, _ = shortest_distances(g, combined, s, target=t)
     if dist_fwd[t] is None:
         raise NoPathError(f"no path from {s} to {t}")
     dist_bwd, _ = shortest_distances(g, combined, t, incoming=True, target=s)
     per_criterion = []
     for i in range(g.q):
-        weights_i = {e.eid: e.weights[i] for e in g.edges}
-        dist_i, _ = shortest_distances(g, weights_i, s, target=t)
+        dist_i, _ = shortest_distances(g, _criterion_column(g, i), s, target=t)
         if dist_i[t] is None:
             raise InvariantError(f"criterion {i} cannot reach {t} from {s}")
         per_criterion.append(dist_i[t])
@@ -130,24 +143,40 @@ class ShortestSubgraph:
     edges: tuple[Edge, ...]
 
 
+def _edge_rank(g: Graph) -> tuple[int | None, ...] | None:
+    """Position in ``g.edges`` per edge id, or None when positions rise
+    with ids, so that sorting by id already gives ``g.edges`` order."""
+    ids = [e.eid for e in g.edges]
+    if all(a < b for a, b in zip(ids, ids[1:])):
+        return None
+    position = dict(zip(ids, range(len(ids))))
+    return edge_column(g, lambda e: position[e.eid])
+
+
 def build_subgraph(g: Graph, aw: AggregatedWeights) -> ShortestSubgraph:
     """Keep node u when d(s,u) + d(u,t) = d(s,t), and arc (u,v) when
-    d(s,u) + w(u,v) + d(v,t) = d(s,t)."""
+    d(s,u) + w(u,v) + d(v,t) = d(s,t).
+
+    Such an arc leaves a kept node, so only their out-arcs are read.
+    ``edges`` keeps ``g.edges`` order, which fixes the order in which
+    ``max_flow_unit`` tries arcs and so the paths it finds.
+    """
     span = aw.total_distance
-    fwd, bwd = aw.dist_from_source, aw.dist_to_dest
+    fwd, bwd, combined = aw.dist_from_source, aw.dist_to_dest, aw.combined
     nodes = frozenset(
         u
         for u in range(g.node_count)
         if fwd[u] is not None and bwd[u] is not None and fwd[u] + bwd[u] == span
     )
-    edges = tuple(
-        e
-        for e in g.edges
-        if fwd[e.u] is not None
-        and bwd[e.v] is not None
-        and fwd[e.u] + aw.combined[e.eid] + bwd[e.v] == span
-    )
-    return ShortestSubgraph(g, aw.source, aw.dest, span, nodes, edges)
+    kept = [
+        eid
+        for u in nodes
+        for v, eid in g.out_arcs(u)
+        if bwd[v] is not None and fwd[u] + combined[eid] + bwd[v] == span
+    ]
+    rank = g.derived("rank", _edge_rank)
+    kept.sort(key=None if rank is None else rank.__getitem__)
+    return ShortestSubgraph(g, aw.source, aw.dest, span, nodes, tuple(map(g.edge, kept)))
 
 
 @dataclass

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Collection, Mapping, Sequence
+from typing import Collection, Sequence
 
-from .graph import Graph, GraphError, InvariantError, NoPathError, check_endpoints
-from .lexweight import BitLayout, pack
+from .graph import Graph, GraphError, InvariantError, NoPathError, check_endpoints, edge_column
+from .lexweight import BitLayout, compute_layout, pack
 
 __all__ = [
     "Path",
@@ -76,14 +76,25 @@ def trace_path(g: Graph, layout: BitLayout, edge_ids: Sequence[int], start: int)
     return Path(tuple(nodes), tuple(edge_ids), pack(layout, criteria), criteria)
 
 
-def packed_weights(g: Graph, layout: BitLayout) -> dict[int, int]:
-    """Packed integer weight per edge id."""
-    return {e.eid: pack(layout, e.weights) for e in g.edges}
+def packed_weights(g: Graph, layout: BitLayout) -> tuple[int | None, ...]:
+    """Packed integer weight per edge id, an ``edge_column`` of ``g``.
+
+    The column for the graph's own layout (``compute_layout(g)``) is
+    built on first use and stored with the graph, so every later query
+    reads the same tuple; any other layout gets a fresh column.
+    """
+
+    def build(g: Graph) -> tuple[int | None, ...]:
+        return edge_column(g, lambda e: pack(layout, e.weights))
+
+    if layout == compute_layout(g):
+        return g.derived("packed", build)
+    return build(g)
 
 
 def shortest_distances(
     g: Graph,
-    weight_by_eid: Mapping[int, int],
+    weight_by_eid: Sequence[int | None],
     source: int,
     *,
     banned_nodes: Collection[int] = (),
@@ -93,11 +104,12 @@ def shortest_distances(
 ) -> tuple[list[int | None], list[tuple[int, int] | None]]:
     """Dijkstra core shared by every module.
 
-    Returns (dist, pred) where ``pred[v]`` is ``(edge_id, previous_node)``
-    on one shortest path to ``v``, or None. ``banned_nodes`` and
-    ``banned_edges`` mask parts of the graph without copying it; with
-    ``incoming=True`` the search walks arcs backwards (distance to a
-    destination instead of from a source).
+    ``weight_by_eid`` is an ``edge_column``: the weight of edge ``eid``
+    sits at index ``eid``. Returns (dist, pred) where ``pred[v]`` is
+    ``(edge_id, previous_node)`` on one shortest path to ``v``, or None.
+    ``banned_nodes`` and ``banned_edges`` mask parts of the graph without
+    copying it; with ``incoming=True`` the search walks arcs backwards
+    (distance to a destination instead of from a source).
 
     With ``target`` set, the search stops at the first pop farther than
     ``dist[target]``: every node at distance <= d(target) is settled
@@ -140,15 +152,19 @@ def shortest_distances(
     return dist, pred
 
 
-def threshold_mask(weight_by_eid: Mapping[int, int], threshold: int | None) -> frozenset[int]:
+def threshold_mask(weight_by_eid: Sequence[int | None], threshold: int | None) -> frozenset[int]:
     """Ids of the edges a threshold drops: packed weight at or above it.
 
-    ``None`` drops nothing. Passed as ``banned_edges``, the mask makes a
-    search see exactly the graph ``filter_by_threshold`` would build.
+    ``weight_by_eid`` is an ``edge_column``; its None holes are ids no
+    edge carries and are never dropped. ``None`` drops nothing. Passed as
+    ``banned_edges``, the mask makes a search see exactly the graph
+    ``filter_by_threshold`` would build.
     """
     if threshold is None:
         return frozenset()
-    return frozenset(eid for eid, w in weight_by_eid.items() if w >= threshold)
+    return frozenset(
+        eid for eid, w in enumerate(weight_by_eid) if w is not None and w >= threshold
+    )
 
 
 def filter_by_threshold(g: Graph, layout: BitLayout, threshold: int | None) -> Graph:
@@ -161,7 +177,8 @@ def filter_by_threshold(g: Graph, layout: BitLayout, threshold: int | None) -> G
     """
     if threshold is None:
         return g
-    kept = [e for e in g.edges if pack(layout, e.weights) < threshold]
+    packed = packed_weights(g, layout)
+    kept = [e for e in g.edges if packed[e.eid] < threshold]
     return Graph(g.directed, g.node_count, g.q, kept)
 
 

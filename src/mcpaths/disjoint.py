@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dijkstra import Path, shortest_distances, trace_path
-from .graph import Edge, Graph, GraphError, InvariantError, check_endpoints
-from .lexweight import BitLayout, compute_layout, pack
+from .dijkstra import Path, packed_weights, shortest_distances, trace_path
+from .graph import Edge, Graph, GraphError, InvariantError, check_endpoints, edge_column
+from .lexweight import BitLayout, compute_layout
 from .oracle import enumerate_simple_paths
 
 __all__ = [
@@ -97,7 +97,8 @@ def build_edge_disjoint_gadget(g: Graph, layout: BitLayout, s: int, t: int) -> G
     _require_undirected_query(g, s, t)
     n = g.node_count
     s1, s2, t1, t2 = n, n + 1, n + 2, n + 3
-    edges = [Edge(e.u, e.v, (pack(layout, e.weights),), e.eid) for e in g.edges]
+    packed = packed_weights(g, layout)
+    edges = [Edge(e.u, e.v, (packed[e.eid],), e.eid) for e in g.edges]
     base = g.next_edge_id()
     edges += [
         Edge(s1, s, (0,), base),
@@ -155,9 +156,10 @@ def build_node_disjoint_gadget(g: Graph, layout: BitLayout, s: int, t: int) -> G
     s1, s2, t1, t2 = next_id, next_id + 1, next_id + 2, next_id + 3
     node_total = next_id + 4
 
+    packed = packed_weights(g, layout)
     edges: list[Edge] = []
     for e in g.edges:
-        w = (pack(layout, e.weights),)
+        w = (packed[e.eid],)
         a, b = e.u, e.v
         if {a, b} == {s, t}:
             edges.append(Edge(st_source, st_dest, w, e.eid))
@@ -204,7 +206,7 @@ def check_not_rigid(gg: GadgetGraph) -> bool:
     ``two_disjoint_shortest`` does not call it: the exhaustive solver has
     no rigidity precondition.
     """
-    weights = {e.eid: e.weights[0] for e in gg.graph.edges}
+    weights = edge_column(gg.graph, lambda e: e.weights[0])
     s1, s2, t1, t2 = gg.terminals
 
     def l_set_contains(a: int, b: int, members: tuple[int, ...]) -> bool:

@@ -7,13 +7,16 @@ descending priority (position 0 is the most important criterion).
 Undirected edges are stored once and exposed as two directed arcs that
 share a single edge id, so disjointness checks treat both directions as
 the same physical link. Graphs are immutable after construction and safe
-to share across concurrent queries.
+to share across concurrent queries. The one thing a graph fills in later
+is its store of values derived from it alone, such as per-edge weight
+columns: each is computed on the first query that reads it and read-only
+from then on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 __all__ = [
     "Edge",
@@ -23,8 +26,11 @@ __all__ = [
     "NoPathError",
     "build_graph",
     "check_endpoints",
+    "edge_column",
     "reverse",
 ]
+
+T = TypeVar("T")
 
 
 class GraphError(ValueError):
@@ -67,9 +73,16 @@ class Graph:
     ``(neighbor, edge_id)`` pairs sorted by neighbor id, which keeps every
     traversal in this package deterministic regardless of edge insertion
     order. For undirected graphs the two views are identical.
+
+    Edge ids must be non-negative ``int``s. Per-edge columns (see
+    ``derived`` and ``edge_column``) are tuples indexed by edge id, so
+    their memory grows with the largest id rather than with the edge
+    count. The parser and ``build_graph`` number edges from 0, and the
+    graphs mcpaths derives (threshold copies, gadgets) keep those ids and
+    number any new edges right after them.
     """
 
-    __slots__ = ("directed", "node_count", "q", "edges", "_adj", "_radj", "_by_id")
+    __slots__ = ("directed", "node_count", "q", "edges", "_adj", "_radj", "_by_id", "_derived")
 
     def __init__(self, directed: bool, node_count: int, q: int, edges: Sequence[Edge]):
         if node_count < 0:
@@ -88,6 +101,8 @@ class Graph:
 
         for e in self.edges:
             u, v, eid = e.u, e.v, e.eid
+            if type(eid) is not int or eid < 0:
+                raise _edge_error(e, "edge id must be a non-negative int")
             if not (0 <= u < node_count and 0 <= v < node_count):
                 raise _edge_error(e, f"endpoint out of range [0, {node_count})")
             if u == v:
@@ -109,6 +124,7 @@ class Graph:
         self._by_id = by_id
         self._adj = tuple(tuple(sorted(arcs)) for arcs in adj)
         self._radj = self._adj if not directed else tuple(tuple(sorted(arcs)) for arcs in radj)
+        self._derived: dict[Hashable, object] = {}
 
     def out_arcs(self, u: int) -> tuple[tuple[int, int], ...]:
         """Arcs leaving ``u`` as (neighbor, edge_id), sorted by neighbor."""
@@ -132,6 +148,20 @@ class Graph:
         """Smallest id strictly above every existing edge id."""
         return max(self._by_id, default=-1) + 1
 
+    def derived(self, key: Hashable, build: Callable[[Graph], T]) -> T:
+        """The value ``build(self)`` stored under ``key``, built on first use.
+
+        Only values that depend on this graph alone belong here, never
+        anything keyed by a query. Stored values are shared by every
+        caller and must not be mutated. Two threads that fill one key at
+        once both build it, and ``setdefault`` hands both the value that
+        was stored first, so no lock is needed.
+        """
+        try:
+            return self._derived[key]  # type: ignore[return-value]
+        except KeyError:
+            return self._derived.setdefault(key, build(self))  # type: ignore[return-value]
+
     def __repr__(self) -> str:
         kind = "directed" if self.directed else "undirected"
         return f"Graph({kind}, nodes={self.node_count}, edges={self.edge_count}, q={self.q})"
@@ -145,6 +175,18 @@ def check_endpoints(g: Graph, **nodes: int) -> None:
     for name, node in nodes.items():
         if not g.has_node(node):
             raise GraphError(f"{name} {node} out of range [0, {g.node_count})")
+
+
+def edge_column(g: Graph, value_of: Callable[[Edge], T]) -> tuple[T | None, ...]:
+    """``value_of(e)`` at index ``e.eid`` for every edge of ``g``.
+
+    The tuple has length ``g.next_edge_id()``; ids no edge carries (the
+    gaps ``filter_by_threshold`` leaves) hold None.
+    """
+    column: list[T | None] = [None] * g.next_edge_id()
+    for e in g.edges:
+        column[e.eid] = value_of(e)
+    return tuple(column)
 
 
 def build_graph(

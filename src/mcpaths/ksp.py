@@ -22,6 +22,7 @@ the node where it left the path it was found from.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .dijkstra import Path, packed_weights, shortest_distances, threshold_mask, trace_path
 # ``filter_by_threshold`` is unused here but stays importable: bench/tracer.py
@@ -61,7 +62,7 @@ class _Route:
 
 def _lexmin_shortest(
     g: Graph,
-    weights: dict[int, int],
+    weights: Sequence[int | None],
     source: int,
     dest: int,
     banned_nodes: frozenset[int],

@@ -43,7 +43,15 @@ class BitLayout:
 
 
 def compute_layout(g: Graph) -> BitLayout:
-    """Size the bit segments from the graph-wide per-criterion totals."""
+    """Size the bit segments from the graph-wide per-criterion totals.
+
+    The layout is computed once per graph and stored with it: every call
+    on one graph returns the same object.
+    """
+    return g.derived("layout", _layout)
+
+
+def _layout(g: Graph) -> BitLayout:
     totals = [0] * g.q
     for e in g.edges:
         for i, w in enumerate(e.weights):

@@ -4,6 +4,8 @@ import sys
 import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcpaths import (
     GraphError,
@@ -26,7 +28,7 @@ from mcpaths.allcriteria import (
     max_flow_unit,
 )
 from mcpaths.dijkstra import shortest_distances
-from mcpaths.graph import Graph, InvariantError
+from mcpaths.graph import Edge, Graph, InvariantError
 from mcpaths.oracle import all_criteria_shortest, enumerate_simple_paths, max_edge_disjoint_count
 from conftest import random_connected_query, random_graph, subprocess_env
 
@@ -60,7 +62,7 @@ def subgraph_as_graph(sub: ShortestSubgraph) -> Graph:
 def test_single_edge_instance():
     g = build_graph(True, 2, 2, [(0, 1, (2, 3))])
     aw = aggregate_and_distances(g, 0, 1)
-    assert aw.combined == {0: 5}
+    assert aw.combined == (5,)
     assert aw.total_distance == 5
     assert aw.per_criterion_dist == (2, 3)
     assert feasibility_check(aw)
@@ -153,7 +155,7 @@ def test_pipeline_builds_no_graph(monkeypatch):
 
 def test_total_distance_of_unreached_dest_is_an_invariant_error():
     g = build_graph(True, 2, 1, [(0, 1, (1,))])
-    aw = AggregatedWeights(g, 0, 1, {0: 1}, (0, None), (None, 0), (1,))
+    aw = AggregatedWeights(g, 0, 1, (1,), (0, None), (None, 0), (1,))
     with pytest.raises(InvariantError):
         aw.total_distance
 
@@ -211,6 +213,43 @@ def test_every_subgraph_path_is_shortest():
         assert inner.paths
         for p in inner.paths:
             assert sum(p.criteria_length) == aw.total_distance
+
+
+@st.composite
+def shuffled_directed_queries(draw):
+    """Random directed graphs with zero weights and ties; half of them list
+    their edges out of id order, which ``g.edges`` order must survive."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    q = draw(st.integers(min_value=1, max_value=3))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=n, max_size=4 * n))
+    weights = st.lists(st.integers(min_value=0, max_value=1), min_size=q, max_size=q)
+    edges = [Edge(u, v, tuple(draw(weights)), eid) for eid, (u, v) in enumerate(chosen)]
+    if draw(st.booleans()):
+        edges = draw(st.permutations(edges))
+    s, t = draw(st.sampled_from(pairs))
+    return Graph(True, n, q, edges), s, t
+
+
+@settings(max_examples=200, deadline=None)
+@given(shuffled_directed_queries())
+def test_subgraph_equals_the_full_edge_scan(query):
+    g, s, t = query
+    try:
+        aw = aggregate_and_distances(g, s, t)
+    except NoPathError:
+        return
+    span, fwd, bwd = aw.total_distance, aw.dist_from_source, aw.dist_to_dest
+    sub = build_subgraph(g, aw)
+    assert sub.nodes == frozenset(
+        u for u in range(g.node_count)
+        if fwd[u] is not None and bwd[u] is not None and fwd[u] + bwd[u] == span
+    )
+    assert sub.edges == tuple(
+        e for e in g.edges
+        if fwd[e.u] is not None and bwd[e.v] is not None
+        and fwd[e.u] + sum(e.weights) + bwd[e.v] == span
+    )
 
 
 # ---- unit-capacity max flow ------------------------------------------------

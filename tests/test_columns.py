@@ -1,0 +1,132 @@
+"""Per-graph weight columns: values, sharing, and what repeat queries read."""
+
+import sys
+import threading
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mcpaths import (
+    build_graph,
+    compute_layout,
+    dijkstra,
+    extract_path,
+    k_disjoint_all_criteria,
+    pack,
+    yen_ksp,
+)
+from mcpaths.allcriteria import _criterion_column, _summed_column
+from mcpaths.dijkstra import filter_by_threshold, packed_weights, threshold_mask
+
+
+@st.composite
+def column_graphs(draw):
+    """Directed or undirected graphs with zero weights and ties, half of
+    them thinned by a threshold so that their edge ids have gaps."""
+    directed = draw(st.booleans())
+    n = draw(st.integers(min_value=1, max_value=9))
+    q = draw(st.integers(min_value=1, max_value=3))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=16)) if pairs else []
+    weights = st.lists(st.integers(min_value=0, max_value=2), min_size=q, max_size=q)
+    g = build_graph(directed, n, q, [(u, v, tuple(draw(weights))) for u, v in chosen])
+    if draw(st.booleans()):
+        cut = draw(st.sampled_from([0, 1, *(pack(compute_layout(g), e.weights) for e in g.edges)]))
+        g = filter_by_threshold(g, compute_layout(g), cut)
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(column_graphs(), st.data())
+def test_columns_equal_a_fresh_computation(g, data):
+    layout = compute_layout(g)
+    assert compute_layout(g) is layout
+    carried = {e.eid for e in g.edges}
+    columns = {
+        "packed": (packed_weights(g, layout), lambda w: pack(layout, w)),
+        "summed": (_summed_column(g), sum),
+        **{i: (_criterion_column(g, i), lambda w, i=i: w[i]) for i in range(g.q)},
+    }
+    for column, fresh in columns.values():
+        assert type(column) is tuple and len(column) == g.next_edge_id()
+        for eid, value in enumerate(column):
+            assert value == (fresh(g.edge(eid).weights) if eid in carried else None)
+    assert packed_weights(g, layout) is columns["packed"][0]
+    assert _summed_column(g) is columns["summed"][0]
+
+    # A layout from another graph packs correctly and is never stored.
+    other = build_graph(True, 2, g.q, [(0, 1, tuple(data.draw(st.integers(0, 9)) for _ in range(g.q)))])
+    foreign = compute_layout(other)
+    got = packed_weights(g, foreign)
+    assert got == tuple(pack(foreign, g.edge(eid).weights) if eid in carried else None
+                        for eid in range(g.next_edge_id()))
+    if foreign != layout and carried:  # () is a singleton
+        assert packed_weights(g, foreign) is not got
+    assert packed_weights(g, layout) is columns["packed"][0]
+    # The holes are never masked.
+    assert threshold_mask(got, 0) == frozenset(carried)
+
+
+def _grid(n: int = 12):
+    """A directed n x n grid from one corner to the other: many tied
+    all-criteria-shortest paths, and a heavier middle column of (1, 2)
+    arcs for a threshold to drop."""
+    arcs = []
+    for r in range(n):
+        for c in range(n):
+            if c + 1 < n:
+                arcs.append((r * n + c, r * n + c + 1, (1, 1)))
+            if r + 1 < n:
+                arcs.append((r * n + c, (r + 1) * n + c, (1, 2) if c == n // 2 else (1, 1)))
+    return build_graph(True, n * n, 2, arcs), 0, n * n - 1
+
+
+def _queries(g, s, t):
+    layout = compute_layout(g)
+    heavy = pack(layout, (1, 2))
+    return (
+        k_disjoint_all_criteria(g, s, t, 2),
+        yen_ksp(g, layout, s, t, 3),
+        yen_ksp(g, layout, s, t, 3, threshold=heavy),
+        extract_path(dijkstra(g, layout, s, target=t, threshold=heavy), t),
+    )
+
+
+class _Tripwire:
+    def __iter__(self):
+        raise AssertionError("a repeat query scanned the edge list")
+
+
+def test_repeat_queries_scan_no_edge_list():
+    g, s, t = _grid()
+    first = _queries(g, s, t)
+    g.edges = _Tripwire()
+    assert _queries(g, s, t) == first
+
+
+def test_first_queries_from_several_threads_agree():
+    g, s, t = _grid()
+    want = _queries(g, s, t)
+    fresh, _, _ = _grid()
+    workers = 4
+    start = threading.Barrier(workers)
+    results: list = [None] * workers
+
+    def work(i: int) -> None:
+        start.wait(timeout=30)
+        results[i] = (_queries(fresh, s, t), compute_layout(fresh))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert all(r is not None and r[0] == want for r in results)
+    # Every thread got the one layout the graph kept.
+    assert all(r[1] is compute_layout(fresh) for r in results)

@@ -14,7 +14,7 @@ from mcpaths import (
     yen_ksp,
 )
 from mcpaths.allcriteria import aggregate_and_distances
-from mcpaths.graph import reverse
+from mcpaths.graph import Edge, Graph, reverse
 from mcpaths.oracle import enumerate_simple_paths
 from conftest import random_graph
 
@@ -101,6 +101,18 @@ def test_build_rejects_non_int_endpoints_and_weights(triple, bad):
     with pytest.raises(GraphError) as info:
         build_graph(False, 2, 1, [triple])
     assert str(info.value) == f"edge 0 ({u}, {v}): endpoints and weights must be int, got {bad}"
+
+
+@pytest.mark.parametrize(
+    "eid",
+    [-1, "x", 1.0, True, None],
+    ids=["negative", "str", "float", "bool", "none"],
+)
+def test_graph_rejects_bad_edge_ids(eid):
+    # A column indexed by edge id would read slot -1 as the last edge's.
+    with pytest.raises(GraphError) as info:
+        Graph(True, 3, 1, [Edge(0, 2, (5,), 0), Edge(0, 1, (1,), eid)])
+    assert str(info.value) == f"edge {eid} (0, 1): edge id must be a non-negative int"
 
 
 def test_query_endpoints_are_checked_with_one_message():
