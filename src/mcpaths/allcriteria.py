@@ -29,7 +29,7 @@ from .graph import Edge, Graph, GraphError, InvariantError, NoPathError, check_e
 # ``reverse`` is unused here but stays importable: bench/tracer.py wraps
 # ``mcpaths.allcriteria.reverse`` by name.
 from .graph import reverse  # noqa: F401
-from .lexweight import BitLayout, compute_layout
+from .lexweight import compute_layout
 
 __all__ = [
     "MSG_INFEASIBLE",
@@ -257,9 +257,7 @@ def max_flow_unit(sub: ShortestSubgraph, s: int, t: int, k: int) -> FlowState:
     return FlowState(sub, flow, value)
 
 
-def decompose_flow(
-    fs: FlowState, s: int, t: int, k: int, layout: BitLayout | None = None
-) -> tuple[Path, ...]:
+def decompose_flow(fs: FlowState, s: int, t: int, k: int) -> tuple[Path, ...]:
     """Peel k edge-disjoint s-t paths off a 0/1 flow.
 
     Each round walks flow arcs backwards from t. Revisiting a node means
@@ -271,8 +269,7 @@ def decompose_flow(
     if fs.value < k:
         raise TooFewPathsError()
     sub = fs.subgraph
-    if layout is None:
-        layout = compute_layout(sub.graph)
+    layout = compute_layout(sub.graph)
     flow = fs.flow
     incoming: dict[int, list[tuple[int, int]]] = {v: [] for v in sub.nodes}
     for e in sub.edges:
@@ -336,7 +333,4 @@ def k_disjoint_all_criteria(g: Graph, s: int, t: int, k: int) -> tuple[Path, ...
     if not feasibility_check(aw):
         raise InfeasibleError()
     sub = build_subgraph(g, aw)
-    fs = max_flow_unit(sub, s, t, k)
-    if fs.value < k:
-        raise TooFewPathsError()
-    return decompose_flow(fs, s, t, k, compute_layout(g))
+    return decompose_flow(max_flow_unit(sub, s, t, k), s, t, k)

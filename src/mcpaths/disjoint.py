@@ -15,7 +15,11 @@ destinations so that a two-pair disjoint-shortest-paths solver applies:
 
 The two-pair solver here is an exhaustive stand-in kept behind a small
 interface so a polynomial algorithm can replace it later; desk-scale
-verification needs the exhaustive search anyway.
+verification needs the exhaustive search anyway. Both gadgets treat s1
+like s2 and t1 like t2 (same neighbours, dummy edges of equal weight), so
+the solver enumerates the s1-t1 routes once and reads every s2-t2 route
+as the mirror of one of them. Routes through the other pair's terminal
+never pair with anything and are dropped.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 from .dijkstra import Path, packed_weights, shortest_distances, trace_path
 from .graph import Edge, Graph, GraphError, InvariantError, check_endpoints, edge_column
-from .lexweight import BitLayout, compute_layout
+from .lexweight import compute_layout
 from .oracle import enumerate_simple_paths
 
 __all__ = [
@@ -70,7 +74,6 @@ class GadgetGraph:
     node_origin: dict[int, int]
     mode: str
     source_graph: Graph
-    layout: BitLayout
     source: int
     dest: int
 
@@ -92,12 +95,12 @@ def _require_undirected_query(g: Graph, s: int, t: int) -> None:
         raise GraphError("source and destination must differ")
 
 
-def build_edge_disjoint_gadget(g: Graph, layout: BitLayout, s: int, t: int) -> GadgetGraph:
+def build_edge_disjoint_gadget(g: Graph, s: int, t: int) -> GadgetGraph:
     """Attach pendant terminals through zero-weight dummy edges."""
     _require_undirected_query(g, s, t)
     n = g.node_count
     s1, s2, t1, t2 = n, n + 1, n + 2, n + 3
-    packed = packed_weights(g, layout)
+    packed = packed_weights(g, compute_layout(g))
     edges = [Edge(e.u, e.v, (packed[e.eid],), e.eid) for e in g.edges]
     base = g.next_edge_id()
     edges += [
@@ -114,13 +117,12 @@ def build_edge_disjoint_gadget(g: Graph, layout: BitLayout, s: int, t: int) -> G
         node_origin={v: v for v in range(n)},
         mode=MODE_EDGE,
         source_graph=g,
-        layout=layout,
         source=s,
         dest=t,
     )
 
 
-def build_node_disjoint_gadget(g: Graph, layout: BitLayout, s: int, t: int) -> GadgetGraph:
+def build_node_disjoint_gadget(g: Graph, s: int, t: int) -> GadgetGraph:
     """Split the endpoints so node-disjointness becomes checkable at terminals.
 
     Original s and t disappear; each neighbour v of s gets a split node
@@ -156,7 +158,7 @@ def build_node_disjoint_gadget(g: Graph, layout: BitLayout, s: int, t: int) -> G
     s1, s2, t1, t2 = next_id, next_id + 1, next_id + 2, next_id + 3
     node_total = next_id + 4
 
-    packed = packed_weights(g, layout)
+    packed = packed_weights(g, compute_layout(g))
     edges: list[Edge] = []
     for e in g.edges:
         w = (packed[e.eid],)
@@ -191,7 +193,6 @@ def build_node_disjoint_gadget(g: Graph, layout: BitLayout, s: int, t: int) -> G
         node_origin=origin,
         mode=MODE_NODE,
         source_graph=g,
-        layout=layout,
         source=s,
         dest=t,
     )
@@ -233,6 +234,14 @@ def solve_2dsp_exhaustive(
 ) -> tuple[Path, Path] | None:
     """Best disjoint terminal pair by full enumeration, or None.
 
+    Both gadgets treat s1 like s2 and t1 like t2, so the s2-t2 routes are
+    the s1-t1 routes with the terminals swapped, and one enumeration
+    serves both pairs: the answer is an s1-t1 route and the mirror of
+    another. A route through s2 or t2 (only node gadgets have them) shares
+    a terminal with every partner and weighs at least 2 more than the
+    route it shortcuts, so it is dropped. Every kept route carries the
+    same dummy weight, so gadget weights order routes as their originals.
+
     Disjointness follows the gadget's mode: node-disjoint pairs share no
     node at all, edge-disjoint pairs no edge id. With ``each-shortest``
     both paths must individually be shortest between their terminals;
@@ -247,64 +256,53 @@ def solve_2dsp_exhaustive(
             f"exhaustive solver bound exceeded: {gg.graph.node_count} nodes > {node_bound}"
         )
     s1, s2, t1, t2 = gg.terminals
-
-    def routes(a: int, b: int) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
-        # The gadget has one criterion: a path's length is its weight.
-        enum = enumerate_simple_paths(gg.graph, a, b, node_bound)
-        return [(p.nodes, p.edges, p.criteria_length[0]) for p in enum.paths]
-
-    first_routes = routes(s1, t1)
-    second_routes = routes(s2, t2)
+    enum = enumerate_simple_paths(gg.graph, s1, t1, node_bound)
+    # (gadget weight, original node sequence, route): the gadget has one
+    # criterion, and without parallel edges the sequence names the route.
+    routes = sorted(
+        (
+            (p.criteria_length[0], tuple(gg.node_origin[v] for v in p.nodes[1:-1]), p)
+            for p in enum.paths
+            if s2 not in p.nodes and t2 not in p.nodes
+        ),
+        key=lambda r: (r[0], r[1]),
+    )
     if objective == OBJECTIVE_EACH_SHORTEST:
-        if not first_routes or not second_routes:
-            return None
-        d1 = min(w for _, _, w in first_routes)
-        d2 = min(w for _, _, w in second_routes)
-        first_routes = [r for r in first_routes if r[2] == d1]
-        second_routes = [r for r in second_routes if r[2] == d2]
-
-    terminal_set = set(gg.terminals)
-    dummy = gg.dummy_edges
-
-    def route_info(route):
-        nodes, eids, w = route
-        orig_nodes = tuple(gg.node_origin[v] for v in nodes if v not in terminal_set)
-        orig_w = w - sum(gg.graph.edge(eid).weights[0] for eid in eids if eid in dummy)
-        return (orig_w, orig_nodes, frozenset(nodes), frozenset(eids), route)
-
-    firsts = sorted((route_info(r) for r in first_routes), key=lambda x: (x[0], x[1]))
-    seconds = sorted((route_info(r) for r in second_routes), key=lambda x: (x[0], x[1]))
-    if not firsts or not seconds:
-        return None
+        routes = [r for r in routes if r[0] == routes[0][0]]
     node_mode = gg.mode == MODE_NODE
-    min_second = seconds[0][0]
+    # A mirror keeps its original's interior, and the end terminals differ.
+    interiors = [frozenset(p.nodes[1:-1] if node_mode else p.edges[1:-1]) for _, _, p in routes]
     best = None
     best_key = None
-    for a_w, a_nodes, a_node_set, a_edge_set, a_route in firsts:
-        # routes are weight-sorted, so once even the lightest partner
-        # cannot tie the incumbent total, nothing later can either
-        if best_key is not None and a_w + min_second > best_key[0]:
+    for i, (w_i, nodes_i, route_i) in enumerate(routes[:-1]):
+        # routes are weight-sorted, so once even the next route cannot
+        # tie the incumbent total, no later pair can either
+        if best_key is not None and w_i + routes[i + 1][0] > best_key[0]:
             break
-        for b_w, b_nodes, b_node_set, b_edge_set, b_route in seconds:
-            if best_key is not None and a_w + b_w > best_key[0]:
+        for j in range(i + 1, len(routes)):
+            w_j, nodes_j, route_j = routes[j]
+            if best_key is not None and w_i + w_j > best_key[0]:
                 break
-            if node_mode:
-                if a_node_set & b_node_set:
-                    continue
-            elif a_edge_set & b_edge_set:
+            if interiors[i] & interiors[j]:
                 continue
-            if (a_w, a_nodes) <= (b_w, b_nodes):
-                key = (a_w + b_w, a_w, a_nodes, b_nodes)
-                pair = (a_route, b_route)
-            else:
-                key = (a_w + b_w, b_w, b_nodes, a_nodes)
-                pair = (b_route, a_route)
+            key = (w_i + w_j, w_i, nodes_i, nodes_j)
             if best_key is None or key < best_key:
                 best_key = key
-                best = pair
+                best = (route_i, route_j)
+            break  # later partners of route i come in key order
     if best is None:
         return None
-    return tuple(Path(nodes, eids, w, (w,)) for nodes, eids, w in best)  # type: ignore[return-value]
+    first, second = best
+    # The mirror's end dummies are the twins at s2 and t2 of the route's.
+    start = next(eid for v, eid in gg.graph.out_arcs(s2) if v == second.nodes[1])
+    end = next(eid for v, eid in gg.graph.out_arcs(t2) if v == second.nodes[-2])
+    mirror = Path(
+        (s2, *second.nodes[1:-1], t2),
+        (start, *second.edges[1:-1], end),
+        second.ew_length,
+        second.criteria_length,
+    )
+    return first, mirror
 
 
 def abridge(gg: GadgetGraph, pair: tuple[Path, Path]) -> DisjointPair:
@@ -316,6 +314,7 @@ def abridge(gg: GadgetGraph, pair: tuple[Path, Path]) -> DisjointPair:
     path and is rejected.
     """
     s1, s2, t1, t2 = gg.terminals
+    layout = compute_layout(gg.source_graph)
     originals: list[Path] = []
     for path in pair:
         if path.nodes[0] not in (s1, s2) or path.nodes[-1] not in (t1, t2):
@@ -326,7 +325,7 @@ def abridge(gg: GadgetGraph, pair: tuple[Path, Path]) -> DisjointPair:
             if eid in gg.dummy_edges:
                 raise GraphError(f"dummy edge {eid} used away from a terminal")
         kept = [eid for eid in path.edges if eid not in gg.dummy_edges]
-        originals.append(trace_path(gg.source_graph, gg.layout, kept, gg.source))
+        originals.append(trace_path(gg.source_graph, layout, kept, gg.source))
     first, second = originals
     if first.dest != gg.dest or second.dest != gg.dest:
         raise GraphError("abridged path does not end at the destination")
@@ -348,9 +347,8 @@ def two_disjoint_shortest(
     """
     if mode not in (MODE_EDGE, MODE_NODE):
         raise GraphError(f"unknown disjointness mode {mode!r}")
-    layout = compute_layout(g)
     builder = build_edge_disjoint_gadget if mode == MODE_EDGE else build_node_disjoint_gadget
-    gadget = builder(g, layout, s, t)
+    gadget = builder(g, s, t)
     solution = solve_2dsp_exhaustive(gadget, objective, node_bound)
     if solution is None:
         return None

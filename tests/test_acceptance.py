@@ -130,10 +130,9 @@ def test_c5_two_disjoint_end_to_end():
                 edge_prob=rng.uniform(0.25, 0.5),
             )
             s, t = 0, g.node_count - 1
-            layout = compute_layout(g)
             # the split construction is the one with the guaranteed
             # non-rigidity property; probe it on every instance
-            assert check_not_rigid(build_node_disjoint_gadget(g, layout, s, t))
+            assert check_not_rigid(build_node_disjoint_gadget(g, s, t))
             enum = enumerate_simple_paths(g, s, t)
             for mode in ("edge", "node"):
                 for objective in ("each-shortest", "min-total"):

@@ -4,7 +4,10 @@ import sys
 import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mcpaths.disjoint as disjoint
 from mcpaths import (
     GraphError,
     Path,
@@ -33,9 +36,8 @@ def four_cycle():
 
 
 def gadget_for(g, s, t, mode):
-    layout = compute_layout(g)
     builder = build_edge_disjoint_gadget if mode == "edge" else build_node_disjoint_gadget
-    return builder(g, layout, s, t)
+    return builder(g, s, t)
 
 
 # ---- gadget builders ----------------------------------------------------
@@ -196,7 +198,6 @@ def test_handbuilt_rigid_instance():
         node_origin={},
         mode="node",
         source_graph=line,
-        layout=compute_layout(line),
         source=0,
         dest=3,
     )
@@ -236,6 +237,17 @@ def test_solver_none_on_articulation_node():
         assert solve_2dsp_exhaustive(gg) is None
 
 
+def _chains(gg, path):
+    # consecutive nodes are joined by the listed edges, whose weights sum
+    # to the path's length
+    joined = all(
+        {gg.graph.edge(eid).u, gg.graph.edge(eid).v} == {a, b}
+        for a, b, eid in zip(path.nodes, path.nodes[1:], path.edges)
+    )
+    weight = sum(gg.graph.edge(eid).weights[0] for eid in path.edges)
+    return joined and len(path.edges) == len(path.nodes) - 1 and weight == path.ew_length
+
+
 def test_solver_outputs_are_disjoint():
     rng = random.Random(109)
     for _ in range(30):
@@ -245,10 +257,32 @@ def test_solver_outputs_are_disjoint():
             pair = solve_2dsp_exhaustive(gg, node_bound=40)
             if pair is None:
                 continue
+            s1, s2, t1, t2 = gg.terminals
+            assert (pair[0].nodes[0], pair[0].nodes[-1]) == (s1, t1)
+            assert (pair[1].nodes[0], pair[1].nodes[-1]) == (s2, t2)
+            assert _chains(gg, pair[0]) and _chains(gg, pair[1])
             if mode == "node":
                 assert not set(pair[0].nodes) & set(pair[1].nodes)
             else:
                 assert not set(pair[0].edges) & set(pair[1].edges)
+
+
+def test_solver_enumerates_routes_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return enumerate_simple_paths(*args)
+
+    monkeypatch.setattr(disjoint, "enumerate_simple_paths", counting)
+    diamond = build_graph(False, 4, 1, [(0, 1, (1,)), (0, 2, (1,)), (1, 3, (1,)), (2, 3, (1,))])
+    line = build_graph(False, 3, 1, [(0, 1, (1,)), (1, 2, (1,))])
+    for g, t in ((diamond, 3), (line, 2)):
+        for mode in ("edge", "node"):
+            for objective in ("min-total", "each-shortest"):
+                calls.clear()
+                solve_2dsp_exhaustive(gadget_for(g, 0, t, mode), objective)
+                assert len(calls) == 1
 
 
 def test_solver_bound_refusal():
@@ -403,6 +437,44 @@ def test_abridged_outputs_contain_only_original_edges():
                 assert set(p.edges) <= valid
                 assert len(set(p.nodes)) == len(p.nodes)
                 assert p.nodes[0] == s and p.nodes[-1] == t
+
+
+@st.composite
+def zero_heavy_pair_queries(draw):
+    """Small undirected graphs whose 0/1 weights are mostly zero, so many
+    routes tie and node gadgets fill with routes through the other pair's
+    terminals."""
+    n = draw(st.integers(min_value=2, max_value=10))
+    q = draw(st.integers(min_value=1, max_value=2))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    m = draw(st.integers(min_value=1, max_value=min(len(pairs), 5 * n // 2)))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=m, max_size=m))
+    weight = st.sampled_from((0, 0, 0, 1))
+    triples = [(u, v, tuple(draw(weight) for _ in range(q))) for u, v in chosen]
+    ends = st.lists(st.integers(min_value=0, max_value=n - 1), min_size=2, max_size=2, unique=True)
+    s, t = draw(ends)
+    return build_graph(False, n, q, triples), s, t
+
+
+@settings(max_examples=150, deadline=None)
+@given(zero_heavy_pair_queries())
+def test_pipeline_matches_oracle_on_zero_heavy_graphs(query):
+    g, s, t = query
+    enum = enumerate_simple_paths(g, s, t)
+    for mode in ("edge", "node"):
+        for objective in ("each-shortest", "min-total"):
+            try:
+                got = two_disjoint_shortest(g, s, t, mode, objective, node_bound=24)
+            except SolverBoundError:
+                continue
+            want = oracle_disjoint(enum, mode, objective)
+            if want is None:
+                assert got is None
+            else:
+                assert got is not None
+                assert (got.first.nodes, got.first.edges, got.second.nodes, got.second.edges) == (
+                    want[0].nodes, want[0].edges, want[1].nodes, want[1].edges
+                )
 
 
 def test_disjointness_is_checked_under_python_O():
