@@ -7,7 +7,9 @@ sum of the per-criterion distances. When that holds, the edges lying on
 some summed-shortest path form a subgraph in which *every* s-t path is
 such a path, so k disjoint witnesses exist precisely when a unit-capacity
 max flow on that subgraph reaches k. Paths are then peeled off the flow
-one at a time, discarding any flow cycles met along the way.
+one at a time, discarding any flow cycles met along the way. The flow
+and the peeling take arcs in edge-id order, so answers do not depend on
+the order in which a graph lists its edges.
 
 Every search stops at its target's distance: no node farther than d(s,t)
 from s (or from t, walking arcs backwards) can lie on a shortest s-t
@@ -143,24 +145,16 @@ class ShortestSubgraph:
     edges: tuple[Edge, ...]
 
 
-def _edge_rank(g: Graph) -> tuple[int | None, ...] | None:
-    """Position in ``g.edges`` per edge id, or None when positions rise
-    with ids, so that sorting by id already gives ``g.edges`` order."""
-    ids = [e.eid for e in g.edges]
-    if all(a < b for a, b in zip(ids, ids[1:])):
-        return None
-    position = dict(zip(ids, range(len(ids))))
-    return edge_column(g, lambda e: position[e.eid])
-
-
-def build_subgraph(g: Graph, aw: AggregatedWeights) -> ShortestSubgraph:
+def build_subgraph(aw: AggregatedWeights) -> ShortestSubgraph:
     """Keep node u when d(s,u) + d(u,t) = d(s,t), and arc (u,v) when
     d(s,u) + w(u,v) + d(v,t) = d(s,t).
 
     Such an arc leaves a kept node, so only their out-arcs are read.
-    ``edges`` keeps ``g.edges`` order, which fixes the order in which
-    ``max_flow_unit`` tries arcs and so the paths it finds.
+    ``edges`` are in edge-id order, which fixes the order in which
+    ``max_flow_unit`` tries arcs and so the paths it finds, whatever the
+    order in which the graph lists its edges.
     """
+    g = aw.graph
     span = aw.total_distance
     fwd, bwd, combined = aw.dist_from_source, aw.dist_to_dest, aw.combined
     nodes = frozenset(
@@ -174,8 +168,7 @@ def build_subgraph(g: Graph, aw: AggregatedWeights) -> ShortestSubgraph:
         for v, eid in g.out_arcs(u)
         if bwd[v] is not None and fwd[u] + combined[eid] + bwd[v] == span
     ]
-    rank = g.derived("rank", _edge_rank)
-    kept.sort(key=None if rank is None else rank.__getitem__)
+    kept.sort()
     return ShortestSubgraph(g, aw.source, aw.dest, span, nodes, tuple(map(g.edge, kept)))
 
 
@@ -188,14 +181,16 @@ class FlowState:
     value: int
 
 
-def max_flow_unit(sub: ShortestSubgraph, s: int, t: int, k: int) -> FlowState:
+def max_flow_unit(sub: ShortestSubgraph, k: int) -> FlowState:
     """Blocking-flow max flow with unit capacities, stopping at value k.
 
     Augmentation halts as soon as k units arrive, so the reported value is
-    min(k, max flow).
+    min(k, max flow). Each node tries its arcs in edge-id order, the order
+    of ``sub.edges``.
     """
     if k < 1:
         raise GraphError(f"k must be >= 1, got {k}")
+    s, t = sub.source, sub.dest
     # Compact arc arrays: arc 2i is sub.edges[i], arc 2i+1 its residual twin.
     arc_to: list[int] = []
     arc_cap: list[int] = []
@@ -257,7 +252,7 @@ def max_flow_unit(sub: ShortestSubgraph, s: int, t: int, k: int) -> FlowState:
     return FlowState(sub, flow, value)
 
 
-def decompose_flow(fs: FlowState, s: int, t: int, k: int) -> tuple[Path, ...]:
+def decompose_flow(fs: FlowState, k: int) -> tuple[Path, ...]:
     """Peel k edge-disjoint s-t paths off a 0/1 flow.
 
     Each round walks flow arcs backwards from t. Revisiting a node means
@@ -269,6 +264,7 @@ def decompose_flow(fs: FlowState, s: int, t: int, k: int) -> tuple[Path, ...]:
     if fs.value < k:
         raise TooFewPathsError()
     sub = fs.subgraph
+    s, t = sub.source, sub.dest
     layout = compute_layout(sub.graph)
     flow = fs.flow
     incoming: dict[int, list[tuple[int, int]]] = {v: [] for v in sub.nodes}
@@ -295,20 +291,17 @@ def decompose_flow(fs: FlowState, s: int, t: int, k: int) -> tuple[Path, ...]:
             eid, u = next_arc(v)
             stack.append((u, v, eid))
             v = u
-            if v == s:
-                break
             if v in marked:
                 # Zero the whole cycle: every arc back through the one
-                # entering the repeated node.
+                # entering the repeated node. s never repeats: the walk
+                # ends on reaching it.
                 while True:
                     tail, head, ce = stack.pop()
                     flow[ce] = 0
                     marked.discard(head)
                     if head == v:
                         break
-                marked.add(v)
-            else:
-                marked.add(v)
+            marked.add(v)
         edge_ids: list[int] = []
         while stack:
             tail, head, eid = stack.pop()
@@ -332,5 +325,4 @@ def k_disjoint_all_criteria(g: Graph, s: int, t: int, k: int) -> tuple[Path, ...
     aw = aggregate_and_distances(g, s, t)
     if not feasibility_check(aw):
         raise InfeasibleError()
-    sub = build_subgraph(g, aw)
-    return decompose_flow(max_flow_unit(sub, s, t, k), s, t, k)
+    return decompose_flow(max_flow_unit(build_subgraph(aw), k), k)

@@ -184,13 +184,18 @@ def filter_by_threshold(g: Graph, layout: BitLayout, threshold: int | None) -> G
 
 @dataclass
 class DistanceMap:
-    """Distances and predecessor links from one source."""
+    """Distances and predecessor links from one source.
+
+    ``target`` is the node the search was cut at, if any: once it is
+    reached, nodes farther than it are missing from the map.
+    """
 
     graph: Graph
     layout: BitLayout
     source: int
     dist: list[int | None]
     pred: list[tuple[int, int] | None]
+    target: int | None
 
 
 def dijkstra(
@@ -216,13 +221,19 @@ def dijkstra(
     dist, pred = shortest_distances(
         g, weights, source, banned_edges=threshold_mask(weights, threshold), target=target
     )
-    return DistanceMap(g, layout, source, dist, pred)
+    return DistanceMap(g, layout, source, dist, pred, target)
 
 
 def extract_path(dm: DistanceMap, t: int) -> Path:
-    """Reconstruct one shortest path from the map's source to ``t``."""
+    """Reconstruct one shortest path from the map's source to ``t``.
+
+    Raises NoPathError when ``t`` is unreachable, and GraphError when the
+    map was cut at a reached target before the search settled ``t``.
+    """
     check_endpoints(dm.graph, dest=t)
     if dm.dist[t] is None:
+        if dm.target is not None and dm.dist[dm.target] is not None:
+            raise GraphError(f"the distance map stops at target {dm.target}, before node {t}")
         raise NoPathError(f"no path from {dm.source} to {t}")
     edge_ids: list[int] = []
     at = t

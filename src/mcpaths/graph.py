@@ -58,9 +58,6 @@ class Edge:
     weights: tuple[int, ...]
     eid: int
 
-    def other(self, node: int) -> int:
-        return self.v if node == self.u else self.u
-
 
 def _edge_error(e: Edge, reason: str) -> GraphError:
     return GraphError(f"edge {e.eid} ({e.u}, {e.v}): {reason}")

@@ -16,13 +16,16 @@ that level, avoiding the walk, reaches the destination or an edge down
 to a lower level.
 
 Spurs follow Lawler's deviation rule: an accepted path spurs only from
-the node where it left the path it was found from.
+the node where it left the path it was found from. Candidates wait in
+one heap ordered like the answers, (packed length, node sequence); the
+rule never finds a route twice, so the heap needs no dedup.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .dijkstra import Path, packed_weights, shortest_distances, threshold_mask, trace_path
 # ``filter_by_threshold`` is unused here but stays importable: bench/tracer.py
@@ -46,18 +49,15 @@ class KspResult:
     exhausted: bool
 
 
-@dataclass(frozen=True)
-class _Route:
+class _Route(NamedTuple):
+    """Ordered as a tuple: by cost, then node sequence, the answer order."""
+
     cost: int
     nodes: tuple[int, ...]
     edges: tuple[int, ...]
     # Spur index at which this route left the accepted route it was found
     # from; the two share their nodes up to and including it.
     deviation: int = 0
-
-    @property
-    def order_key(self) -> tuple[int, tuple[int, ...]]:
-        return (self.cost, self.nodes)
 
 
 def _lexmin_shortest(
@@ -88,7 +88,7 @@ def _lexmin_shortest(
         incoming=True,
         target=source,
     )
-    remaining = to_dest[source] if source not in banned_nodes else None
+    remaining = to_dest[source]
     if remaining is None:
         return None
     total = remaining
@@ -153,13 +153,18 @@ def yen_ksp(
 
     The threshold masks every edge whose packed weight is at or above it,
     so every returned path survives it; the mask joins every search's
-    banned edges, the zero-level check included. Each accepted path spurs
-    only from its deviation index onward (Lawler's rule): for a root
-    ending before that index, the spur of the path it was found from
-    already searched the same root with a ban set that the paths accepted
-    since could not widen. Returns all existing paths with
-    ``exhausted=True`` when fewer than k exist; ``s == t`` yields the
-    single empty path.
+    banned edges, the zero-level check included. Returns all existing
+    paths with ``exhausted=True`` when fewer than k exist; ``s == t``
+    yields the single empty path.
+
+    A spur's search space is the simple paths that start with its root
+    and avoid its banned edges, the next edge of every accepted path that
+    shares the root. Accepting a candidate splits its space into the
+    candidate itself and the spaces of its spurs, which Lawler's rule
+    takes only from its deviation index on: a shorter root lies outside
+    its space. So the accepted paths and the live candidates' spaces
+    partition the s-t paths, no route is generated twice, and the
+    smallest candidate on the heap is the next answer.
     """
     if k < 1:
         raise GraphError(f"k must be >= 1, got {k}")
@@ -174,7 +179,7 @@ def yen_ksp(
     if first is None:
         return KspResult((), exhausted=True)
     accepted: list[_Route] = [first]
-    candidates: dict[tuple[int, ...], _Route] = {}
+    candidates: list[_Route] = []
 
     while len(accepted) < k:
         prev = accepted[-1]
@@ -182,30 +187,25 @@ def yen_ksp(
         for i in range(prev.deviation, len(prev.nodes) - 1):
             spur = prev.nodes[i]
             root_nodes = prev.nodes[: i + 1]
-            root_edges = prev.edges[:i]
-            banned_edges = {
-                p.edges[i] for p in accepted if p.nodes[: i + 1] == root_nodes and len(p.edges) > i
-            }
-            banned_nodes = frozenset(root_nodes[:-1])
+            # A root never holds t, so every path sharing it has an edge i.
+            banned_edges = {p.edges[i] for p in accepted if p.nodes[: i + 1] == root_nodes}
             spur_route = _lexmin_shortest(
-                g, weights, spur, t, banned_nodes, masked.union(banned_edges)
+                g, weights, spur, t, frozenset(root_nodes[:-1]), masked.union(banned_edges)
             )
             if spur_route is not None:
-                total = _Route(
-                    prefix_cost + spur_route.cost,
-                    root_nodes + spur_route.nodes[1:],
-                    root_edges + spur_route.edges,
-                    i,
+                heapq.heappush(
+                    candidates,
+                    _Route(
+                        prefix_cost + spur_route.cost,
+                        root_nodes + spur_route.nodes[1:],
+                        prev.edges[:i] + spur_route.edges,
+                        i,
+                    ),
                 )
-                known = candidates.get(total.nodes)
-                if known is None or total.order_key < known.order_key:
-                    candidates[total.nodes] = total
             prefix_cost += weights[prev.edges[i]]
         if not candidates:
             break
-        best = min(candidates.values(), key=lambda r: r.order_key)
-        del candidates[best.nodes]
-        accepted.append(best)
+        accepted.append(heapq.heappop(candidates))
 
     paths = tuple(trace_path(g, layout, r.edges, s) for r in accepted)
     return KspResult(paths, exhausted=len(paths) < k)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .graph import Graph, GraphError
 
-__all__ = ["BitLayout", "compute_layout", "pack", "unpack", "compare_lex"]
+__all__ = ["BitLayout", "compute_layout", "pack", "unpack"]
 
 
 @dataclass(frozen=True)
@@ -90,16 +90,3 @@ def unpack(layout: BitLayout, value: int) -> tuple[int, ...]:
         (value >> offset) & ((1 << width) - 1)
         for offset, width in zip(layout.offsets, layout.bits)
     )
-
-
-def compare_lex(a: Sequence[int], b: Sequence[int]) -> int:
-    """Lexicographic comparison, position 0 most significant.
-
-    Returns -1, 0, or 1.
-    """
-    if len(a) != len(b):
-        raise GraphError(f"cannot compare vectors of lengths {len(a)} and {len(b)}")
-    for x, y in zip(a, b):
-        if x != y:
-            return -1 if x < y else 1
-    return 0

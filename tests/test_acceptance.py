@@ -29,7 +29,6 @@ from mcpaths.allcriteria import (
 )
 from mcpaths.disjoint import build_node_disjoint_gadget, check_not_rigid
 from mcpaths.graph import Graph
-from mcpaths.lexweight import compare_lex
 from mcpaths.oracle import (
     all_criteria_shortest,
     enumerate_simple_paths,
@@ -94,7 +93,8 @@ def test_c3_order_embedding():
             packed = [pack(layout, p.criteria_length) for p in enum.paths]
             for i in range(len(enum.paths)):
                 for j in range(i + 1, len(enum.paths)):
-                    lex = compare_lex(enum.paths[i].criteria_length, enum.paths[j].criteria_length)
+                    a, b = enum.paths[i].criteria_length, enum.paths[j].criteria_length
+                    lex = (a > b) - (a < b)
                     num = (packed[i] > packed[j]) - (packed[i] < packed[j])
                     assert num == lex
                     compared += 1
@@ -176,10 +176,10 @@ def test_c6_all_criteria_pipeline():
                 infeasible += 1
                 continue
             feasible += 1
-            sub = build_subgraph(g, aw)
+            sub = build_subgraph(aw)
             sub_graph = Graph(True, g.node_count, g.q, sub.edges)
             expected_count = max_edge_disjoint_count(enumerate_simple_paths(sub_graph, s, t))
-            fs = max_flow_unit(sub, s, t, g.edge_count + 1)
+            fs = max_flow_unit(sub, g.edge_count + 1)
             assert fs.value == expected_count
             per_criterion_best = tuple(
                 min(p.criteria_length[i] for p in enum.paths) for i in range(g.q)
@@ -229,7 +229,7 @@ def test_c7_lemma_suite():
                     and fwd[e.u] + aw.combined[e.eid] + bwd[e.v] == span
                 )
                 assert identity == (e.eid in on_edges)
-            sub = build_subgraph(g, aw)
+            sub = build_subgraph(aw)
             kept_edges = {e.eid for e in sub.edges}
             for p in shortest:  # every shortest path stays inside
                 assert set(p.nodes) <= sub.nodes and set(p.edges) <= kept_edges

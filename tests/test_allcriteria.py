@@ -135,7 +135,7 @@ def test_distances_are_exact_up_to_the_span():
                 beyond += full[v] is not None
                 assert got[v] is None
     assert beyond >= 4
-    assert {e.eid for e in build_subgraph(g, aw).edges} == {0, 1, 2, 3, 4, 5}
+    assert {e.eid for e in build_subgraph(aw).edges} == {0, 1, 2, 3, 4, 5}
 
 
 def test_pipeline_builds_no_graph(monkeypatch):
@@ -166,7 +166,7 @@ def test_total_distance_of_unreached_dest_is_an_invariant_error():
 def test_subgraph_keeps_both_equal_routes():
     g = aligned_two_route_graph()
     aw = aggregate_and_distances(g, 0, 3)
-    sub = build_subgraph(g, aw)
+    sub = build_subgraph(aw)
     assert sub.nodes == frozenset({0, 1, 2, 3})
     assert len(sub.edges) == 4
 
@@ -176,14 +176,14 @@ def test_subgraph_drops_longer_route():
         True, 4, 1, [(0, 1, (1,)), (1, 3, (1,)), (0, 2, (2,)), (2, 3, (2,))]
     )
     aw = aggregate_and_distances(g, 0, 3)
-    sub = build_subgraph(g, aw)
+    sub = build_subgraph(aw)
     assert sub.nodes == frozenset({0, 1, 3})
     assert {e.eid for e in sub.edges} == {0, 1}
 
 
 def test_subgraph_of_single_path_is_that_path(table1_directed_chain):
     aw = aggregate_and_distances(table1_directed_chain, 0, 4)
-    sub = build_subgraph(table1_directed_chain, aw)
+    sub = build_subgraph(aw)
     assert sub.nodes == frozenset(range(5))
     assert len(sub.edges) == 4
 
@@ -193,7 +193,7 @@ def test_every_shortest_path_lies_inside_subgraph():
     for _ in range(50):
         g, s, t = random_connected_query(rng, directed=True)
         aw = aggregate_and_distances(g, s, t)
-        sub = build_subgraph(g, aw)
+        sub = build_subgraph(aw)
         enum = enumerate_simple_paths(g, s, t)
         span = aw.total_distance
         kept_edges = {e.eid for e in sub.edges}
@@ -208,7 +208,7 @@ def test_every_subgraph_path_is_shortest():
     for _ in range(50):
         g, s, t = random_connected_query(rng, directed=True, n_hi=10)
         aw = aggregate_and_distances(g, s, t)
-        sub = build_subgraph(g, aw)
+        sub = build_subgraph(aw)
         inner = enumerate_simple_paths(subgraph_as_graph(sub), s, t)
         assert inner.paths
         for p in inner.paths:
@@ -216,18 +216,26 @@ def test_every_subgraph_path_is_shortest():
 
 
 @st.composite
-def shuffled_directed_queries(draw):
-    """Random directed graphs with zero weights and ties; half of them list
-    their edges out of id order, which ``g.edges`` order must survive."""
+def directed_edge_lists(draw):
+    """Random directed graphs with zero weights and ties as (n, q, edges,
+    s, t), the edges listed in id order, and s != t."""
     n = draw(st.integers(min_value=2, max_value=9))
     q = draw(st.integers(min_value=1, max_value=3))
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=n, max_size=4 * n))
     weights = st.lists(st.integers(min_value=0, max_value=1), min_size=q, max_size=q)
     edges = [Edge(u, v, tuple(draw(weights)), eid) for eid, (u, v) in enumerate(chosen)]
+    s, t = draw(st.sampled_from(pairs))
+    return n, q, edges, s, t
+
+
+@st.composite
+def shuffled_directed_queries(draw):
+    """Random directed queries; half of them list their edges out of id
+    order, which the subgraph's id order must not depend on."""
+    n, q, edges, s, t = draw(directed_edge_lists())
     if draw(st.booleans()):
         edges = draw(st.permutations(edges))
-    s, t = draw(st.sampled_from(pairs))
     return Graph(True, n, q, edges), s, t
 
 
@@ -240,16 +248,19 @@ def test_subgraph_equals_the_full_edge_scan(query):
     except NoPathError:
         return
     span, fwd, bwd = aw.total_distance, aw.dist_from_source, aw.dist_to_dest
-    sub = build_subgraph(g, aw)
+    sub = build_subgraph(aw)
     assert sub.nodes == frozenset(
         u for u in range(g.node_count)
         if fwd[u] is not None and bwd[u] is not None and fwd[u] + bwd[u] == span
     )
-    assert sub.edges == tuple(
-        e for e in g.edges
-        if fwd[e.u] is not None and bwd[e.v] is not None
-        and fwd[e.u] + sum(e.weights) + bwd[e.v] == span
-    )
+    assert sub.edges == tuple(sorted(
+        (
+            e for e in g.edges
+            if fwd[e.u] is not None and bwd[e.v] is not None
+            and fwd[e.u] + sum(e.weights) + bwd[e.v] == span
+        ),
+        key=lambda e: e.eid,
+    ))
 
 
 # ---- unit-capacity max flow ------------------------------------------------
@@ -258,21 +269,21 @@ def test_subgraph_equals_the_full_edge_scan(query):
 def test_flow_diamond_reaches_two():
     g = aligned_two_route_graph()
     aw = aggregate_and_distances(g, 0, 3)
-    sub = build_subgraph(g, aw)
-    assert max_flow_unit(sub, 0, 3, 2).value == 2
+    sub = build_subgraph(aw)
+    assert max_flow_unit(sub, 2).value == 2
 
 
 def test_flow_bottleneck_single_path(table1_directed_chain):
     aw = aggregate_and_distances(table1_directed_chain, 0, 4)
-    sub = build_subgraph(table1_directed_chain, aw)
-    assert max_flow_unit(sub, 0, 4, 2).value == 1
+    sub = build_subgraph(aw)
+    assert max_flow_unit(sub, 2).value == 1
 
 
 def test_flow_early_stop_at_k():
     g = aligned_two_route_graph()
     aw = aggregate_and_distances(g, 0, 3)
-    sub = build_subgraph(g, aw)
-    assert max_flow_unit(sub, 0, 3, 1).value == 1
+    sub = build_subgraph(aw)
+    assert max_flow_unit(sub, 1).value == 1
 
 
 def test_flow_matches_bruteforce_disjoint_count():
@@ -282,7 +293,7 @@ def test_flow_matches_bruteforce_disjoint_count():
         sub = ShortestSubgraph(
             g, s, t, 0, frozenset(range(g.node_count)), g.edges
         )
-        fs = max_flow_unit(sub, s, t, g.edge_count + 1)
+        fs = max_flow_unit(sub, g.edge_count + 1)
         expected = max_edge_disjoint_count(enumerate_simple_paths(g, s, t))
         assert fs.value == expected
 
@@ -309,9 +320,9 @@ def _assert_valid_flow(g: Graph, flow: dict[int, int], s: int, t: int, value: in
 def test_decompose_diamond():
     g = aligned_two_route_graph()
     aw = aggregate_and_distances(g, 0, 3)
-    sub = build_subgraph(g, aw)
-    fs = max_flow_unit(sub, 0, 3, 2)
-    paths = decompose_flow(fs, 0, 3, 2)
+    sub = build_subgraph(aw)
+    fs = max_flow_unit(sub, 2)
+    paths = decompose_flow(fs, 2)
     assert {p.nodes for p in paths} == {(0, 1, 3), (0, 2, 3)}
     assert fs.value == 0
     assert all(f == 0 for f in fs.flow.values())
@@ -334,7 +345,7 @@ def test_decompose_removes_planted_cycle():
     )
     sub = ShortestSubgraph(g, 0, 2, 0, frozenset(range(5)), g.edges)
     fs = FlowState(sub, {eid: 1 for eid in range(5)}, 1)
-    paths = decompose_flow(fs, 0, 2, 1)
+    paths = decompose_flow(fs, 1)
     assert [p.nodes for p in paths] == [(0, 1, 2)]
     assert fs.value == 0
     assert all(f == 0 for f in fs.flow.values())
@@ -346,13 +357,13 @@ def test_decompose_conserves_residual_flow():
     for _ in range(40):
         g, s, t = random_connected_query(rng, directed=True)
         sub = ShortestSubgraph(g, s, t, 0, frozenset(range(g.node_count)), g.edges)
-        fs = max_flow_unit(sub, s, t, g.edge_count + 1)
+        fs = max_flow_unit(sub, g.edge_count + 1)
         total = fs.value
         if total < 2:
             continue
         checked += 1
         _assert_valid_flow(g, fs.flow, s, t, total)
-        extracted = decompose_flow(fs, s, t, total - 1)
+        extracted = decompose_flow(fs, total - 1)
         assert len(extracted) == total - 1
         assert fs.value == 1
         _assert_valid_flow(g, fs.flow, s, t, 1)
@@ -366,10 +377,10 @@ def test_decompose_conserves_residual_flow():
 def test_decompose_requires_enough_value():
     g = aligned_two_route_graph()
     aw = aggregate_and_distances(g, 0, 3)
-    sub = build_subgraph(g, aw)
-    fs = max_flow_unit(sub, 0, 3, 2)
+    sub = build_subgraph(aw)
+    fs = max_flow_unit(sub, 2)
     with pytest.raises(TooFewPathsError):
-        decompose_flow(fs, 0, 3, 3)
+        decompose_flow(fs, 3)
 
 
 def test_decompose_checks_conservation_under_python_O():
@@ -383,7 +394,7 @@ def test_decompose_checks_conservation_under_python_O():
         g = build_graph(True, 3, 1, [(0, 1, (1,)), (1, 2, (1,))])
         sub = ShortestSubgraph(g, 0, 2, 2, frozenset(range(3)), g.edges)
         try:
-            decompose_flow(FlowState(sub, {0: 0, 1: 1}, 1), 0, 2, 1)
+            decompose_flow(FlowState(sub, {0: 0, 1: 1}, 1), 1)
         except InvariantError as exc:
             print("InvariantError:", exc)
         """
@@ -451,3 +462,20 @@ def test_pipeline_feasibility_matches_bruteforce():
         else:
             infeasible += 1
     assert feasible > 5 and infeasible > 5
+
+
+def _pipeline_answer(g: Graph, s: int, t: int, k: int):
+    try:
+        return [p.edges for p in k_disjoint_all_criteria(g, s, t, k)]
+    except (InfeasibleError, NoPathError, TooFewPathsError) as exc:
+        return type(exc).__name__
+
+
+@settings(max_examples=300, deadline=None)
+@given(directed_edge_lists(), st.integers(min_value=1, max_value=4), st.data())
+def test_pipeline_answer_ignores_edge_list_order(query, k, data):
+    n, q, edges, s, t = query
+    shuffled = data.draw(st.permutations(edges))
+    assert _pipeline_answer(Graph(True, n, q, shuffled), s, t, k) == _pipeline_answer(
+        Graph(True, n, q, edges), s, t, k
+    )

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from mcpaths import (
+    GraphError,
     NoPathError,
     build_graph,
     compute_layout,
@@ -75,6 +76,19 @@ def test_extract_path_unreached_raises():
     dm = dijkstra(g, compute_layout(g), 0)
     with pytest.raises(NoPathError):
         extract_path(dm, 2)
+
+
+def test_extract_path_past_the_map_target_is_not_a_missing_path():
+    g = build_graph(True, 4, 1, [(0, 1, (1,)), (1, 2, (5,)), (2, 3, (1,))])
+    layout = compute_layout(g)
+    cut = dijkstra(g, layout, 0, target=1)
+    with pytest.raises(GraphError, match="stops at target 1, before node 3"):
+        extract_path(cut, 3)
+    assert extract_path(cut, 1).nodes == (0, 1)
+    assert extract_path(dijkstra(g, layout, 0), 3).nodes == (0, 1, 2, 3)
+    # An unreached target leaves the search complete: no path is no path.
+    with pytest.raises(NoPathError):
+        extract_path(dijkstra(g, layout, 3, target=0), 0)
 
 
 def test_extracted_path_recosts_to_distance():

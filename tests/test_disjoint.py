@@ -148,7 +148,7 @@ def _walk_nodes(gg, edge_ids, start):
     at = start
     for eid in edge_ids:
         e = gg.graph.edge(eid)
-        at = e.other(at)
+        at = e.v if at == e.u else e.u
         nodes.append(at)
     return nodes
 

@@ -11,7 +11,6 @@ from mcpaths import (
     pack,
     unpack,
 )
-from mcpaths.lexweight import compare_lex
 from mcpaths.oracle import enumerate_simple_paths
 from conftest import random_graph
 
@@ -77,14 +76,6 @@ def test_roundtrip_random_vectors(table1_graph):
         assert unpack(layout, pack(layout, vec)) == vec
 
 
-def test_compare_lex_basics():
-    assert compare_lex((1, 9), (2, 0)) == -1
-    assert compare_lex((3, 4, 5), (3, 4, 5)) == 0
-    assert compare_lex((2, 0), (1, 9)) == 1
-    with pytest.raises(GraphError):
-        compare_lex((1,), (1, 2))
-
-
 def test_table1_path_order_matches_packed_order(table1_graph):
     layout = compute_layout(table1_graph)
     enum = enumerate_simple_paths(table1_graph, 0, 4)
@@ -119,7 +110,8 @@ def test_order_embedding_on_random_graphs():
                 packed_cmp = (pack(layout, a.criteria_length) > pack(layout, b.criteria_length)) - (
                     pack(layout, a.criteria_length) < pack(layout, b.criteria_length)
                 )
-                assert packed_cmp == compare_lex(a.criteria_length, b.criteria_length)
+                lex_cmp = (a.criteria_length > b.criteria_length) - (a.criteria_length < b.criteria_length)
+                assert packed_cmp == lex_cmp
                 comparisons += 1
     assert comparisons > 100
 
