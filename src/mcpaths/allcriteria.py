@@ -14,11 +14,11 @@ the order in which a graph lists its edges.
 Every search stops at its target's distance: no node farther than d(s,t)
 from s (or from t, walking arcs backwards) can lie on a shortest s-t
 path, so none is settled, and the backward search walks the graph's
-incoming arcs instead of a reversed copy. The summed and per-criterion
-weights are ``edge_column``s stored with the graph, built by its first
-query, so a repeat query on one graph scans no edge list: it reads the
-columns, searches, and collects the subgraph's arcs from the nodes
-found on shortest paths.
+incoming arcs instead of a reversed copy. The searches read the graph's
+own per-criterion weight columns and a summed column stored with the
+graph, built from them by its first query, so a repeat query on one
+graph builds no column: it searches, and collects the subgraph's arcs
+from the nodes found on shortest paths.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .dijkstra import Path, shortest_distances, trace_path
-from .graph import Edge, Graph, GraphError, InvariantError, NoPathError, check_endpoints, edge_column
+from .graph import Edge, Graph, GraphError, InvariantError, NoPathError, check_endpoints
 # ``reverse`` is unused here but stays importable: bench/tracer.py wraps
 # ``mcpaths.allcriteria.reverse`` by name.
 from .graph import reverse  # noqa: F401
@@ -71,7 +71,7 @@ class TooFewPathsError(Exception):
 class AggregatedWeights:
     """Summed edge weights and the distances built on them.
 
-    ``combined`` is the graph's summed-weight ``edge_column``.
+    ``combined`` is the graph's summed-weight column, indexed by edge id.
     ``dist_from_source[v]`` and ``dist_to_dest[v]`` are the exact
     summed-weight distances s->v and v->t when they are at most
     d(s,t) = ``total_distance``, and None beyond it or when unreachable.
@@ -95,19 +95,15 @@ class AggregatedWeights:
 
 
 def _summed_column(g: Graph) -> tuple[int | None, ...]:
-    return g.derived("summed", lambda g: edge_column(g, lambda e: sum(e.weights)))
-
-
-def _criterion_column(g: Graph, i: int) -> tuple[int | None, ...]:
-    return g.derived(("criterion", i), lambda g: edge_column(g, lambda e: e.weights[i]))
+    return g.derived("summed", lambda g: g.column(map(sum, zip(*map(g.present, g.weights)))))
 
 
 def aggregate_and_distances(g: Graph, s: int, t: int) -> AggregatedWeights:
     """Summed weights plus distances from s, to t, and per criterion to t.
 
     All q+2 searches stop once they pass their target, so only the nodes
-    within d(s,t) are settled. The weights are the graph's stored
-    columns. Raises NoPathError when t is unreachable from s.
+    within d(s,t) are settled. The weights are the graph's columns.
+    Raises NoPathError when t is unreachable from s.
     """
     if not g.directed:
         raise GraphError("all-criteria search requires a directed graph")
@@ -119,7 +115,7 @@ def aggregate_and_distances(g: Graph, s: int, t: int) -> AggregatedWeights:
     dist_bwd, _ = shortest_distances(g, combined, t, incoming=True, target=s)
     per_criterion = []
     for i in range(g.q):
-        dist_i, _ = shortest_distances(g, _criterion_column(g, i), s, target=t)
+        dist_i, _ = shortest_distances(g, g.weights[i], s, target=t)
         if dist_i[t] is None:
             raise InvariantError(f"criterion {i} cannot reach {t} from {s}")
         per_criterion.append(dist_i[t])

@@ -17,7 +17,7 @@ from dataclasses import replace
 from typing import Sequence
 
 from .allcriteria import InfeasibleError, TooFewPathsError, k_disjoint_all_criteria
-from .dijkstra import Path, dijkstra, extract_path, filter_by_threshold
+from .dijkstra import Path, dijkstra, extract_path, filter_by_threshold, packed_weights
 from .disjoint import (
     MODE_EDGE,
     MODE_NODE,
@@ -28,7 +28,7 @@ from .disjoint import (
 from .fileio import parse_graph_file
 from .graph import Graph, GraphError, NoPathError
 from .ksp import yen_ksp
-from .lexweight import BitLayout, compute_layout, pack, unpack
+from .lexweight import BitLayout, compute_layout, unpack
 from .oracle import (
     DEFAULT_NODE_BOUND,
     PathEnumeration,
@@ -118,22 +118,25 @@ def _graph_doc(g: Graph) -> dict:
 
 
 def _pack(g: Graph, layout: BitLayout):
+    packed = packed_weights(g, layout)
     edges = [
         {
             "id": e.eid,
             "u": e.u,
             "v": e.v,
             "weights": list(e.weights),
-            "ensembled": str(pack(layout, e.weights)),
+            "ensembled": str(packed[e.eid]),
         }
         for e in g.edges
     ]
-    return {"edges": edges}, g.edges
+    return {"edges": edges}, g
 
 
-def _check_pack(enum: None, edges, layout: BitLayout) -> str:
-    for e in edges:
-        if unpack(layout, pack(layout, e.weights)) != e.weights:
+def _check_pack(enum: None, g: Graph, layout: BitLayout) -> str:
+    """Whether the graph's stored packed column unpacks to every edge's weights."""
+    packed = packed_weights(g, layout)
+    for e in g.edges:
+        if unpack(layout, packed[e.eid]) != e.weights:
             return f"mismatch: edge {e.eid} does not round-trip"
     return "ok"
 

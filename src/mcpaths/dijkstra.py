@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import repeat
+from operator import lshift
 from typing import Collection, Sequence
 
-from .graph import Graph, GraphError, InvariantError, NoPathError, check_endpoints, edge_column
+from .graph import Graph, GraphError, InvariantError, NoPathError, check_endpoints
 from .lexweight import BitLayout, compute_layout, pack
 
 __all__ = [
@@ -54,38 +56,39 @@ def trace_path(g: Graph, layout: BitLayout, edge_ids: Sequence[int], start: int)
     """Build a Path from consecutive edge ids beginning at ``start``.
 
     Orientation of undirected edges is inferred by chaining endpoints;
-    per-criterion sums are accumulated directly from the edge vectors.
+    per-criterion sums are read straight from the weight columns.
     """
     nodes = [start]
-    sums = [0] * g.q
     at = start
     for eid in edge_ids:
-        e = g.edge(eid)
-        if at == e.u:
-            at = e.v
-        elif at == e.v and not g.directed:
-            at = e.u
+        u, v = g.tails[eid], g.heads[eid]
+        if at == u:
+            at = v
+        elif at == v and not g.directed:
+            at = u
         else:
             raise GraphError(f"edge {eid} does not continue the path at node {at}")
         nodes.append(at)
-        for i, w in enumerate(e.weights):
-            sums[i] += w
     if len(set(nodes)) != len(nodes):
         raise GraphError("path repeats a node")
-    criteria = tuple(sums)
+    criteria = tuple(sum(map(column.__getitem__, edge_ids)) for column in g.weights)
     return Path(tuple(nodes), tuple(edge_ids), pack(layout, criteria), criteria)
 
 
 def packed_weights(g: Graph, layout: BitLayout) -> tuple[int | None, ...]:
-    """Packed integer weight per edge id, an ``edge_column`` of ``g``.
+    """Packed integer weight per edge id, a column of ``g``.
 
-    The column for the graph's own layout (``compute_layout(g)``) is
-    built on first use and stored with the graph, so every later query
-    reads the same tuple; any other layout gets a fresh column.
+    Each weight column is shifted to its segment as a whole and the
+    shifted columns are summed id by id. The column for the graph's own
+    layout (``compute_layout(g)``) is built on first use and stored with
+    the graph, so every later query reads the same tuple; any other
+    layout gets a fresh column.
     """
 
     def build(g: Graph) -> tuple[int | None, ...]:
-        return edge_column(g, lambda e: pack(layout, e.weights))
+        shifted = [map(lshift, g.present(column), repeat(offset))
+                   for column, offset in zip(g.weights, layout.offsets)]
+        return g.column(map(sum, zip(*shifted)))
 
     if layout == compute_layout(g):
         return g.derived("packed", build)
@@ -104,7 +107,7 @@ def shortest_distances(
 ) -> tuple[list[int | None], list[tuple[int, int] | None]]:
     """Dijkstra core shared by every module.
 
-    ``weight_by_eid`` is an ``edge_column``: the weight of edge ``eid``
+    ``weight_by_eid`` is a column of ``g``: the weight of edge ``eid``
     sits at index ``eid``. Returns (dist, pred) where ``pred[v]`` is
     ``(edge_id, previous_node)`` on one shortest path to ``v``, or None.
     ``banned_nodes`` and ``banned_edges`` mask parts of the graph without
@@ -155,10 +158,10 @@ def shortest_distances(
 def threshold_mask(weight_by_eid: Sequence[int | None], threshold: int | None) -> frozenset[int]:
     """Ids of the edges a threshold drops: packed weight at or above it.
 
-    ``weight_by_eid`` is an ``edge_column``; its None holes are ids no
-    edge carries and are never dropped. ``None`` drops nothing. Passed as
-    ``banned_edges``, the mask makes a search see exactly the graph
-    ``filter_by_threshold`` would build.
+    ``weight_by_eid`` is a column indexed by edge id; its None holes are
+    ids no edge carries and are never dropped. ``None`` drops nothing.
+    Passed as ``banned_edges``, the mask makes a search see exactly the
+    graph ``filter_by_threshold`` would build.
     """
     if threshold is None:
         return frozenset()
@@ -177,9 +180,12 @@ def filter_by_threshold(g: Graph, layout: BitLayout, threshold: int | None) -> G
     """
     if threshold is None:
         return g
-    packed = packed_weights(g, layout)
-    kept = [e for e in g.edges if packed[e.eid] < threshold]
-    return Graph(g.directed, g.node_count, g.q, kept)
+    dropped = threshold_mask(packed_weights(g, layout), threshold)
+
+    def keep(column: Sequence) -> list:
+        return [None if eid in dropped else x for eid, x in enumerate(column)]
+
+    return Graph(g.directed, g.node_count, g.q, keep(g.tails), keep(g.heads), map(keep, g.weights))
 
 
 @dataclass

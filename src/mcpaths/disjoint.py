@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dijkstra import Path, packed_weights, shortest_distances, trace_path
-from .graph import Edge, Graph, GraphError, InvariantError, check_endpoints, edge_column
+from .graph import Graph, GraphError, InvariantError, check_endpoints
 from .lexweight import compute_layout
 from .oracle import enumerate_simple_paths
 
@@ -101,15 +101,10 @@ def build_edge_disjoint_gadget(g: Graph, s: int, t: int) -> GadgetGraph:
     n = g.node_count
     s1, s2, t1, t2 = n, n + 1, n + 2, n + 3
     packed = packed_weights(g, compute_layout(g))
-    edges = [Edge(e.u, e.v, (packed[e.eid],), e.eid) for e in g.edges]
     base = g.next_edge_id()
-    edges += [
-        Edge(s1, s, (0,), base),
-        Edge(s2, s, (0,), base + 1),
-        Edge(t, t1, (0,), base + 2),
-        Edge(t, t2, (0,), base + 3),
-    ]
-    gadget = Graph(False, n + 4, 1, edges)
+    gadget = Graph(
+        False, n + 4, 1, g.tails + (s1, s2, t, t), g.heads + (s, s, t1, t2), [packed + (0,) * 4]
+    )
     return GadgetGraph(
         graph=gadget,
         terminals=(s1, s2, t1, t2),
@@ -158,38 +153,36 @@ def build_node_disjoint_gadget(g: Graph, s: int, t: int) -> GadgetGraph:
     s1, s2, t1, t2 = next_id, next_id + 1, next_id + 2, next_id + 3
     node_total = next_id + 4
 
-    packed = packed_weights(g, compute_layout(g))
-    edges: list[Edge] = []
-    for e in g.edges:
-        w = (packed[e.eid],)
-        a, b = e.u, e.v
+    tails, heads = list(g.tails), list(g.heads)
+    for eid in g.ids:
+        a, b = tails[eid], heads[eid]
         if {a, b} == {s, t}:
-            edges.append(Edge(st_source, st_dest, w, e.eid))
+            tails[eid], heads[eid] = st_source, st_dest
         elif s in (a, b):
             v = b if a == s else a
-            edges.append(Edge(s_split[v], remap[v], w, e.eid))
+            tails[eid], heads[eid] = s_split[v], remap[v]
         elif t in (a, b):
             v = b if a == t else a
-            edges.append(Edge(remap[v], t_split[v], w, e.eid))
+            tails[eid], heads[eid] = remap[v], t_split[v]
         else:
-            edges.append(Edge(remap[a], remap[b], w, e.eid))
+            tails[eid], heads[eid] = remap[a], remap[b]
 
     base = g.next_edge_id()
-    dummies: list[Edge] = []
     source_side = sorted(s_split.values()) + ([st_source] if st_source is not None else [])
     dest_side = sorted(t_split.values()) + ([st_dest] if st_dest is not None else [])
     for x in source_side:
-        dummies.append(Edge(s1, x, (1,), base + len(dummies)))
-        dummies.append(Edge(s2, x, (1,), base + len(dummies)))
+        tails += (s1, s2)
+        heads += (x, x)
     for x in dest_side:
-        dummies.append(Edge(x, t1, (1,), base + len(dummies)))
-        dummies.append(Edge(x, t2, (1,), base + len(dummies)))
-
-    gadget = Graph(False, node_total, 1, edges + dummies)
+        tails += (x, x)
+        heads += (t1, t2)
+    packed = packed_weights(g, compute_layout(g))
+    weights = packed + (1,) * (len(tails) - base)
+    gadget = Graph(False, node_total, 1, tails, heads, [weights])
     return GadgetGraph(
         graph=gadget,
         terminals=(s1, s2, t1, t2),
-        dummy_edges=frozenset(d.eid for d in dummies),
+        dummy_edges=frozenset(range(base, len(tails))),
         node_origin=origin,
         mode=MODE_NODE,
         source_graph=g,
@@ -207,7 +200,7 @@ def check_not_rigid(gg: GadgetGraph) -> bool:
     ``two_disjoint_shortest`` does not call it: the exhaustive solver has
     no rigidity precondition.
     """
-    weights = edge_column(gg.graph, lambda e: e.weights[0])
+    weights = gg.graph.weights[0]
     s1, s2, t1, t2 = gg.terminals
 
     def l_set_contains(a: int, b: int, members: tuple[int, ...]) -> bool:

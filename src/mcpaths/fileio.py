@@ -4,20 +4,30 @@ Header line:  ``mcgraph <directed|undirected> <node_count> <q>``
 Edge lines:   ``u v w_1 w_2 ... w_q`` (exactly q weights, whitespace split)
 Lines whose first non-blank character is ``#`` are comments; blank lines
 are ignored. All tokens are non-negative integers in ASCII digits.
+
+The parser hands ``Graph`` its edge columns straight from the text: edge
+ids follow line order, and no ``Edge`` object is made.
 """
 
 from __future__ import annotations
 
-from .graph import Edge, Graph, GraphError
+from itertools import islice
+from typing import Iterator, NoReturn
+
+from .graph import Graph, GraphError, InvariantError
 
 __all__ = ["HEADER_MAGIC", "parse_graph_file"]
 
 HEADER_MAGIC = "mcgraph"
 
 
-def _nonneg_int(token: str, what: str, line_no: int) -> int:
+def _digits(token: str) -> bool:
     # ``str.isdigit`` alone admits digits such as '²' that int() rejects.
-    if not (token.isascii() and token.isdigit()):
+    return token.isascii() and token.isdigit()
+
+
+def _nonneg_int(token: str, what: str, line_no: int) -> int:
+    if not _digits(token):
         raise GraphError(f"line {line_no}: {what} must be a non-negative integer, got {token!r}")
     try:
         return int(token)
@@ -25,35 +35,23 @@ def _nonneg_int(token: str, what: str, line_no: int) -> int:
         raise GraphError(f"line {line_no}: {what} is too large: {exc}") from None
 
 
-def _edge_ints(tokens: list[str], line_no: int) -> list[int]:
-    """The tokens of one edge line as integers; names the first bad token."""
-    digits = "".join(tokens)
-    if digits.isascii() and digits.isdigit():
-        try:
-            return list(map(int, tokens))
-        except ValueError:
-            pass  # a token too long for int(); found and named below
-    return [
-        _nonneg_int(tok, "endpoint" if i < 2 else "weight", line_no)
-        for i, tok in enumerate(tokens)
-    ]
-
-
-def parse_graph_file(text: str) -> Graph:
-    """Parse the mcgraph format, reporting the offending line on failure.
-
-    Each token is converted once and the ``Edge``s are made from those
-    integers with no ``build_graph`` round trip; ``Graph`` validates the
-    edges while it builds adjacency.
-    """
-    header: tuple[bool, int, int] | None = None
-    rows: list[list[int]] = []
-    edge_lines: list[int] = []
+def _numbered_rows(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tokens) of every line that is neither blank nor a comment."""
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
-        if not tokens or tokens[0].startswith("#"):
-            continue
-        if header is None:
+        if tokens and not tokens[0].startswith("#"):
+            yield line_no, tokens
+
+
+def _reject(text: str) -> NoReturn:
+    """Raise the error for the first bad line, reading one line at a time.
+
+    Called only for text the bulk checks refused. Header faults come
+    first, then each edge line's token count and tokens in line order.
+    """
+    q = None
+    for line_no, tokens in _numbered_rows(text):
+        if q is None:
             if len(tokens) != 4 or tokens[0] != HEADER_MAGIC:
                 raise GraphError(
                     f"line {line_no}: expected header '{HEADER_MAGIC} "
@@ -64,33 +62,74 @@ def parse_graph_file(text: str) -> Graph:
                     f"line {line_no}: directedness must be 'directed' or 'undirected', "
                     f"got {tokens[1]!r}"
                 )
-            header = (
-                tokens[1] == "directed",
-                _nonneg_int(tokens[2], "node count", line_no),
-                _nonneg_int(tokens[3], "criterion count", line_no),
-            )
-            q = header[2]
+            _nonneg_int(tokens[2], "node count", line_no)
+            q = _nonneg_int(tokens[3], "criterion count", line_no)
             continue
         if len(tokens) != 2 + q:
             raise GraphError(
                 f"line {line_no}: expected 'u v' plus {q} weights, got {len(tokens)} tokens"
             )
-        rows.append(_edge_ints(tokens, line_no))
-        edge_lines.append(line_no)
-    if header is None:
+        for i, tok in enumerate(tokens):
+            _nonneg_int(tok, "endpoint" if i < 2 else "weight", line_no)
+    if q is None:
         raise GraphError("empty input: missing header line")
-    directed, node_count, q = header
-    # The Edges are made in a pass of their own once every line is read.
-    # Made as each line was read, or from one flat list of integers, they
-    # gave graphs whose later edge scans ran 20-40 % slower at 5e4 edges
-    # (k_disjoint_all_criteria): an effect of where the allocator put the
-    # objects, not of more work.
-    edges = [Edge(r[0], r[1], tuple(r[2:]), eid) for eid, r in enumerate(rows)]
+    raise InvariantError("the bulk token checks refused text that reads line by line")
+
+
+def _columns(counts: list[int], tokens: list[str]) -> tuple[bool, int, int, list[list[int]]] | None:
+    """Header fields and the integer columns u, v, w_1..w_q, or None if any line is bad.
+
+    ``counts`` holds the token count of each line that is neither blank
+    nor a comment, and ``tokens`` all of those lines' tokens in order.
+    """
+    if not counts or counts[0] != 4:
+        return None
+    magic, kind, node_count, q = tokens[:4]
+    del tokens[:4]
+    if magic != HEADER_MAGIC or kind not in ("directed", "undirected") or not _digits(node_count + q):
+        return None
     try:
-        return Graph(directed, node_count, q, edges)
+        node_count, q = int(node_count), int(q)
+        width = 2 + q
+        if any(map(width.__ne__, islice(counts, 1, None))):
+            return None
+        if tokens and not _digits("".join(tokens)):
+            return None
+        ints = list(map(int, tokens))
+    except ValueError:  # a token with more digits than int() converts
+        return None
+    if not ints:  # q comes from the header alone: share one empty column
+        return kind == "directed", node_count, q, [ints] * width
+    return kind == "directed", node_count, q, [ints[i::width] for i in range(width)]
+
+
+def parse_graph_file(text: str) -> Graph:
+    """Parse the mcgraph format, reporting the offending line on failure.
+
+    One pass counts each line's tokens and one split takes them all,
+    with comment lines dropped first; then one check covers the token
+    counts, one every token's digits, and one ``map(int, ...)`` converts
+    them all, sliced into the columns. Only when a check fails is the
+    text read again line by line to name the first bad line, so token
+    errors still come before graph errors.
+    """
+    lines = text.splitlines()
+    if "#" in text:
+        # A comment's first token starts with '#': its first non-blank
+        # character, as split() and lstrip() agree on what is blank.
+        lines = [line for line in lines if not line.lstrip().startswith("#")]
+    counts = list(filter(None, map(len, map(str.split, lines))))
+    parsed = _columns(counts, " ".join(lines).split())
+    if parsed is None:
+        _reject(text)
+    directed, node_count, q, (tails, heads, *weights) = parsed
+    try:
+        return Graph(directed, node_count, q, tails, heads, weights)
     except GraphError as exc:
-        # Point validation failures back at the input line.
+        # Point validation failures back at the input line; edge ids
+        # follow the order of the edge lines.
         msg = str(exc)
+        edge_lines = [line_no for line_no, _ in _numbered_rows(text)][1:]
         for idx, line_no in enumerate(edge_lines):
             if msg.startswith(f"edge {idx} "):
                 raise GraphError(f"line {line_no}: {msg}") from None

@@ -4,18 +4,26 @@ Nodes are dense integer ids in [0, node_count). Every edge carries a
 vector of q non-negative integer weights, one per criterion, ordered by
 descending priority (position 0 is the most important criterion).
 
+A graph stores its edges as columns indexed by edge id: the tails, the
+heads, and one weight column per criterion, each holding None at ids no
+edge carries. The searches read only these columns and the adjacency.
+An ``Edge`` is a view of one id across the columns, made only when a
+caller asks for one (``g.edge(eid)``, ``g.edges``).
+
 Undirected edges are stored once and exposed as two directed arcs that
 share a single edge id, so disjointness checks treat both directions as
 the same physical link. Graphs are immutable after construction and safe
 to share across concurrent queries. The one thing a graph fills in later
-is its store of values derived from it alone, such as per-edge weight
-columns: each is computed on the first query that reads it and read-only
-from then on.
+is its store of values derived from it alone, such as packed weight
+columns and ``Edge`` views: each is computed on the first query that
+reads it and read-only from then on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import add, eq, is_not, mul
 from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 __all__ = [
@@ -26,7 +34,6 @@ __all__ = [
     "NoPathError",
     "build_graph",
     "check_endpoints",
-    "edge_column",
     "reverse",
 ]
 
@@ -59,69 +66,141 @@ class Edge:
     eid: int
 
 
-def _edge_error(e: Edge, reason: str) -> GraphError:
-    return GraphError(f"edge {e.eid} ({e.u}, {e.v}): {reason}")
+def _first_fault(directed: bool, node_count: int, q: int, rows: Iterable[tuple]) -> Exception:
+    """The error naming the first faulty edge among ``(eid, u, v, weights)`` rows.
+
+    Run only once a bulk check has failed. Each edge is checked for, in
+    order: its id, its endpoints' range, a self-loop, its weight count,
+    a negative weight, a parallel edge met earlier, and a repeated id.
+    """
+    if node_count < 0:
+        return GraphError(f"node_count must be >= 0, got {node_count}")
+    if q < 1:
+        return GraphError(f"criterion count must be >= 1, got {q}")
+    seen_pairs: set[tuple[int, int]] = set()
+    seen_ids: set[int] = set()
+    for eid, u, v, weights in rows:
+        if type(eid) is not int or eid < 0:
+            reason = "edge id must be a non-negative int"
+        elif not (0 <= u < node_count and 0 <= v < node_count):
+            reason = f"endpoint out of range [0, {node_count})"
+        elif u == v:
+            reason = "self-loops are not allowed"
+        elif len(weights) != q:
+            reason = f"expected {q} weights, got {len(weights)}"
+        elif min(weights) < 0:
+            reason = "negative weight"
+        elif (key := (u, v) if directed or u < v else (v, u)) in seen_pairs:
+            reason = "parallel edge"
+        elif eid in seen_ids:
+            reason = "duplicate edge id"
+        else:
+            seen_pairs.add(key)
+            seen_ids.add(eid)
+            continue
+        return GraphError(f"edge {eid} ({u}, {v}): {reason}")
+    return InvariantError("a bulk edge check failed, but no edge is at fault")
 
 
 class Graph:
-    """Adjacency-list graph over integer node ids.
+    """Adjacency-list graph over integer node ids, its edges held in columns.
+
+    ``tails[eid]`` and ``heads[eid]`` are the stored orientation of edge
+    ``eid`` and ``weights[i][eid]`` its weight under criterion i; every
+    column is a tuple of length ``next_edge_id()`` with None at ids no
+    edge carries. ``ids`` lists the ids that carry an edge, in id order.
+    Edge ids are non-negative ``int``s, so the columns' memory grows with
+    the largest id rather than with the edge count. The parser and
+    ``build_graph`` number edges from 0, and the graphs mcpaths derives
+    (threshold copies, gadgets) keep those ids and number any new edges
+    right after them.
 
     Adjacency is exposed as ``out_arcs``/``in_arcs`` lists of
     ``(neighbor, edge_id)`` pairs sorted by neighbor id, which keeps every
-    traversal in this package deterministic regardless of edge insertion
-    order. For undirected graphs the two views are identical.
+    traversal in this package deterministic. For undirected graphs the
+    two views are identical.
 
-    Edge ids must be non-negative ``int``s. Per-edge columns (see
-    ``derived`` and ``edge_column``) are tuples indexed by edge id, so
-    their memory grows with the largest id rather than with the edge
-    count. The parser and ``build_graph`` number edges from 0, and the
-    graphs mcpaths derives (threshold copies, gadgets) keep those ids and
-    number any new edges right after them.
+    The constructor validates the columns in bulk; only when a check
+    fails are the edges walked one by one, in id order, to name the first
+    faulty one. ``Graph.from_edges`` builds a graph from ``Edge`` objects.
     """
 
-    __slots__ = ("directed", "node_count", "q", "edges", "_adj", "_radj", "_by_id", "_derived")
+    __slots__ = ("directed", "node_count", "q", "tails", "heads", "weights", "ids",
+                 "_adj", "_radj", "_derived")
 
-    def __init__(self, directed: bool, node_count: int, q: int, edges: Sequence[Edge]):
-        if node_count < 0:
-            raise GraphError(f"node_count must be >= 0, got {node_count}")
-        if q < 1:
-            raise GraphError(f"criterion count must be >= 1, got {q}")
-        self.directed = bool(directed)
+    def __init__(self, directed: bool, node_count: int, q: int, tails: Sequence[int | None],
+                 heads: Sequence[int | None], weights: Sequence[Sequence[int | None]]):
+        self.directed = directed = bool(directed)
         self.node_count = node_count
         self.q = q
-        self.edges: tuple[Edge, ...] = tuple(edges)
+        tails, heads, weights = tuple(tails), tuple(heads), tuple(map(tuple, weights))
+        if None in tails:
+            ids = tuple(compress(range(len(tails)), map(is_not, tails, repeat(None))))
+            size = ids[-1] + 1 if ids else 0
+            tails, heads, weights = tails[:size], heads[:size], tuple(c[:size] for c in weights)
+        else:
+            ids = range(len(tails))
+        self.tails, self.heads, self.weights, self.ids = tails, heads, weights, ids
+        us, vs = self.present(tails), self.present(heads)
 
-        by_id: dict[int, Edge] = {}
-        seen_pairs: set[tuple[int, int]] = set()
+        valid = node_count >= 0 and q >= 1 and len(weights) == q
+        if valid and ids:
+            # Parallel edges share a key: (u, v) when directed, else {u, v},
+            # which u + v < 2n and u * v < n^2 together pin down.
+            if directed:
+                keys = map(add, map(mul, us, repeat(node_count)), vs)
+            else:
+                keys = map(add, map(mul, map(add, us, vs), repeat(node_count**2)), map(mul, us, vs))
+            valid = (
+                min(us) >= 0 and min(vs) >= 0 and max(us) < node_count and max(vs) < node_count
+                and not any(map(eq, us, vs))
+                and all(min(self.present(c)) >= 0 for c in weights)
+                and len(set(keys)) == len(ids)
+            )
+        if not valid:
+            raise _first_fault(directed, node_count, q, zip(ids, us, vs, zip(*map(self.present, weights))))
+
         adj: list[list[tuple[int, int]]] = [[] for _ in range(node_count)]
         radj: list[list[tuple[int, int]]] = [[] for _ in range(node_count)] if directed else adj
-
-        for e in self.edges:
-            u, v, eid = e.u, e.v, e.eid
-            if type(eid) is not int or eid < 0:
-                raise _edge_error(e, "edge id must be a non-negative int")
-            if not (0 <= u < node_count and 0 <= v < node_count):
-                raise _edge_error(e, f"endpoint out of range [0, {node_count})")
-            if u == v:
-                raise _edge_error(e, "self-loops are not allowed")
-            if len(e.weights) != q:
-                raise _edge_error(e, f"expected {q} weights, got {len(e.weights)}")
-            if min(e.weights) < 0:
-                raise _edge_error(e, "negative weight")
-            key = (u, v) if directed or u < v else (v, u)
-            if key in seen_pairs:
-                raise _edge_error(e, "parallel edge")
-            seen_pairs.add(key)
-            if eid in by_id:
-                raise _edge_error(e, "duplicate edge id")
-            by_id[eid] = e
+        for eid, u, v in zip(ids, us, vs):
             adj[u].append((v, eid))
             radj[v].append((u, eid))
-
-        self._by_id = by_id
-        self._adj = tuple(tuple(sorted(arcs)) for arcs in adj)
-        self._radj = self._adj if not directed else tuple(tuple(sorted(arcs)) for arcs in radj)
+        self._adj = tuple(map(tuple, map(sorted, adj)))
+        self._radj = self._adj if not directed else tuple(map(tuple, map(sorted, radj)))
         self._derived: dict[Hashable, object] = {}
+
+    @classmethod
+    def from_edges(cls, directed: bool, node_count: int, q: int, edges: Iterable[Edge]) -> Graph:
+        """The graph of ``edges``, each stored at its own id.
+
+        Rejects edge ids that are not distinct non-negative ``int``s,
+        weight vectors of the wrong length and None tails, which columns
+        cannot hold; the constructor checks everything else.
+        """
+        rows = [(e.eid, e.u, e.v, e.weights) for e in edges]
+        ids = [eid for eid, *_ in rows]
+        if (not all(type(eid) is int and eid >= 0 for eid in ids) or len(set(ids)) < len(ids)
+                or any(u is None or len(weights) != q for _, u, _, weights in rows)):
+            raise _first_fault(directed, node_count, q, rows)
+        size = max(ids, default=-1) + 1
+        columns: list[list[int | None]] = [[None] * size for _ in range(2 + max(q, 0))]
+        for eid, u, v, weights in rows:
+            for column, x in zip(columns, (u, v, *weights)):
+                column[eid] = x
+        return cls(directed, node_count, q, columns[0], columns[1], columns[2:])
+
+    def present(self, column: Sequence[T | None]) -> Sequence[T]:
+        """An id-indexed column's values at ``ids``, in id order."""
+        return column if type(self.ids) is range else list(map(column.__getitem__, self.ids))
+
+    def column(self, values: Iterable[T]) -> tuple[T | None, ...]:
+        """Values given for ``ids`` in id order, as a column indexed by edge id."""
+        if type(self.ids) is range:
+            return tuple(values)
+        column: list[T | None] = [None] * len(self.tails)
+        for eid, value in zip(self.ids, values):
+            column[eid] = value
+        return tuple(column)
 
     def out_arcs(self, u: int) -> tuple[tuple[int, int], ...]:
         """Arcs leaving ``u`` as (neighbor, edge_id), sorted by neighbor."""
@@ -132,18 +211,35 @@ class Graph:
         return self._radj[u]
 
     def edge(self, eid: int) -> Edge:
-        return self._by_id[eid]
+        """A view of edge ``eid``; KeyError if no edge has that id.
+
+        Each view is made from the columns on first use and kept in a
+        map that only ever gains entries, through ``setdefault``.
+        """
+        views: dict[int, Edge] = self.derived("edge views", lambda g: {})
+        view = views.get(eid)
+        if view is None:
+            if not 0 <= eid < len(self.tails) or self.tails[eid] is None:
+                raise KeyError(eid)
+            weights = tuple(column[eid] for column in self.weights)
+            view = views.setdefault(eid, Edge(self.tails[eid], self.heads[eid], weights, eid))
+        return view
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """Every edge in id order; the views are made on first use and stored."""
+        return self.derived("edges", lambda g: tuple(map(g.edge, g.ids)))
 
     def has_node(self, u: int) -> bool:
         return 0 <= u < self.node_count
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.ids)
 
     def next_edge_id(self) -> int:
         """Smallest id strictly above every existing edge id."""
-        return max(self._by_id, default=-1) + 1
+        return len(self.tails)
 
     def derived(self, key: Hashable, build: Callable[[Graph], T]) -> T:
         """The value ``build(self)`` stored under ``key``, built on first use.
@@ -174,18 +270,6 @@ def check_endpoints(g: Graph, **nodes: int) -> None:
             raise GraphError(f"{name} {node} out of range [0, {g.node_count})")
 
 
-def edge_column(g: Graph, value_of: Callable[[Edge], T]) -> tuple[T | None, ...]:
-    """``value_of(e)`` at index ``e.eid`` for every edge of ``g``.
-
-    The tuple has length ``g.next_edge_id()``; ids no edge carries (the
-    gaps ``filter_by_threshold`` leaves) hold None.
-    """
-    column: list[T | None] = [None] * g.next_edge_id()
-    for e in g.edges:
-        column[e.eid] = value_of(e)
-    return tuple(column)
-
-
 def build_graph(
     directed: bool,
     node_count: int,
@@ -199,19 +283,16 @@ def build_graph(
     ``str`` too), self-loops, parallel edges, wrong-length weight vectors,
     and negative weights, naming the offending edge in the diagnostic.
     """
-    edges = []
-    for eid, (u, v, weights) in enumerate(edge_list):
-        e = Edge(u, v, tuple(weights), eid)
-        bad = next((x for x in (u, v, *e.weights) if type(x) is not int), None)
+    edges = [Edge(u, v, tuple(weights), eid) for eid, (u, v, weights) in enumerate(edge_list)]
+    for e in edges:
+        bad = next((x for x in (e.u, e.v, *e.weights) if type(x) is not int), None)
         if bad is not None:
-            raise _edge_error(e, f"endpoints and weights must be int, got {bad!r}")
-        edges.append(e)
-    return Graph(directed, node_count, q, edges)
+            raise GraphError(f"edge {e.eid} ({e.u}, {e.v}): endpoints and weights must be int, got {bad!r}")
+    return Graph.from_edges(directed, node_count, q, edges)
 
 
 def reverse(g: Graph) -> Graph:
     """Flip every arc of a directed graph, keeping weights and edge ids."""
     if not g.directed:
         raise GraphError("reverse() requires a directed graph")
-    flipped = [Edge(e.v, e.u, e.weights, e.eid) for e in g.edges]
-    return Graph(True, g.node_count, g.q, flipped)
+    return Graph(True, g.node_count, g.q, g.heads, g.tails, g.weights)

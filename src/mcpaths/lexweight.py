@@ -52,10 +52,7 @@ def compute_layout(g: Graph) -> BitLayout:
 
 
 def _layout(g: Graph) -> BitLayout:
-    totals = [0] * g.q
-    for e in g.edges:
-        for i, w in enumerate(e.weights):
-            totals[i] += w
+    totals = [sum(g.present(column)) for column in g.weights]
     # int.bit_length() is exactly ceil(log2(total + 1)) for total >= 0.
     bits = [t.bit_length() for t in totals]
     offsets = [0] * g.q

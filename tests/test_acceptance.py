@@ -162,7 +162,7 @@ def test_c6_all_criteria_pipeline():
             )
             if aligned:
                 # clone one criterion across all q so a common optimum exists
-                g = Graph(
+                g = Graph.from_edges(
                     True,
                     g.node_count,
                     g.q,
@@ -177,7 +177,7 @@ def test_c6_all_criteria_pipeline():
                 continue
             feasible += 1
             sub = build_subgraph(aw)
-            sub_graph = Graph(True, g.node_count, g.q, sub.edges)
+            sub_graph = Graph.from_edges(True, g.node_count, g.q, sub.edges)
             expected_count = max_edge_disjoint_count(enumerate_simple_paths(sub_graph, s, t))
             fs = max_flow_unit(sub, g.edge_count + 1)
             assert fs.value == expected_count
@@ -233,7 +233,7 @@ def test_c7_lemma_suite():
             kept_edges = {e.eid for e in sub.edges}
             for p in shortest:  # every shortest path stays inside
                 assert set(p.nodes) <= sub.nodes and set(p.edges) <= kept_edges
-            inner = enumerate_simple_paths(Graph(True, g.node_count, g.q, sub.edges), s, t)
+            inner = enumerate_simple_paths(Graph.from_edges(True, g.node_count, g.q, sub.edges), s, t)
             for p in inner.paths:  # and everything inside is shortest
                 assert sum(p.criteria_length) == span
 

@@ -53,7 +53,7 @@ def aligned_two_route_graph():
 
 
 def subgraph_as_graph(sub: ShortestSubgraph) -> Graph:
-    return Graph(True, sub.graph.node_count, sub.graph.q, sub.edges)
+    return Graph.from_edges(True, sub.graph.node_count, sub.graph.q, sub.edges)
 
 
 # ---- aggregation and feasibility -----------------------------------------
@@ -236,7 +236,7 @@ def shuffled_directed_queries(draw):
     n, q, edges, s, t = draw(directed_edge_lists())
     if draw(st.booleans()):
         edges = draw(st.permutations(edges))
-    return Graph(True, n, q, edges), s, t
+    return Graph.from_edges(True, n, q, edges), s, t
 
 
 @settings(max_examples=200, deadline=None)
@@ -476,6 +476,6 @@ def _pipeline_answer(g: Graph, s: int, t: int, k: int):
 def test_pipeline_answer_ignores_edge_list_order(query, k, data):
     n, q, edges, s, t = query
     shuffled = data.draw(st.permutations(edges))
-    assert _pipeline_answer(Graph(True, n, q, shuffled), s, t, k) == _pipeline_answer(
-        Graph(True, n, q, edges), s, t, k
+    assert _pipeline_answer(Graph.from_edges(True, n, q, shuffled), s, t, k) == _pipeline_answer(
+        Graph.from_edges(True, n, q, edges), s, t, k
     )

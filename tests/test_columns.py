@@ -1,5 +1,6 @@
 """Per-graph weight columns: values, sharing, and what repeat queries read."""
 
+import random
 import sys
 import threading
 
@@ -15,8 +16,11 @@ from mcpaths import (
     pack,
     yen_ksp,
 )
-from mcpaths.allcriteria import _criterion_column, _summed_column
+from mcpaths.allcriteria import _summed_column
+from mcpaths.cli import run_cli
 from mcpaths.dijkstra import filter_by_threshold, packed_weights, threshold_mask
+from mcpaths.fileio import parse_graph_file
+from mcpaths.graph import Edge
 
 
 @st.composite
@@ -45,7 +49,7 @@ def test_columns_equal_a_fresh_computation(g, data):
     columns = {
         "packed": (packed_weights(g, layout), lambda w: pack(layout, w)),
         "summed": (_summed_column(g), sum),
-        **{i: (_criterion_column(g, i), lambda w, i=i: w[i]) for i in range(g.q)},
+        **{i: (g.weights[i], lambda w, i=i: w[i]) for i in range(g.q)},
     }
     for column, fresh in columns.values():
         assert type(column) is tuple and len(column) == g.next_edge_id()
@@ -92,15 +96,17 @@ def _queries(g, s, t):
     )
 
 
-class _Tripwire:
-    def __iter__(self):
-        raise AssertionError("a repeat query scanned the edge list")
+class _Tripwire(dict):
+    def setdefault(self, key, default=None):
+        raise AssertionError(f"a repeat query built {key!r}")
 
 
 def test_repeat_queries_scan_no_edge_list():
     g, s, t = _grid()
     first = _queries(g, s, t)
-    g.edges = _Tripwire()
+    # No query makes the Edge views, and a repeat query builds no column.
+    assert "edges" not in g._derived
+    g._derived = _Tripwire(g._derived)
     assert _queries(g, s, t) == first
 
 
@@ -130,3 +136,31 @@ def test_first_queries_from_several_threads_agree():
     assert all(r is not None and r[0] == want for r in results)
     # Every thread got the one layout the graph kept.
     assert all(r[1] is compute_layout(fresh) for r in results)
+
+
+def test_sp_query_on_a_parsed_graph_makes_no_edge(tmp_path, monkeypatch):
+    rng = random.Random(2000)
+    n, m = 400, 2000
+    pairs: set[tuple[int, int]] = set()
+    while len(pairs) < m:
+        u, v = sorted(rng.sample(range(n), 2))
+        pairs.add((u, v))
+    lines = [f"mcgraph undirected {n} 3"]
+    lines += [f"{u} {v} {rng.randint(0, 9)} {rng.randint(0, 9)} {rng.randint(0, 9)}" for u, v in sorted(pairs)]
+    path = tmp_path / "g.mcg"
+    path.write_text("\n".join(lines) + "\n")
+
+    made = []
+    init = Edge.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Edge, "__init__", counted)
+    code, doc = run_cli(["sp", "--graph", str(path), "--source", "0", "--dest", str(n - 1),
+                         "--threshold", str(1 << 40)])
+    assert code == 0 and len(doc["paths"]) == 1
+    assert made == []
+    # The views do make Edges, so the count above would have seen any.
+    assert len(parse_graph_file(path.read_text()).edges) == m == len(made)

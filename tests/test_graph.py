@@ -111,7 +111,7 @@ def test_build_rejects_non_int_endpoints_and_weights(triple, bad):
 def test_graph_rejects_bad_edge_ids(eid):
     # A column indexed by edge id would read slot -1 as the last edge's.
     with pytest.raises(GraphError) as info:
-        Graph(True, 3, 1, [Edge(0, 2, (5,), 0), Edge(0, 1, (1,), eid)])
+        Graph.from_edges(True, 3, 1, [Edge(0, 2, (5,), 0), Edge(0, 1, (1,), eid)])
     assert str(info.value) == f"edge {eid} (0, 1): edge id must be a non-negative int"
 
 
