@@ -19,7 +19,15 @@ verification needs the exhaustive search anyway. Both gadgets treat s1
 like s2 and t1 like t2 (same neighbours, dummy edges of equal weight), so
 the solver enumerates the s1-t1 routes once and reads every s2-t2 route
 as the mirror of one of them. Routes through the other pair's terminal
-never pair with anything and are dropped.
+never pair with anything and are masked out of the enumeration.
+
+One assembler builds both gadgets: it numbers the terminals after every
+other gadget node, appends the dummy edges right after the input's own
+edge ids, and packs the weights into one criterion. The node gadget's
+nodes come from one ordered list of keys, an interior node standing for
+itself and a split node for the (end, other end) of the edge it carries;
+every original edge is re-anchored by the one rule of orienting it s
+side first and t side last and looking both ends up by key.
 """
 
 from __future__ import annotations
@@ -95,26 +103,40 @@ def _require_undirected_query(g: Graph, s: int, t: int) -> None:
         raise GraphError("source and destination must differ")
 
 
-def build_edge_disjoint_gadget(g: Graph, s: int, t: int) -> GadgetGraph:
-    """Attach pendant terminals through zero-weight dummy edges."""
-    _require_undirected_query(g, s, t)
-    n = g.node_count
+def _assemble(g: Graph, s: int, t: int, mode: str, origin: dict[int, int], tails: list[int | None],
+              heads: list[int | None], attach: list[tuple[int, int]], dummy_weight: int) -> GadgetGraph:
+    """The gadget over ``g``'s edges re-anchored at ``tails``/``heads``.
+
+    ``origin`` maps each gadget node other than the terminals to the
+    original node it stands for, and the terminals s1, s2, t1, t2 are
+    numbered right after them. Each ``(end, x)`` in ``attach`` adds two
+    dummy edges, s1-x and s2-x when ``end`` is s, x-t1 and x-t2 when it
+    is t, numbered in that order right after ``g``'s own edge ids.
+    """
+    n = len(origin)
     s1, s2, t1, t2 = n, n + 1, n + 2, n + 3
-    packed = packed_weights(g, compute_layout(g))
-    base = g.next_edge_id()
-    gadget = Graph(
-        False, n + 4, 1, g.tails + (s1, s2, t, t), g.heads + (s, s, t1, t2), [packed + (0,) * 4]
-    )
+    base = len(tails)
+    for end, x in attach:
+        tails += (s1, s2) if end == s else (x, x)
+        heads += (x, x) if end == s else (t1, t2)
+    weights = packed_weights(g, compute_layout(g)) + (dummy_weight,) * (len(tails) - base)
     return GadgetGraph(
-        graph=gadget,
+        graph=Graph(False, n + 4, 1, tails, heads, [weights]),
         terminals=(s1, s2, t1, t2),
-        dummy_edges=frozenset(range(base, base + 4)),
-        node_origin={v: v for v in range(n)},
-        mode=MODE_EDGE,
+        dummy_edges=frozenset(range(base, len(tails))),
+        node_origin=origin,
+        mode=mode,
         source_graph=g,
         source=s,
         dest=t,
     )
+
+
+def build_edge_disjoint_gadget(g: Graph, s: int, t: int) -> GadgetGraph:
+    """Attach pendant terminals through zero-weight dummy edges."""
+    _require_undirected_query(g, s, t)
+    origin = {v: v for v in range(g.node_count)}
+    return _assemble(g, s, t, MODE_EDGE, origin, list(g.tails), list(g.heads), [(s, s), (t, t)], 0)
 
 
 def build_node_disjoint_gadget(g: Graph, s: int, t: int) -> GadgetGraph:
@@ -127,68 +149,28 @@ def build_node_disjoint_gadget(g: Graph, s: int, t: int) -> GadgetGraph:
     both sides. Interior nodes and surviving edges keep their identity.
     """
     _require_undirected_query(g, s, t)
-    interiors = [v for v in range(g.node_count) if v not in (s, t)]
-    remap = {old: new for new, old in enumerate(interiors)}
-    origin = {new: old for old, new in remap.items()}
-    next_id = len(interiors)
-
-    s_split: dict[int, int] = {}
-    for v, _ in g.out_arcs(s):
-        if v != t:
-            s_split[v] = next_id
-            origin[next_id] = s
-            next_id += 1
-    st_source = st_dest = None
-    if any(v == t for v, _ in g.out_arcs(s)):
-        st_source, st_dest = next_id, next_id + 1
-        origin[st_source] = s
-        origin[st_dest] = t
-        next_id += 2
-    t_split: dict[int, int] = {}
-    for v, _ in g.out_arcs(t):
-        if v != s:
-            t_split[v] = next_id
-            origin[next_id] = t
-            next_id += 1
-    s1, s2, t1, t2 = next_id, next_id + 1, next_id + 2, next_id + 3
-    node_total = next_id + 4
-
+    # One key per gadget node: (v, v) for an interior node v, and
+    # (end, other end) for the split node that carries an edge at s or t.
+    # Numbered in this order: interiors, s's splits, s' and t', t's splits.
+    direct = [(s, t), (t, s)] if any(v == t for v, _ in g.out_arcs(s)) else []
+    splits = (
+        [(s, v) for v, _ in g.out_arcs(s) if v != t]
+        + direct
+        + [(t, v) for v, _ in g.out_arcs(t) if v != s]
+    )
+    keys = [(v, v) for v in range(g.node_count) if v not in (s, t)] + splits
+    number = {key: i for i, key in enumerate(keys)}
     tails, heads = list(g.tails), list(g.heads)
     for eid in g.ids:
         a, b = tails[eid], heads[eid]
-        if {a, b} == {s, t}:
-            tails[eid], heads[eid] = st_source, st_dest
-        elif s in (a, b):
-            v = b if a == s else a
-            tails[eid], heads[eid] = s_split[v], remap[v]
-        elif t in (a, b):
-            v = b if a == t else a
-            tails[eid], heads[eid] = remap[v], t_split[v]
-        else:
-            tails[eid], heads[eid] = remap[a], remap[b]
-
-    base = g.next_edge_id()
-    source_side = sorted(s_split.values()) + ([st_source] if st_source is not None else [])
-    dest_side = sorted(t_split.values()) + ([st_dest] if st_dest is not None else [])
-    for x in source_side:
-        tails += (s1, s2)
-        heads += (x, x)
-    for x in dest_side:
-        tails += (x, x)
-        heads += (t1, t2)
-    packed = packed_weights(g, compute_layout(g))
-    weights = packed + (1,) * (len(tails) - base)
-    gadget = Graph(False, node_total, 1, tails, heads, [weights])
-    return GadgetGraph(
-        graph=gadget,
-        terminals=(s1, s2, t1, t2),
-        dummy_edges=frozenset(range(base, len(tails))),
-        node_origin=origin,
-        mode=MODE_NODE,
-        source_graph=g,
-        source=s,
-        dest=t,
-    )
+        if a == t or b == s:  # s side first, t side last
+            a, b = b, a
+        tails[eid] = number[(a, b) if a == s else (a, a)]
+        heads[eid] = number[(b, a) if b == t else (b, b)]
+    # Each side's dummies in split order, the (s', t') pair's last.
+    attach = [(end, number[end, v]) for end, v in sorted(splits, key=lambda k: (k[0] == t, k in direct))]
+    origin = {i: key[0] for i, key in enumerate(keys)}
+    return _assemble(g, s, t, MODE_NODE, origin, tails, heads, attach, 1)
 
 
 def check_not_rigid(gg: GadgetGraph) -> bool:
@@ -232,8 +214,9 @@ def solve_2dsp_exhaustive(
     serves both pairs: the answer is an s1-t1 route and the mirror of
     another. A route through s2 or t2 (only node gadgets have them) shares
     a terminal with every partner and weighs at least 2 more than the
-    route it shortcuts, so it is dropped. Every kept route carries the
-    same dummy weight, so gadget weights order routes as their originals.
+    route it shortcuts, so the enumeration masks both out. Every listed
+    route carries the same dummy weight, so gadget weights order routes
+    as their originals.
 
     Disjointness follows the gadget's mode: node-disjoint pairs share no
     node at all, edge-disjoint pairs no edge id. With ``each-shortest``
@@ -249,15 +232,11 @@ def solve_2dsp_exhaustive(
             f"exhaustive solver bound exceeded: {gg.graph.node_count} nodes > {node_bound}"
         )
     s1, s2, t1, t2 = gg.terminals
-    enum = enumerate_simple_paths(gg.graph, s1, t1, node_bound)
+    enum = enumerate_simple_paths(gg.graph, s1, t1, node_bound, {s2, t2})
     # (gadget weight, original node sequence, route): the gadget has one
     # criterion, and without parallel edges the sequence names the route.
     routes = sorted(
-        (
-            (p.criteria_length[0], tuple(gg.node_origin[v] for v in p.nodes[1:-1]), p)
-            for p in enum.paths
-            if s2 not in p.nodes and t2 not in p.nodes
-        ),
+        ((p.criteria_length[0], tuple(gg.node_origin[v] for v in p.nodes[1:-1]), p) for p in enum.paths),
         key=lambda r: (r[0], r[1]),
     )
     if objective == OBJECTIVE_EACH_SHORTEST:
@@ -289,13 +268,7 @@ def solve_2dsp_exhaustive(
     # The mirror's end dummies are the twins at s2 and t2 of the route's.
     start = next(eid for v, eid in gg.graph.out_arcs(s2) if v == second.nodes[1])
     end = next(eid for v, eid in gg.graph.out_arcs(t2) if v == second.nodes[-2])
-    mirror = Path(
-        (s2, *second.nodes[1:-1], t2),
-        (start, *second.edges[1:-1], end),
-        second.ew_length,
-        second.criteria_length,
-    )
-    return first, mirror
+    return first, trace_path(gg.graph, compute_layout(gg.graph), (start, *second.edges[1:-1], end), s2)
 
 
 def abridge(gg: GadgetGraph, pair: tuple[Path, Path]) -> DisjointPair:

@@ -43,6 +43,10 @@ T = TypeVar("T")
 class GraphError(ValueError):
     """Rejected input: malformed graph, edge, or query parameter."""
 
+    # The faulty edge's position among the edges checked, when one edge is
+    # at fault: the parser reads the edge's line from it.
+    _edge_index: int | None = None
+
 
 class NoPathError(Exception):
     """No path exists between the queried endpoints."""
@@ -66,12 +70,13 @@ class Edge:
     eid: int
 
 
-def _first_fault(directed: bool, node_count: int, q: int, rows: Iterable[tuple]) -> Exception:
-    """The error naming the first faulty edge among ``(eid, u, v, weights)`` rows.
+def _first_fault(directed: bool, node_count: int, q: int, rows: Iterable[tuple]) -> GraphError | None:
+    """The error naming the first faulty edge among ``(eid, u, v, weights)`` rows, or None.
 
-    Run only once a bulk check has failed. Each edge is checked for, in
-    order: its id, its endpoints' range, a self-loop, its weight count,
-    a negative weight, a parallel edge met earlier, and a repeated id.
+    Each edge is checked for, in order: its id, endpoints and weights
+    that are not ``int``, its endpoints' range, a self-loop, its weight
+    count, a negative weight, a parallel edge met earlier, and a
+    repeated id.
     """
     if node_count < 0:
         return GraphError(f"node_count must be >= 0, got {node_count}")
@@ -79,9 +84,11 @@ def _first_fault(directed: bool, node_count: int, q: int, rows: Iterable[tuple])
         return GraphError(f"criterion count must be >= 1, got {q}")
     seen_pairs: set[tuple[int, int]] = set()
     seen_ids: set[int] = set()
-    for eid, u, v, weights in rows:
+    for index, (eid, u, v, weights) in enumerate(rows):
         if type(eid) is not int or eid < 0:
             reason = "edge id must be a non-negative int"
+        elif bad := [x for x in (u, v, *weights) if type(x) is not int]:
+            reason = f"endpoints and weights must be int, got {bad[0]!r}"
         elif not (0 <= u < node_count and 0 <= v < node_count):
             reason = f"endpoint out of range [0, {node_count})"
         elif u == v:
@@ -98,8 +105,10 @@ def _first_fault(directed: bool, node_count: int, q: int, rows: Iterable[tuple])
             seen_pairs.add(key)
             seen_ids.add(eid)
             continue
-        return GraphError(f"edge {eid} ({u}, {v}): {reason}")
-    return InvariantError("a bulk edge check failed, but no edge is at fault")
+        fault = GraphError(f"edge {eid} ({u}, {v}): {reason}")
+        fault._edge_index = index
+        return fault
+    return None
 
 
 class Graph:
@@ -158,7 +167,9 @@ class Graph:
                 and len(set(keys)) == len(ids)
             )
         if not valid:
-            raise _first_fault(directed, node_count, q, zip(ids, us, vs, zip(*map(self.present, weights))))
+            rows = zip(ids, us, vs, zip(*map(self.present, weights)))
+            raise _first_fault(directed, node_count, q, rows) or InvariantError(
+                "a bulk edge check failed, but no edge is at fault")
 
         adj: list[list[tuple[int, int]]] = [[] for _ in range(node_count)]
         radj: list[list[tuple[int, int]]] = [[] for _ in range(node_count)] if directed else adj
@@ -173,16 +184,15 @@ class Graph:
     def from_edges(cls, directed: bool, node_count: int, q: int, edges: Iterable[Edge]) -> Graph:
         """The graph of ``edges``, each stored at its own id.
 
-        Rejects edge ids that are not distinct non-negative ``int``s,
-        weight vectors of the wrong length and None tails, which columns
-        cannot hold; the constructor checks everything else.
+        The edges are checked one by one, in list order, and the first
+        faulty one is named: ids that are not distinct non-negative
+        ``int``s and endpoints or weights that are not ``int`` included.
         """
         rows = [(e.eid, e.u, e.v, e.weights) for e in edges]
-        ids = [eid for eid, *_ in rows]
-        if (not all(type(eid) is int and eid >= 0 for eid in ids) or len(set(ids)) < len(ids)
-                or any(u is None or len(weights) != q for _, u, _, weights in rows)):
-            raise _first_fault(directed, node_count, q, rows)
-        size = max(ids, default=-1) + 1
+        fault = _first_fault(directed, node_count, q, rows)
+        if fault is not None:
+            raise fault
+        size = max((eid for eid, *_ in rows), default=-1) + 1
         columns: list[list[int | None]] = [[None] * size for _ in range(2 + max(q, 0))]
         for eid, u, v, weights in rows:
             for column, x in zip(columns, (u, v, *weights)):
@@ -284,10 +294,6 @@ def build_graph(
     and negative weights, naming the offending edge in the diagnostic.
     """
     edges = [Edge(u, v, tuple(weights), eid) for eid, (u, v, weights) in enumerate(edge_list)]
-    for e in edges:
-        bad = next((x for x in (e.u, e.v, *e.weights) if type(x) is not int), None)
-        if bad is not None:
-            raise GraphError(f"edge {e.eid} ({e.u}, {e.v}): endpoints and weights must be int, got {bad!r}")
     return Graph.from_edges(directed, node_count, q, edges)
 
 

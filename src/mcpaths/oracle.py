@@ -10,6 +10,7 @@ stays independent of the bit-packing it is used to check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Collection
 
 from .dijkstra import Path, trace_path
 from .graph import Graph, GraphError, check_endpoints
@@ -30,7 +31,10 @@ DEFAULT_NODE_BOUND = 12
 
 @dataclass(frozen=True)
 class PathEnumeration:
-    """Every simple s-t path of a small graph, sorted by node sequence."""
+    """Every simple s-t path of a small graph, sorted by node sequence.
+
+    An enumeration that masked nodes lists only the paths avoiding them.
+    """
 
     graph: Graph
     source: int
@@ -39,12 +43,14 @@ class PathEnumeration:
 
 
 def enumerate_simple_paths(
-    g: Graph, s: int, t: int, node_bound: int = DEFAULT_NODE_BOUND
+    g: Graph, s: int, t: int, node_bound: int = DEFAULT_NODE_BOUND, banned_nodes: Collection[int] = ()
 ) -> PathEnumeration:
     """List all simple s-t paths by depth-first search.
 
     Refuses graphs above ``node_bound`` nodes; enumeration is exponential
     and meant for verification only. ``s == t`` yields the empty path.
+    ``banned_nodes`` masks nodes as in ``shortest_distances``: no listed
+    path visits one, and a banned ``s`` or ``t`` leaves the list empty.
     """
     if g.node_count > node_bound:
         raise GraphError(
@@ -53,12 +59,15 @@ def enumerate_simple_paths(
     check_endpoints(g, source=s, dest=t)
     layout = compute_layout(g)
     found: list[Path] = []
+    if s in banned_nodes:  # a banned t is never entered below
+        return PathEnumeration(g, s, t, ())
     if s == t:
         found.append(trace_path(g, layout, [], s))
         return PathEnumeration(g, s, t, tuple(found))
 
     edge_ids: list[int] = []
-    on_path = {s}
+    # Banned nodes count as already on the path, so no route enters one.
+    on_path = {s, *banned_nodes}
 
     def visit(u: int) -> None:
         for v, eid in g.out_arcs(u):

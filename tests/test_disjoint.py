@@ -281,8 +281,12 @@ def test_solver_enumerates_routes_once(monkeypatch):
         for mode in ("edge", "node"):
             for objective in ("min-total", "each-shortest"):
                 calls.clear()
-                solve_2dsp_exhaustive(gadget_for(g, 0, t, mode), objective)
+                gg = gadget_for(g, 0, t, mode)
+                solve_2dsp_exhaustive(gg, objective)
                 assert len(calls) == 1
+                # routes through the other pair's terminals are never listed
+                _, s2, _, t2 = gg.terminals
+                assert len(calls[0]) == 5 and set(calls[0][4]) == {s2, t2}
 
 
 def test_solver_bound_refusal():

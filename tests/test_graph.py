@@ -85,22 +85,38 @@ def test_build_rejects_bad_vectors():
 
 
 @pytest.mark.parametrize(
-    "triple, bad",
+    "triple, bad, entry",
     [
-        ((0, 1, (2.7,)), "2.7"),
-        ((0, 1, (True,)), "True"),
-        ((0, 1, ("3",)), "'3'"),
-        ((0.0, 1, (3,)), "0.0"),
-        ((0, False, (3,)), "False"),
-        ((0, "1", (3,)), "'1'"),
+        ((0, 1, (2.7,)), "2.7", build_graph),
+        ((0, 1, (True,)), "True", build_graph),
+        ((0, 1, ("3",)), "'3'", build_graph),
+        ((0.0, 1, (3,)), "0.0", build_graph),
+        ((0, False, (3,)), "False", build_graph),
+        ((0, "1", (3,)), "'1'", build_graph),
+        ((None, 1, (3,)), "None", build_graph),
+        ((None, 1, (3,)), "None", Graph.from_edges),
+        ((0, "1", (3,)), "'1'", Graph.from_edges),
+        ((0, 1, (None,)), "None", Graph.from_edges),
+        ((True, 2, (1,)), "True", Graph.from_edges),
+        ((0, 2, (1.5,)), "1.5", Graph.from_edges),
     ],
-    ids=["float-weight", "bool-weight", "str-weight", "float-endpoint", "bool-endpoint", "str-endpoint"],
+    ids=["float-weight", "bool-weight", "str-weight", "float-endpoint", "bool-endpoint", "str-endpoint",
+         "none-endpoint", "from-edges-none-endpoint", "from-edges-str-endpoint", "from-edges-none-weight",
+         "from-edges-bool-endpoint", "from-edges-float-weight"],
 )
-def test_build_rejects_non_int_endpoints_and_weights(triple, bad):
-    u, v, _ = triple
+def test_build_rejects_non_int_endpoints_and_weights(triple, bad, entry):
+    u, v, weights = triple
     with pytest.raises(GraphError) as info:
-        build_graph(False, 2, 1, [triple])
+        if entry is build_graph:
+            build_graph(False, 3, 1, [triple])
+        else:
+            Graph.from_edges(False, 3, 1, [Edge(u, v, weights, 0)])
     assert str(info.value) == f"edge 0 ({u}, {v}): endpoints and weights must be int, got {bad}"
+
+
+def test_build_names_the_first_faulty_edge_whatever_its_fault():
+    with pytest.raises(GraphError, match=r"^edge 0 \(0, 5\): endpoint out of range"):
+        build_graph(False, 3, 1, [(0, 5, (1,)), (0, 1, (1.5,))])
 
 
 @pytest.mark.parametrize(

@@ -49,6 +49,17 @@ def test_count_matches_networkx_recount():
         assert [p.nodes for p in enum.paths] == expected
 
 
+def test_masked_enumeration_filters_the_unmasked_one():
+    rng = random.Random(89)
+    for _ in range(60):
+        g = random_graph(rng, directed=rng.random() < 0.5, n_lo=2, n_hi=8)
+        s, t = rng.randrange(g.node_count), rng.randrange(g.node_count)
+        banned = set(rng.sample(range(g.node_count), rng.randint(0, g.node_count)))
+        masked = enumerate_simple_paths(g, s, t, 12, banned)
+        unmasked = enumerate_simple_paths(g, s, t)
+        assert masked.paths == tuple(p for p in unmasked.paths if not banned & set(p.nodes))
+
+
 def test_enumeration_bound_refusal():
     g = build_graph(False, 13, 1, [(0, 1, (1,))])
     with pytest.raises(GraphError, match="bound"):
