@@ -13,11 +13,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from itertools import islice
 from typing import Sequence
 
 from .allcriteria import InfeasibleError, TooFewPathsError, k_disjoint_all_criteria
-from .dijkstra import Path, dijkstra, extract_path, filter_by_threshold, packed_weights
+from .dijkstra import Path, dijkstra, extract_path, packed_weights, threshold_mask
+# ``filter_by_threshold`` is unused here but stays importable: bench/tracer.py
+# wraps ``mcpaths.cli.filter_by_threshold`` by name (ROADMAP, benchmark upkeep).
+from .dijkstra import filter_by_threshold  # noqa: F401
 from .disjoint import (
     MODE_EDGE,
     MODE_NODE,
@@ -31,7 +34,6 @@ from .ksp import yen_ksp
 from .lexweight import BitLayout, compute_layout, unpack
 from .oracle import (
     DEFAULT_NODE_BOUND,
-    PathEnumeration,
     all_criteria_shortest,
     enumerate_simple_paths,
     max_edge_disjoint_count,
@@ -44,6 +46,9 @@ __all__ = ["run_cli", "main"]
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NO_SOLUTION = 2
+
+# ``--verify`` skips a query with more simple paths than this.
+VERIFY_PATH_CAP = 100_000
 
 
 class _UsageError(Exception):
@@ -132,7 +137,7 @@ def _pack(g: Graph, layout: BitLayout):
     return {"edges": edges}, g
 
 
-def _check_pack(enum: None, g: Graph, layout: BitLayout) -> str:
+def _check_pack(paths: None, g: Graph, layout: BitLayout) -> str:
     """Whether the graph's stored packed column unpacks to every edge's weights."""
     packed = packed_weights(g, layout)
     for e in g.edges:
@@ -150,12 +155,12 @@ def _sp(g: Graph, layout: BitLayout, source: int, dest: int, threshold: int | No
     return {"paths": [_path_doc(path)]}, path
 
 
-def _check_sp(enum: PathEnumeration, path: Path | None, layout: BitLayout, **query) -> str:
-    if not enum.paths:
+def _check_sp(paths: tuple[Path, ...], path: Path | None, layout: BitLayout, **query) -> str:
+    if not paths:
         return "ok" if path is None else "mismatch: oracle found no path"
     if path is None:
         return "mismatch: oracle found a path"
-    best = min(p.criteria_length for p in enum.paths)
+    best = min(p.criteria_length for p in paths)
     if path.criteria_length != best:
         return f"mismatch: oracle lengths {best}, got {path.criteria_length}"
     return "ok"
@@ -169,8 +174,8 @@ def _ksp(g: Graph, layout: BitLayout, source: int, dest: int, k: int, threshold:
     return fields, result
 
 
-def _check_ksp(enum: PathEnumeration, result, layout: BitLayout, *, k: int, **query) -> str:
-    want = oracle_ksp(enum, layout, k)
+def _check_ksp(paths: tuple[Path, ...], result, layout: BitLayout, *, k: int, **query) -> str:
+    want = oracle_ksp(paths, k)
     got = [(p.nodes, p.criteria_length) for p in result.paths]
     expected = [(p.nodes, p.criteria_length) for p in want.paths]
     if got != expected or result.exhausted != want.exhausted:
@@ -186,8 +191,8 @@ def _2dsp(g: Graph, layout: BitLayout, source: int, dest: int, mode: str, object
     return {"paths": [_path_doc(pair.first), _path_doc(pair.second)]}, pair
 
 
-def _check_2dsp(enum: PathEnumeration, pair, layout: BitLayout, *, mode: str, objective: str, **query) -> str:
-    want = oracle_disjoint(enum, mode, objective)
+def _check_2dsp(paths: tuple[Path, ...], pair, layout: BitLayout, *, mode: str, objective: str, **query) -> str:
+    want = oracle_disjoint(paths, mode, objective)
     if want is None or pair is None:
         return "ok" if (want is None) == (pair is None) else "mismatch: disjoint pair existence"
     got = (pair.first.nodes, pair.second.nodes)
@@ -207,14 +212,14 @@ def _kdisjoint(g: Graph, layout: BitLayout, source: int, dest: int, k: int):
     return {"paths": [_path_doc(p) for p in paths]}, paths
 
 
-def _check_kdisjoint(enum: PathEnumeration, answer, layout: BitLayout, *, k: int, **query) -> str:
-    witnesses = all_criteria_shortest(enum)
+def _check_kdisjoint(paths: tuple[Path, ...], answer, layout: BitLayout, *, k: int, **query) -> str:
+    witnesses = all_criteria_shortest(paths)
     got = _KDISJOINT_STATUS.get(type(answer), "ok")
-    if not enum.paths:
+    if not paths:
         expected = "no-path"
     elif not witnesses:
         expected = "infeasible"
-    elif got == "too-few-paths" and max_edge_disjoint_count(replace(enum, paths=witnesses)) < k:
+    elif got == "too-few-paths" and max_edge_disjoint_count(witnesses) < k:
         expected = "too-few-paths"
     else:
         # Backtracking over every witness is exponential; k disjoint
@@ -238,8 +243,8 @@ def _check_kdisjoint(enum: PathEnumeration, answer, layout: BitLayout, *, k: int
 
 
 # Subcommand -> (answer, check). ``answer(g, layout, **query)`` returns the
-# document fields and the raw answer; ``check(enum, answer, layout,
-# **query)`` compares that answer with the oracle's enumeration.
+# document fields and the raw answer; ``check(paths, answer, layout,
+# **query)`` compares that answer with the oracle's simple paths.
 _COMMANDS = {
     "pack": (_pack, _check_pack),
     "sp": (_sp, _check_sp),
@@ -254,17 +259,20 @@ _COMMON_FLAGS = ("command", "graph", "format", "verify")
 def _verify(g: Graph, layout: BitLayout, query: dict, check, answer) -> str:
     """The oracle's verdict on one answer.
 
-    A query with endpoints is checked against every simple path of the
-    graph its threshold leaves, and only on graphs within the oracle's
-    node bound; ``pack`` has no endpoints and checks its edges alone.
+    A query with endpoints is checked against the simple paths of ``g``
+    with its threshold's edges masked, within the oracle's node bound and
+    path cap; ``pack`` has no endpoints and checks its edges alone.
     """
-    enum = None
+    paths = None
     if "source" in query:
         if g.node_count > DEFAULT_NODE_BOUND:
             return f"skipped: graph exceeds oracle bound ({DEFAULT_NODE_BOUND} nodes)"
-        kept = filter_by_threshold(g, layout, query.get("threshold"))
-        enum = enumerate_simple_paths(kept, query["source"], query["dest"])
-    return check(enum, answer, layout, **query)
+        dropped = threshold_mask(packed_weights(g, layout), query.get("threshold"))
+        found = enumerate_simple_paths(g, query["source"], query["dest"], banned_edges=dropped)
+        paths = tuple(islice(found, VERIFY_PATH_CAP + 1))
+        if len(paths) > VERIFY_PATH_CAP:
+            return f"skipped: more than {VERIFY_PATH_CAP} simple paths"
+    return check(paths, answer, layout, **query)
 
 
 def _run_query(args: argparse.Namespace) -> tuple[int, dict]:

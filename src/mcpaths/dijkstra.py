@@ -174,9 +174,9 @@ def filter_by_threshold(g: Graph, layout: BitLayout, threshold: int | None) -> G
     """Drop every edge whose packed weight is at or above the threshold.
 
     ``None`` disables filtering. Edge ids of the survivors are preserved.
-    May disconnect the graph; callers detect that downstream. Queries mask
-    edges with ``threshold_mask`` instead; the brute-force oracle, which
-    enumerates paths over a whole graph, needs the filtered copy.
+    May disconnect the graph. Queries and the brute-force oracle mask
+    edges with ``threshold_mask`` instead, so nothing in ``src/`` calls
+    this; it stays only for ``bench/tracer.py`` and the tests.
     """
     if threshold is None:
         return g

@@ -232,11 +232,11 @@ def solve_2dsp_exhaustive(
             f"exhaustive solver bound exceeded: {gg.graph.node_count} nodes > {node_bound}"
         )
     s1, s2, t1, t2 = gg.terminals
-    enum = enumerate_simple_paths(gg.graph, s1, t1, node_bound, {s2, t2})
+    found = enumerate_simple_paths(gg.graph, s1, t1, node_bound, {s2, t2})
     # (gadget weight, original node sequence, route): the gadget has one
     # criterion, and without parallel edges the sequence names the route.
     routes = sorted(
-        ((p.criteria_length[0], tuple(gg.node_origin[v] for v in p.nodes[1:-1]), p) for p in enum.paths),
+        ((p.criteria_length[0], tuple(gg.node_origin[v] for v in p.nodes[1:-1]), p) for p in found),
         key=lambda r: (r[0], r[1]),
     )
     if objective == OBJECTIVE_EACH_SHORTEST:

@@ -22,8 +22,8 @@ reads it and read-only from then on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import add, eq, is_not, mul
+from itertools import chain, compress, repeat
+from operator import add, attrgetter, eq, is_not, itemgetter, mul
 from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 __all__ = [
@@ -184,20 +184,25 @@ class Graph:
     def from_edges(cls, directed: bool, node_count: int, q: int, edges: Iterable[Edge]) -> Graph:
         """The graph of ``edges``, each stored at its own id.
 
-        The edges are checked one by one, in list order, and the first
-        faulty one is named: ids that are not distinct non-negative
-        ``int``s and endpoints or weights that are not ``int`` included.
+        Ids (distinct non-negative ``int``s), value types (``int``) and
+        weight counts are screened in bulk and the constructor checks the
+        rest; only when either fails are the edges walked one by one, in
+        list order, to name the first faulty one.
         """
-        rows = [(e.eid, e.u, e.v, e.weights) for e in edges]
-        fault = _first_fault(directed, node_count, q, rows)
-        if fault is not None:
-            raise fault
-        size = max((eid for eid, *_ in rows), default=-1) + 1
-        columns: list[list[int | None]] = [[None] * size for _ in range(2 + max(q, 0))]
-        for eid, u, v, weights in rows:
-            for column, x in zip(columns, (u, v, *weights)):
-                column[eid] = x
-        return cls(directed, node_count, q, columns[0], columns[1], columns[2:])
+        edges = list(edges)
+        eids, us, vs, ws = (list(map(attrgetter(name), edges)) for name in ("eid", "u", "v", "weights"))
+        if (set(map(type, chain(eids, us, vs, chain.from_iterable(ws)))) <= {int}
+                and min(eids, default=0) >= 0 and len(set(eids)) == len(eids)
+                and set(map(len, ws)) <= {q}):
+            columns = [us, vs, *(tuple(map(itemgetter(i), ws)) for i in range(q))]
+            if eids != list(range(len(eids))):
+                columns = [list(map(dict(zip(eids, c)).get, range(max(eids) + 1))) for c in columns]
+            try:
+                return cls(directed, node_count, q, columns[0], columns[1], columns[2:])
+            except GraphError:
+                pass
+        raise _first_fault(directed, node_count, q, zip(eids, us, vs, ws)) or InvariantError(
+            "a bulk edge check failed, but no edge is at fault")
 
     def present(self, column: Sequence[T | None]) -> Sequence[T]:
         """An id-indexed column's values at ``ids``, in id order."""

@@ -29,7 +29,7 @@ from typing import NamedTuple, Sequence
 
 from .dijkstra import Path, packed_weights, shortest_distances, threshold_mask, trace_path
 # ``filter_by_threshold`` is unused here but stays importable: bench/tracer.py
-# wraps ``mcpaths.ksp.filter_by_threshold`` by name (ROADMAP item 6).
+# wraps ``mcpaths.ksp.filter_by_threshold`` by name (ROADMAP, benchmark upkeep).
 from .dijkstra import filter_by_threshold  # noqa: F401
 from .graph import Graph, GraphError, InvariantError, check_endpoints
 from .lexweight import BitLayout

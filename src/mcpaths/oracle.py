@@ -1,24 +1,24 @@
 """Brute-force reference implementations for desk-scale verification.
 
-These enumerate every simple path outright and answer queries by direct
-search over the enumeration, so they are slow but transparently correct.
-They back the property tests and the CLI ``--verify`` flag. Comparisons
-run on raw criteria vectors, not packed integers, so the oracle route
-stays independent of the bit-packing it is used to check.
+``enumerate_simple_paths`` streams every simple s-t path of a small graph,
+masked rather than copied, and each query answers by direct search over
+any iterable of such paths: slow but transparently correct. They back
+the property tests and the CLI ``--verify`` flag, which stops reading at
+its path cap. Comparisons run on raw criteria vectors, not packed
+integers, so the oracle stays independent of the bit-packing it checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Collection
+import heapq
+from typing import Collection, Iterable, Iterator
 
-from .dijkstra import Path, trace_path
+from .dijkstra import Path
 from .graph import Graph, GraphError, check_endpoints
-from .lexweight import BitLayout, compute_layout
+from .lexweight import compute_layout, pack
 from .ksp import KspResult
 
 __all__ = [
-    "PathEnumeration",
     "enumerate_simple_paths",
     "oracle_ksp",
     "oracle_disjoint",
@@ -29,62 +29,62 @@ __all__ = [
 DEFAULT_NODE_BOUND = 12
 
 
-@dataclass(frozen=True)
-class PathEnumeration:
-    """Every simple s-t path of a small graph, sorted by node sequence.
-
-    An enumeration that masked nodes lists only the paths avoiding them.
-    """
-
-    graph: Graph
-    source: int
-    dest: int
-    paths: tuple[Path, ...]
-
-
 def enumerate_simple_paths(
-    g: Graph, s: int, t: int, node_bound: int = DEFAULT_NODE_BOUND, banned_nodes: Collection[int] = ()
-) -> PathEnumeration:
-    """List all simple s-t paths by depth-first search.
+    g: Graph,
+    s: int,
+    t: int,
+    node_bound: int = DEFAULT_NODE_BOUND,
+    banned_nodes: Collection[int] = (),
+    banned_edges: Collection[int] = (),
+) -> Iterator[Path]:
+    """Every simple s-t path, by depth-first search, in node-sequence order.
 
-    Refuses graphs above ``node_bound`` nodes; enumeration is exponential
-    and meant for verification only. ``s == t`` yields the empty path.
-    ``banned_nodes`` masks nodes as in ``shortest_distances``: no listed
-    path visits one, and a banned ``s`` or ``t`` leaves the list empty.
+    Refuses graphs above ``node_bound`` nodes, and bad endpoints, before
+    the first path is asked for; enumeration is exponential and meant
+    for verification only. ``s == t`` yields the empty path. The order
+    needs no sort: ``out_arcs`` lists neighbours in ascending order and
+    no two edges join the same pair. ``banned_nodes`` and
+    ``banned_edges`` mask the graph as in ``shortest_distances``: no path
+    uses one, and a banned ``s`` or ``t`` yields nothing.
     """
     if g.node_count > node_bound:
-        raise GraphError(
-            f"graph has {g.node_count} nodes, enumeration bound is {node_bound}"
-        )
+        raise GraphError(f"graph has {g.node_count} nodes, enumeration bound is {node_bound}")
     check_endpoints(g, source=s, dest=t)
     layout = compute_layout(g)
-    found: list[Path] = []
-    if s in banned_nodes:  # a banned t is never entered below
-        return PathEnumeration(g, s, t, ())
-    if s == t:
-        found.append(trace_path(g, layout, [], s))
-        return PathEnumeration(g, s, t, tuple(found))
 
-    edge_ids: list[int] = []
-    # Banned nodes count as already on the path, so no route enters one.
-    on_path = {s, *banned_nodes}
+    def path(nodes: tuple[int, ...], edge_ids: tuple[int, ...]) -> Path:
+        criteria = tuple(sum(map(column.__getitem__, edge_ids)) for column in g.weights)
+        return Path(nodes, edge_ids, pack(layout, criteria), criteria)
 
-    def visit(u: int) -> None:
-        for v, eid in g.out_arcs(u):
-            if v in on_path:
-                continue
-            edge_ids.append(eid)
-            if v == t:
-                found.append(trace_path(g, layout, list(edge_ids), s))
+    def walk() -> Iterator[Path]:
+        if s in banned_nodes:  # a banned t is never entered below
+            return
+        if s == t:
+            yield path((s,), ())
+            return
+        nodes, edge_ids = [s], []
+        # Banned nodes count as already on the path, so no route enters one.
+        on_path = {s, *banned_nodes}
+        # Per node on the path, an iterator over the arcs still to try.
+        arcs = [iter(g.out_arcs(s))]
+        while arcs:
+            for v, eid in arcs[-1]:
+                if v in on_path or eid in banned_edges:
+                    continue
+                if v == t:
+                    yield path((*nodes, t), (*edge_ids, eid))
+                else:
+                    on_path.add(v)
+                    nodes.append(v)
+                    edge_ids.append(eid)
+                    arcs.append(iter(g.out_arcs(v)))
+                    break
             else:
-                on_path.add(v)
-                visit(v)
-                on_path.discard(v)
-            edge_ids.pop()
+                arcs.pop()
+                on_path.discard(nodes.pop())
+                del edge_ids[-1:]  # already empty when the walk backs out of s
 
-    visit(s)
-    found.sort(key=lambda p: p.nodes)
-    return PathEnumeration(g, s, t, tuple(found))
+    return walk()
 
 
 def _path_key(p: Path) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -92,19 +92,16 @@ def _path_key(p: Path) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return (p.criteria_length, p.nodes)
 
 
-def oracle_ksp(enum: PathEnumeration, layout: BitLayout, k: int) -> KspResult:
+def oracle_ksp(paths: Iterable[Path], k: int) -> KspResult:
     """Top k paths under (length, node sequence), straight from the list."""
     if k < 1:
         raise GraphError(f"k must be >= 1, got {k}")
-    ordered = sorted(enum.paths, key=_path_key)
-    top = [
-        trace_path(enum.graph, layout, p.edges, enum.source) for p in ordered[:k]
-    ]
-    return KspResult(tuple(top), exhausted=len(ordered) < k)
+    top = heapq.nsmallest(k, paths, key=_path_key)
+    return KspResult(tuple(top), exhausted=len(top) < k)
 
 
 def oracle_disjoint(
-    enum: PathEnumeration, mode: str, objective: str = "min-total"
+    paths: Iterable[Path], mode: str, objective: str = "min-total"
 ) -> tuple[Path, Path] | None:
     """Best disjoint s-t pair by exhaustive scan, or None.
 
@@ -119,39 +116,31 @@ def oracle_disjoint(
         raise GraphError(f"unknown objective {objective!r}")
     if mode not in ("node", "edge"):
         raise GraphError(f"unknown disjointness mode {mode!r}")
-    paths = enum.paths
-    if objective == "each-shortest" and paths:
-        best_vec = min(p.criteria_length for p in paths)
-        paths = tuple(p for p in paths if p.criteria_length == best_vec)
-    infos = sorted(
-        (
-            (p.criteria_length, p.nodes, frozenset(p.nodes[1:-1]), frozenset(p.edges), p)
-            for p in paths
-        ),
-        key=lambda x: (x[0], x[1]),
-    )
     node_mode = mode == "node"
+    # (length, node sequence, what a partner must not share, path), in
+    # answer order: without parallel edges no two paths share a sequence.
+    infos = sorted(
+        ((p.criteria_length, p.nodes, frozenset(p.nodes[1:-1] if node_mode else p.edges), p) for p in paths),
+        key=lambda x: x[:2],
+    )
+    if objective == "each-shortest":
+        infos = [x for x in infos if x[0] == infos[0][0]]
 
     def total(u, v):
         return tuple(x + y for x, y in zip(u, v))
 
     best: tuple[Path, Path] | None = None
     best_key = None
-    for i, (a_vec, a_nodes, a_int, a_edges, a_path) in enumerate(infos):
-        if i + 1 == len(infos):
-            break
+    for i, (a_vec, a_nodes, a_used, a_path) in enumerate(infos[:-1]):
         # weight-sorted scan: lexicographic order is addition-monotone,
         # so once the lightest available partner overshoots, stop
         if best_key is not None and total(a_vec, infos[i + 1][0]) > best_key[0]:
             break
-        for b_vec, b_nodes, b_int, b_edges, b_path in infos[i + 1 :]:
+        for b_vec, b_nodes, b_used, b_path in infos[i + 1 :]:
             pair_total = total(a_vec, b_vec)
             if best_key is not None and pair_total > best_key[0]:
                 break
-            if node_mode:
-                if a_int & b_int:
-                    continue
-            elif a_edges & b_edges:
+            if a_used & b_used:
                 continue
             key = (pair_total, a_vec, a_nodes, b_nodes)
             if best_key is None or key < best_key:
@@ -160,30 +149,33 @@ def oracle_disjoint(
     return best
 
 
-def _flow_bound(enum: PathEnumeration) -> int:
-    """Unit-capacity max flow from source to dest over the arcs the paths
-    traverse. Edge-disjoint paths among them form a feasible flow, so no
-    more of them exist than this. Kept apart from
+def _flow_bound(paths: tuple[Path, ...]) -> int:
+    """Unit-capacity max flow from source to dest, read off the first path,
+    over the arcs the paths traverse. Edge-disjoint paths among them form
+    a feasible flow, so no more of them exist than this. Kept apart from
     ``allcriteria.max_flow_unit``, which this oracle checks."""
-    if enum.source == enum.dest:
-        return len(enum.paths)
+    if not paths:
+        return 0
+    source, dest = paths[0].source, paths[0].dest
+    if source == dest:
+        return len(paths)
     residual: dict[int, dict[int, int]] = {}
-    for p in enum.paths:
+    for p in paths:
         for u, v in zip(p.nodes, p.nodes[1:]):
             residual.setdefault(u, {})[v] = 1
             residual.setdefault(v, {}).setdefault(u, 0)
     flow = 0
     while True:
-        parent: dict[int, int | None] = {enum.source: None}
-        queue = [enum.source]
+        parent: dict[int, int | None] = {source: None}
+        queue = [source]
         for u in queue:
             for v, cap in residual.get(u, {}).items():
                 if cap and v not in parent:
                     parent[v] = u
                     queue.append(v)
-        if enum.dest not in parent:
+        if dest not in parent:
             return flow
-        v = enum.dest
+        v = dest
         while (u := parent[v]) is not None:
             residual[u][v] -= 1
             residual[v][u] += 1
@@ -191,15 +183,16 @@ def _flow_bound(enum: PathEnumeration) -> int:
         flow += 1
 
 
-def max_edge_disjoint_count(enum: PathEnumeration) -> int:
+def max_edge_disjoint_count(paths: Iterable[Path]) -> int:
     """Largest number of pairwise edge-disjoint paths, by backtracking.
 
     The search stops once it reaches the flow bound; below it, it tries
     every subset of paths.
     """
-    edge_sets = sorted({p.edges for p in enum.paths}, key=lambda es: (len(es), es))
+    paths = tuple(paths)
+    edge_sets = sorted({p.edges for p in paths}, key=lambda es: (len(es), es))
     sets = [frozenset(es) for es in edge_sets]
-    bound = _flow_bound(enum)
+    bound = _flow_bound(paths)
     best = 0
 
     def grow(start: int, used: frozenset[int], count: int) -> None:
@@ -217,15 +210,8 @@ def max_edge_disjoint_count(enum: PathEnumeration) -> int:
     return best
 
 
-def all_criteria_shortest(enum: PathEnumeration) -> tuple[Path, ...]:
+def all_criteria_shortest(paths: Iterable[Path]) -> tuple[Path, ...]:
     """Paths simultaneously shortest under every criterion, if any."""
-    if not enum.paths:
-        return ()
-    minima = [
-        min(p.criteria_length[i] for p in enum.paths) for i in range(enum.graph.q)
-    ]
-    return tuple(
-        p
-        for p in enum.paths
-        if all(p.criteria_length[i] == minima[i] for i in range(enum.graph.q))
-    )
+    paths = tuple(paths)
+    minima = tuple(map(min, zip(*(p.criteria_length for p in paths))))
+    return tuple(p for p in paths if p.criteria_length == minima)

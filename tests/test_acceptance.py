@@ -89,11 +89,11 @@ def test_c3_order_embedding():
         for _ in range(500):
             g = random_graph(rng, directed=False, n_lo=4, n_hi=8, q_lo=1, q_hi=4, weight_max=7)
             layout = compute_layout(g)
-            enum = enumerate_simple_paths(g, 0, g.node_count - 1)
-            packed = [pack(layout, p.criteria_length) for p in enum.paths]
-            for i in range(len(enum.paths)):
-                for j in range(i + 1, len(enum.paths)):
-                    a, b = enum.paths[i].criteria_length, enum.paths[j].criteria_length
+            enum = tuple(enumerate_simple_paths(g, 0, g.node_count - 1))
+            packed = [pack(layout, p.criteria_length) for p in enum]
+            for i in range(len(enum)):
+                for j in range(i + 1, len(enum)):
+                    a, b = enum[i].criteria_length, enum[j].criteria_length
                     lex = (a > b) - (a < b)
                     num = (packed[i] > packed[j]) - (packed[i] < packed[j])
                     assert num == lex
@@ -111,7 +111,7 @@ def test_c4_ksp_matches_oracle():
             k = rng.randint(1, 5)
             s, t = 0, g.node_count - 1
             got = yen_ksp(g, layout, s, t, k)
-            want = oracle_ksp(enumerate_simple_paths(g, s, t), layout, k)
+            want = oracle_ksp(enumerate_simple_paths(g, s, t), k)
             assert [(p.nodes, p.criteria_length) for p in got.paths] == [
                 (p.nodes, p.criteria_length) for p in want.paths
             ]
@@ -133,7 +133,7 @@ def test_c5_two_disjoint_end_to_end():
             # the split construction is the one with the guaranteed
             # non-rigidity property; probe it on every instance
             assert check_not_rigid(build_node_disjoint_gadget(g, s, t))
-            enum = enumerate_simple_paths(g, s, t)
+            enum = tuple(enumerate_simple_paths(g, s, t))
             for mode in ("edge", "node"):
                 for objective in ("each-shortest", "min-total"):
                     got = two_disjoint_shortest(g, s, t, mode, objective, node_bound=40)
@@ -168,7 +168,7 @@ def test_c6_all_criteria_pipeline():
                     g.q,
                     [Edge(e.u, e.v, (e.weights[0],) * g.q, e.eid) for e in g.edges],
                 )
-            enum = enumerate_simple_paths(g, s, t)
+            enum = tuple(enumerate_simple_paths(g, s, t))
             witnesses = all_criteria_shortest(enum)
             aw = aggregate_and_distances(g, s, t)
             assert feasibility_check(aw) == bool(witnesses)
@@ -182,7 +182,7 @@ def test_c6_all_criteria_pipeline():
             fs = max_flow_unit(sub, g.edge_count + 1)
             assert fs.value == expected_count
             per_criterion_best = tuple(
-                min(p.criteria_length[i] for p in enum.paths) for i in range(g.q)
+                min(p.criteria_length[i] for p in enum) for i in range(g.q)
             )
             for k in range(1, expected_count + 1):
                 paths = k_disjoint_all_criteria(g, s, t, k)
@@ -212,8 +212,8 @@ def test_c7_lemma_suite():
             )
             aw = aggregate_and_distances(g, s, t)
             span = aw.total_distance
-            enum = enumerate_simple_paths(g, s, t)
-            shortest = [p for p in enum.paths if sum(p.criteria_length) == span]
+            enum = tuple(enumerate_simple_paths(g, s, t))
+            shortest = [p for p in enum if sum(p.criteria_length) == span]
             on_nodes = set().union(*(set(p.nodes) for p in shortest))
             on_edges = set().union(*(set(p.edges) for p in shortest))
             fwd, bwd = aw.dist_from_source, aw.dist_to_dest
@@ -233,8 +233,8 @@ def test_c7_lemma_suite():
             kept_edges = {e.eid for e in sub.edges}
             for p in shortest:  # every shortest path stays inside
                 assert set(p.nodes) <= sub.nodes and set(p.edges) <= kept_edges
-            inner = enumerate_simple_paths(Graph.from_edges(True, g.node_count, g.q, sub.edges), s, t)
-            for p in inner.paths:  # and everything inside is shortest
+            inner = tuple(enumerate_simple_paths(Graph.from_edges(True, g.node_count, g.q, sub.edges), s, t))
+            for p in inner:  # and everything inside is shortest
                 assert sum(p.criteria_length) == span
 
 

@@ -194,10 +194,10 @@ def test_every_shortest_path_lies_inside_subgraph():
         g, s, t = random_connected_query(rng, directed=True)
         aw = aggregate_and_distances(g, s, t)
         sub = build_subgraph(aw)
-        enum = enumerate_simple_paths(g, s, t)
+        enum = tuple(enumerate_simple_paths(g, s, t))
         span = aw.total_distance
         kept_edges = {e.eid for e in sub.edges}
-        for p in enum.paths:
+        for p in enum:
             if sum(p.criteria_length) == span:
                 assert set(p.nodes) <= sub.nodes
                 assert set(p.edges) <= kept_edges
@@ -209,9 +209,9 @@ def test_every_subgraph_path_is_shortest():
         g, s, t = random_connected_query(rng, directed=True, n_hi=10)
         aw = aggregate_and_distances(g, s, t)
         sub = build_subgraph(aw)
-        inner = enumerate_simple_paths(subgraph_as_graph(sub), s, t)
-        assert inner.paths
-        for p in inner.paths:
+        inner = tuple(enumerate_simple_paths(subgraph_as_graph(sub), s, t))
+        assert inner
+        for p in inner:
             assert sum(p.criteria_length) == aw.total_distance
 
 
@@ -422,8 +422,8 @@ def test_pipeline_single_path_any_feasible_instance():
     for _ in range(40):
         g, s, t = random_connected_query(rng, directed=True, q_lo=1, q_hi=1)
         paths = k_disjoint_all_criteria(g, s, t, 1)
-        enum = enumerate_simple_paths(g, s, t)
-        best = min(sum(p.criteria_length) for p in enum.paths)
+        enum = tuple(enumerate_simple_paths(g, s, t))
+        best = min(sum(p.criteria_length) for p in enum)
         assert sum(paths[0].criteria_length) == best
         found += 1
     assert found == 40

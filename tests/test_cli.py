@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mcpaths.cli
+import mcpaths.graph
 from mcpaths import (
     GraphError,
     InfeasibleError,
@@ -340,6 +341,52 @@ def test_verify_2dsp(tmp_path):
     )
     assert code == 0
     assert doc["verify"] == "ok"
+
+
+def _complete_graph_file(tmp_path, n):
+    p = tmp_path / f"k{n}.mcg"
+    p.write_text(f"mcgraph undirected {n} 1\n"
+                 + "".join(f"{u} {v} {1 + (u + v) % 3}\n" for u in range(n) for v in range(u + 1, n)))
+    return str(p)
+
+
+@pytest.mark.parametrize("cap, verdict", [(16, "ok"), (15, "skipped: more than 15 simple paths")])
+def test_verify_stops_at_the_path_cap(monkeypatch, tmp_path, cap, verdict):
+    # K5 has exactly 16 simple paths between any two nodes.
+    monkeypatch.setattr(mcpaths.cli, "VERIFY_PATH_CAP", cap)
+    graph = _complete_graph_file(tmp_path, 5)
+    for extra in (["sp"], ["ksp", "-k", "3"]):
+        code, doc = run_cli([*extra, "--graph", graph, "--source", "0", "--dest", "4", "--verify"])
+        assert (code, doc["status"], doc["verify"]) == (0, "ok", verdict)
+
+
+def test_verify_skips_a_complete_graph_at_the_node_bound(tmp_path):
+    # K12 holds 9,864,101 simple paths between two nodes; none past the
+    # cap is enumerated.
+    graph = _complete_graph_file(tmp_path, 12)
+    for extra in (["sp"], ["ksp", "-k", "4"]):
+        code, doc = run_cli([*extra, "--graph", graph, "--source", "0", "--dest", "11", "--verify"])
+        assert code == 0
+        assert doc["verify"] == f"skipped: more than {mcpaths.cli.VERIFY_PATH_CAP} simple paths"
+
+
+def test_verify_builds_no_graph_beyond_the_parse(monkeypatch, tmp_path):
+    p = tmp_path / "g.mcg"
+    p.write_text("mcgraph directed 4 1\n0 1 1\n1 3 1\n0 2 1\n2 3 5\n")
+    built = []
+    init = mcpaths.graph.Graph.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(mcpaths.graph.Graph, "__init__", counting)
+    common = ["--graph", str(p), "--source", "0", "--dest", "3", "--threshold", "5", "--verify"]
+    for argv in (["sp", *common], ["ksp", *common, "-k", "2"]):
+        built.clear()
+        code, doc = run_cli(argv)
+        assert (code, doc["verify"], len(doc["paths"])) == (0, "ok", 1)
+        assert len(built) == 1
 
 
 def test_ensembled_strings_roundtrip_to_criteria(table1_file):

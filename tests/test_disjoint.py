@@ -159,17 +159,17 @@ def test_gadget_pairs_mirror_disjoint_pairs_with_weight_shift():
         g = random_graph(rng, directed=False, n_lo=4, n_hi=7)
         s, t = 0, g.node_count - 1
         layout = compute_layout(g)
-        enum = enumerate_simple_paths(g, s, t)
-        if not enum.paths:
+        enum = tuple(enumerate_simple_paths(g, s, t))
+        if not enum:
             continue
         gg = gadget_for(g, s, t, "node")
-        for i, a in enumerate(enum.paths):
+        for i, a in enumerate(enum):
             image_a = _gadget_image(gg, a.nodes, a.edges, second=False)
             node_seq = _walk_nodes(gg, image_a, gg.terminals[0])
             weight = sum(gg.graph.edge(eid).weights[0] for eid in image_a)
             assert node_seq[0] == gg.terminals[0] and node_seq[-1] == gg.terminals[2]
             assert weight == pack(layout, a.criteria_length) + 2
-            for b in enum.paths[i + 1 :]:
+            for b in enum[i + 1 :]:
                 image_b = _gadget_image(gg, b.nodes, b.edges, second=True)
                 seq_b = _walk_nodes(gg, image_b, gg.terminals[1])
                 internally_disjoint = not (set(a.nodes[1:-1]) & set(b.nodes[1:-1]))
@@ -407,7 +407,7 @@ def test_pipeline_matches_oracle_on_random_instances():
     for _ in range(60):
         g = random_graph(rng, directed=False, n_lo=4, n_hi=7)
         s, t = 0, g.node_count - 1
-        enum = enumerate_simple_paths(g, s, t)
+        enum = tuple(enumerate_simple_paths(g, s, t))
         for mode in ("edge", "node"):
             for objective in ("each-shortest", "min-total"):
                 got = two_disjoint_shortest(g, s, t, mode, objective, node_bound=40)
@@ -464,7 +464,7 @@ def zero_heavy_pair_queries(draw):
 @given(zero_heavy_pair_queries())
 def test_pipeline_matches_oracle_on_zero_heavy_graphs(query):
     g, s, t = query
-    enum = enumerate_simple_paths(g, s, t)
+    enum = tuple(enumerate_simple_paths(g, s, t))
     for mode in ("edge", "node"):
         for objective in ("each-shortest", "min-total"):
             try:

@@ -12,7 +12,7 @@ from mcpaths import (
     pack,
     yen_ksp,
 )
-from mcpaths.dijkstra import filter_by_threshold
+from mcpaths.dijkstra import packed_weights, threshold_mask
 from mcpaths.oracle import enumerate_simple_paths, oracle_ksp
 from conftest import random_graph
 
@@ -44,7 +44,7 @@ def test_matches_oracle_on_random_instances():
         layout = compute_layout(g)
         k = rng.randint(1, 5)
         got = yen_ksp(g, layout, 0, g.node_count - 1, k)
-        want = oracle_ksp(enumerate_simple_paths(g, 0, g.node_count - 1), layout, k)
+        want = oracle_ksp(enumerate_simple_paths(g, 0, g.node_count - 1), k)
         assert [_key(p) for p in got.paths] == [_key(p) for p in want.paths]
         assert got.exhausted == want.exhausted
 
@@ -160,8 +160,8 @@ def zero_heavy_queries(draw):
 def test_matches_oracle_on_zero_heavy_graphs(query):
     g, layout, s, t, k, threshold = query
     got = yen_ksp(g, layout, s, t, k, threshold)
-    kept = filter_by_threshold(g, layout, threshold)
-    want = oracle_ksp(enumerate_simple_paths(kept, s, t), layout, k)
+    dropped = threshold_mask(packed_weights(g, layout), threshold)
+    want = oracle_ksp(enumerate_simple_paths(g, s, t, banned_edges=dropped), k)
     assert [(p.ew_length, p.nodes) for p in got.paths] == [
         (p.ew_length, p.nodes) for p in want.paths
     ]

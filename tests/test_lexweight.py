@@ -78,9 +78,9 @@ def test_roundtrip_random_vectors(table1_graph):
 
 def test_table1_path_order_matches_packed_order(table1_graph):
     layout = compute_layout(table1_graph)
-    enum = enumerate_simple_paths(table1_graph, 0, 4)
-    paths = sorted(enum.paths, key=lambda p: p.criteria_length)
-    packed = sorted(enum.paths, key=lambda p: pack(layout, p.criteria_length))
+    enum = tuple(enumerate_simple_paths(table1_graph, 0, 4))
+    paths = sorted(enum, key=lambda p: p.criteria_length)
+    packed = sorted(enum, key=lambda p: pack(layout, p.criteria_length))
     assert [p.nodes for p in paths] == [p.nodes for p in packed]
 
 
@@ -104,9 +104,9 @@ def test_order_embedding_on_random_graphs():
     for _ in range(60):
         g = random_graph(rng, directed=False, q_hi=4, weight_max=7)
         layout = compute_layout(g)
-        enum = enumerate_simple_paths(g, 0, g.node_count - 1)
-        for i, a in enumerate(enum.paths):
-            for b in enum.paths[i + 1 :]:
+        enum = tuple(enumerate_simple_paths(g, 0, g.node_count - 1))
+        for i, a in enumerate(enum):
+            for b in enum[i + 1 :]:
                 packed_cmp = (pack(layout, a.criteria_length) > pack(layout, b.criteria_length)) - (
                     pack(layout, a.criteria_length) < pack(layout, b.criteria_length)
                 )
@@ -121,6 +121,6 @@ def test_simple_path_sums_stay_under_budget():
     for _ in range(40):
         g = random_graph(rng, directed=False)
         layout = compute_layout(g)
-        enum = enumerate_simple_paths(g, 0, g.node_count - 1)
-        for p in enum.paths:
+        enum = tuple(enumerate_simple_paths(g, 0, g.node_count - 1))
+        for p in enum:
             assert pack(layout, p.criteria_length) < (1 << layout.budget)
