@@ -161,7 +161,7 @@ def build_subgraph(aw: AggregatedWeights) -> ShortestSubgraph:
     kept = [
         eid
         for u in nodes
-        for v, eid in g.out_arcs(u)
+        for v, eid in g.adjacency()[u].items()
         if bwd[v] is not None and fwd[u] + combined[eid] + bwd[v] == span
     ]
     kept.sort()

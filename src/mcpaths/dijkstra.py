@@ -114,6 +114,11 @@ def shortest_distances(
     copying it; with ``incoming=True`` the search walks arcs backwards
     (distance to a destination instead of from a source).
 
+    Arcs are read from ``g.adjacency`` in edge-id order, not by
+    neighbour. ``dist`` and ``pred`` do not depend on that order: nodes
+    settle in (distance, id) order, ``pred[v]`` moves only on a strictly
+    shorter distance, and no node has two arcs to one neighbour.
+
     With ``target`` set, the search stops at the first pop farther than
     ``dist[target]``: every node at distance <= d(target) is settled
     exactly as in a full run (same ``dist`` and ``pred``, ties and
@@ -128,7 +133,7 @@ def shortest_distances(
     best: list[int | None] = [None] * n
     best[source] = 0
     heap: list[tuple[int, int]] = [(0, source)]
-    arcs = g.in_arcs if incoming else g.out_arcs
+    adjacency = g.adjacency(incoming)
     horizon: int | None = None
     while heap:
         d, u = heapq.heappop(heap)
@@ -144,7 +149,7 @@ def shortest_distances(
         dist[u] = d
         if u == target:
             horizon = d
-        for v, eid in arcs(u):
+        for v, eid in adjacency[u].items():
             if dist[v] is not None or v in banned_nodes or eid in banned_edges:
                 continue
             nd = d + weight_by_eid[eid]

@@ -15,16 +15,16 @@ share a single edge id, so disjointness checks treat both directions as
 the same physical link. Graphs are immutable after construction and safe
 to share across concurrent queries. The one thing a graph fills in later
 is its store of values derived from it alone, such as packed weight
-columns and ``Edge`` views: each is computed on the first query that
-reads it and read-only from then on.
+columns, sorted arc views and ``Edge`` views: each is computed on the
+first query that reads it and read-only from then on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
-from operator import add, attrgetter, eq, is_not, itemgetter, mul
-from typing import Callable, Hashable, Iterable, Sequence, TypeVar
+from operator import attrgetter, eq, is_not, itemgetter
+from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 __all__ = [
     "Edge",
@@ -124,10 +124,17 @@ class Graph:
     (threshold copies, gadgets) keep those ids and number any new edges
     right after them.
 
-    Adjacency is exposed as ``out_arcs``/``in_arcs`` lists of
-    ``(neighbor, edge_id)`` pairs sorted by neighbor id, which keeps every
-    traversal in this package deterministic. For undirected graphs the
-    two views are identical.
+    The adjacency is filled in one pass over the edges in id order, with
+    no per-arc pair and no sort: each node gets a dict from neighbour to
+    edge id (out- and in-maps apart when directed), whose order is edge-id
+    order, and a node with no arc holds one shared empty map. Holding
+    only ints, the dicts are not tracked by the garbage collector.
+    ``adjacency`` hands these maps to searches whose result does not
+    depend on arc order. Walks that do depend on it read
+    ``out_arcs``/``in_arcs``: ``(neighbor, edge_id)`` pairs sorted by
+    neighbor id, each view built on the first call for its node and
+    stored under the first-writer rule of ``derived``. For undirected
+    graphs the two views are identical.
 
     The constructor validates the columns in bulk; only when a check
     fails are the edges walked one by one, in id order, to name the first
@@ -135,7 +142,7 @@ class Graph:
     """
 
     __slots__ = ("directed", "node_count", "q", "tails", "heads", "weights", "ids",
-                 "_adj", "_radj", "_derived")
+                 "_out", "_in", "_out_views", "_in_views", "_derived")
 
     def __init__(self, directed: bool, node_count: int, q: int, tails: Sequence[int | None],
                  heads: Sequence[int | None], weights: Sequence[Sequence[int | None]]):
@@ -154,30 +161,31 @@ class Graph:
 
         valid = node_count >= 0 and q >= 1 and len(weights) == q
         if valid and ids:
-            # Parallel edges share a key: (u, v) when directed, else {u, v},
-            # which u + v < 2n and u * v < n^2 together pin down.
-            if directed:
-                keys = map(add, map(mul, us, repeat(node_count)), vs)
-            else:
-                keys = map(add, map(mul, map(add, us, vs), repeat(node_count**2)), map(mul, us, vs))
             valid = (
                 min(us) >= 0 and min(vs) >= 0 and max(us) < node_count and max(vs) < node_count
                 and not any(map(eq, us, vs))
                 and all(min(self.present(c)) >= 0 for c in weights)
-                and len(set(keys)) == len(ids)
             )
+        if valid:
+            no_arcs: dict[int, int] = {}  # shared by every node without arcs
+            out = [no_arcs] * node_count
+            into = [no_arcs] * node_count if directed else out
+            for u in set(us):
+                out[u] = {}
+            for v in set(vs):
+                into[v] = {}
+            for eid, u, v in zip(ids, us, vs):
+                out[u][v] = eid
+                into[v][u] = eid
+            # A parallel edge overwrites its twin's entry instead of adding one.
+            valid = sum(map(len, out)) == len(ids) * (1 if directed else 2)
         if not valid:
             rows = zip(ids, us, vs, zip(*map(self.present, weights)))
             raise _first_fault(directed, node_count, q, rows) or InvariantError(
                 "a bulk edge check failed, but no edge is at fault")
-
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(node_count)]
-        radj: list[list[tuple[int, int]]] = [[] for _ in range(node_count)] if directed else adj
-        for eid, u, v in zip(ids, us, vs):
-            adj[u].append((v, eid))
-            radj[v].append((u, eid))
-        self._adj = tuple(map(tuple, map(sorted, adj)))
-        self._radj = self._adj if not directed else tuple(map(tuple, map(sorted, radj)))
+        self._out, self._in = out, into
+        self._out_views: dict[int, tuple[tuple[int, int], ...]] = {}
+        self._in_views = self._out_views if not directed else {}
         self._derived: dict[Hashable, object] = {}
 
     @classmethod
@@ -217,13 +225,27 @@ class Graph:
             column[eid] = value
         return tuple(column)
 
+    def adjacency(self, incoming: bool = False) -> Sequence[Mapping[int, int]]:
+        """Per node, a map from each neighbour to the joining edge's id, in edge-id order.
+
+        Arcs leave the node, or enter it with ``incoming=True``. The maps
+        are the graph's own and must not be mutated.
+        """
+        return self._in if incoming else self._out
+
     def out_arcs(self, u: int) -> tuple[tuple[int, int], ...]:
         """Arcs leaving ``u`` as (neighbor, edge_id), sorted by neighbor."""
-        return self._adj[u]
+        try:
+            return self._out_views[u]
+        except KeyError:
+            return self._out_views.setdefault(u, tuple(sorted(self._out[u].items())))
 
     def in_arcs(self, u: int) -> tuple[tuple[int, int], ...]:
         """Arcs entering ``u``; identical to ``out_arcs`` when undirected."""
-        return self._radj[u]
+        try:
+            return self._in_views[u]
+        except KeyError:
+            return self._in_views.setdefault(u, tuple(sorted(self._in[u].items())))
 
     def edge(self, eid: int) -> Edge:
         """A view of edge ``eid``; KeyError if no edge has that id.
