@@ -4,7 +4,9 @@ The search is plain Dijkstra; the only twist is that distances are the
 arbitrary-precision packed integers from :mod:`mcpaths.lexweight`, so one
 run minimizes every criterion simultaneously in priority order. Queue
 ties are popped lowest node id first, which makes distance maps and the
-paths reconstructed from them reproducible.
+paths reconstructed from them reproducible. Every search runs one loop,
+``settle``: ``shortest_distances`` seeds it with a single source, and
+the KSP reverse-tree repair seeds it with the nodes it searches again.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import heapq
 from dataclasses import dataclass
 from itertools import repeat
 from operator import lshift
-from typing import Collection, Sequence
+from typing import Collection, MutableMapping, MutableSequence, Sequence
 
 from .graph import Graph, GraphError, InvariantError, NoPathError, check_endpoints
 from .lexweight import BitLayout, compute_layout, pack
@@ -23,6 +25,7 @@ __all__ = [
     "DistanceMap",
     "packed_weights",
     "shortest_distances",
+    "settle",
     "threshold_mask",
     "filter_by_threshold",
     "dijkstra",
@@ -105,7 +108,7 @@ def shortest_distances(
     incoming: bool = False,
     target: int | None = None,
 ) -> tuple[list[int | None], list[tuple[int, int] | None]]:
-    """Dijkstra core shared by every module.
+    """One fresh Dijkstra search from ``source``, run by ``settle``.
 
     ``weight_by_eid`` is a column of ``g``: the weight of edge ``eid``
     sits at index ``eid``. Returns (dist, pred) where ``pred[v]`` is
@@ -113,11 +116,6 @@ def shortest_distances(
     ``banned_nodes`` and ``banned_edges`` mask parts of the graph without
     copying it; with ``incoming=True`` the search walks arcs backwards
     (distance to a destination instead of from a source).
-
-    Arcs are read from ``g.adjacency`` in edge-id order, not by
-    neighbour. ``dist`` and ``pred`` do not depend on that order: nodes
-    settle in (distance, id) order, ``pred[v]`` moves only on a strictly
-    shorter distance, and no node has two arcs to one neighbour.
 
     With ``target`` set, the search stops at the first pop farther than
     ``dist[target]``: every node at distance <= d(target) is settled
@@ -132,9 +130,42 @@ def shortest_distances(
         return dist, pred
     best: list[int | None] = [None] * n
     best[source] = 0
-    heap: list[tuple[int, int]] = [(0, source)]
+    settle(g, weight_by_eid, dist, best, pred, [(0, source)], banned_nodes=banned_nodes,
+           banned_edges=banned_edges, incoming=incoming, target=target)
+    return dist, pred
+
+
+def settle(
+    g: Graph,
+    weight_by_eid: Sequence[int | None],
+    dist: MutableSequence[int | None],
+    best: MutableSequence[int | None],
+    pred: MutableMapping[int, tuple[int, int] | None] | MutableSequence[tuple[int, int] | None],
+    heap: list[tuple[int, int]],
+    *,
+    banned_nodes: Collection[int] = (),
+    banned_edges: Collection[int] = (),
+    incoming: bool = False,
+    target: int | None = None,
+) -> None:
+    """The Dijkstra loop every search runs, over prefilled state.
+
+    A node whose ``dist`` is set is final: it is never queued or relaxed
+    again, and its value is taken as exact. ``heap`` holds the seeded
+    ``(distance, node)`` pairs, ``best[v]`` the least distance queued for
+    ``v`` so far; ``pred[v]`` is written as ``(edge_id, previous_node)``
+    whenever ``best[v]`` drops. The loop pops in (distance, id) order
+    and fills ``dist`` in place. Arcs are read from ``g.adjacency`` in
+    edge-id order, not by neighbour; ``dist`` and ``pred`` do not depend
+    on that order, because ``pred[v]`` moves only on a strictly shorter
+    distance and no node has two arcs to one neighbour.
+
+    With ``target`` set, the loop stops at the first pop farther than
+    ``dist[target]``, which may be final already; nodes still queued
+    then read None in ``pred``.
+    """
     adjacency = g.adjacency(incoming)
-    horizon: int | None = None
+    horizon = None if target is None else dist[target]
     while heap:
         d, u = heapq.heappop(heap)
         if horizon is not None and d > horizon:
@@ -157,7 +188,6 @@ def shortest_distances(
                 best[v] = nd
                 pred[v] = (eid, u)
                 heapq.heappush(heap, (nd, v))
-    return dist, pred
 
 
 def threshold_mask(weight_by_eid: Sequence[int | None], threshold: int | None) -> frozenset[int]:

@@ -7,13 +7,20 @@ against exhaustive enumeration.
 
 To honour that order exactly, every shortest-path subcall here returns
 the lexicographically smallest node sequence among equally short paths:
-one backward search gives every node's distance to the destination, and
+a backward search gives every node's distance to the destination, and
 a greedy walk takes the smallest neighbour down that gradient. A step
 over a positive-weight edge always leads on to the destination. A
 zero-weight step stays on its distance level, where the walk's own
 earlier nodes may cut it off, so it is taken only when a search within
 that level, avoiding the walk, reaches the destination or an edge down
 to a lower level.
+
+A query for one path runs that backward search once, cut at the source.
+A query for more runs it once in full and keeps the reverse
+shortest-path tree (Yen 1971); each search, the first and every spur's,
+then repairs the tree for its bans instead of searching afresh. Only
+the nodes whose tree path to the destination crosses a banned node or
+edge lose their distance (Feng 2014), and only those are searched again.
 
 Spurs follow Lawler's deviation rule: an accepted path spurs only from
 the node where it left the path it was found from. Candidates wait in
@@ -27,7 +34,7 @@ import heapq
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .dijkstra import Path, packed_weights, shortest_distances, threshold_mask, trace_path
+from .dijkstra import Path, packed_weights, settle, shortest_distances, threshold_mask, trace_path
 # ``filter_by_threshold`` is unused here but stays importable: bench/tracer.py
 # wraps ``mcpaths.ksp.filter_by_threshold`` by name (ROADMAP, benchmark upkeep).
 from .dijkstra import filter_by_threshold  # noqa: F401
@@ -60,6 +67,75 @@ class _Route(NamedTuple):
     deviation: int = 0
 
 
+class _ReverseTree:
+    """Shortest distances to ``dest`` under the threshold mask, kept so
+    that each search with more nodes and edges banned repairs them.
+
+    One full backward search gives every reached node's distance and its
+    tree edge toward ``dest``. A ban changes the distance only of nodes
+    whose tree path to ``dest`` crosses it (Feng 2014's red nodes); every
+    other node keeps a tree path that avoids the ban, and bans only
+    lengthen paths, so its distance stays exact. The children index and
+    the tree-edge map hold only the reached nodes.
+    """
+
+    def __init__(self, g: Graph, weights: Sequence[int | None], dest: int, masked: frozenset[int]):
+        self.g, self.weights, self.masked = g, weights, masked
+        self.dist, pred = shortest_distances(g, weights, dest, banned_edges=masked, incoming=True)
+        # Node -> the nodes whose tree edge leads to it; tree edge id -> the
+        # node it leads from.
+        self.children: dict[int, list[int]] = {}
+        self.below: dict[int, int] = {}
+        for v, link in enumerate(pred):
+            if link is not None:
+                self.children.setdefault(link[1], []).append(v)
+                self.below[link[0]] = v
+
+    def distances(
+        self, source: int, banned_nodes: frozenset[int], banned_edges: frozenset[int]
+    ) -> list[int | None]:
+        """Distances to ``dest`` with the bans, as a fresh backward search
+        cut at ``source`` reads them on every node it settles; every other
+        node reads None or more than the distance of ``source``.
+
+        ``banned_edges`` holds the tree's own mask. The red nodes, each
+        reached banned node, each node whose tree edge is banned and their
+        subtrees, lose their distance; each red node that is not banned
+        is seeded from its arcs into the rest, and ``settle`` searches
+        the red nodes alone, cut at ``source`` as a fresh search is.
+        """
+        dist = self.dist.copy()
+        stack = [v for v in banned_nodes if dist[v] is not None]
+        stack += [self.below[e] for e in banned_edges - self.masked if e in self.below]
+        red = []
+        while stack:
+            v = stack.pop()
+            if dist[v] is not None:
+                dist[v] = None
+                red.append(v)
+                stack += self.children.get(v, ())
+        best: list[int | None] = [None] * len(dist)
+        heap = []
+        outgoing, weights = self.g.adjacency(), self.weights
+        for v in red:
+            if v in banned_nodes:
+                continue
+            seed = None
+            for x, eid in outgoing[v].items():
+                if dist[x] is None or eid in banned_edges:
+                    continue
+                d = weights[eid] + dist[x]
+                if seed is None or d < seed:
+                    seed = d
+            if seed is not None:
+                best[v] = seed
+                heap.append((seed, v))
+        heapq.heapify(heap)
+        settle(self.g, self.weights, dist, best, {}, heap, banned_nodes=banned_nodes,
+               banned_edges=banned_edges, incoming=True, target=source)
+        return dist
+
+
 def _lexmin_shortest(
     g: Graph,
     weights: Sequence[int | None],
@@ -67,27 +143,25 @@ def _lexmin_shortest(
     dest: int,
     banned_nodes: frozenset[int],
     banned_edges: frozenset[int],
+    tree: _ReverseTree | None,
 ) -> _Route | None:
     """Shortest path with the lexicographically smallest node sequence.
 
-    Runs one search: the backward one from ``dest``. Every step of the
-    walk is tight (``w + to_dest[v] == remaining``), so ``to_dest`` never
-    rises along it and every visited node lies on the current level
-    ``remaining`` or above. A shortest path from a step that drops below
-    that level therefore meets no visited node, while a zero-weight step
-    is checked by ``leaves_level``.
+    Reads every node's distance to ``dest`` from ``tree``, the tree to
+    ``dest`` repaired for the bans, or else from one fresh backward search
+    cut at ``source``. Either way a node no farther than ``source`` reads
+    its exact distance and any other None or more, so the walk takes the
+    same steps: every step is tight (``w + to_dest[v] == remaining``), so
+    ``to_dest`` never rises along it and every visited node lies on the
+    current level ``remaining`` or above. A shortest path from a step that
+    drops below that level therefore meets no visited node, while a
+    zero-weight step is checked by ``leaves_level``.
     """
-    # The walk only steps onto nodes with to_dest <= d(source, dest), so the
-    # backward search may stop at source.
-    to_dest, _ = shortest_distances(
-        g,
-        weights,
-        dest,
-        banned_nodes=banned_nodes,
-        banned_edges=banned_edges,
-        incoming=True,
-        target=source,
-    )
+    if tree is None:
+        to_dest, _ = shortest_distances(g, weights, dest, banned_nodes=banned_nodes,
+                                        banned_edges=banned_edges, incoming=True, target=source)
+    else:
+        to_dest = tree.distances(source, banned_nodes, banned_edges)
     remaining = to_dest[source]
     if remaining is None:
         return None
@@ -175,7 +249,9 @@ def yen_ksp(
     weights = packed_weights(g, layout)
     masked = threshold_mask(weights, threshold)
 
-    first = _lexmin_shortest(g, weights, s, t, frozenset(), masked)
+    # A single search needs no tree: one backward search cut at s.
+    tree = _ReverseTree(g, weights, t, masked) if k > 1 else None
+    first = _lexmin_shortest(g, weights, s, t, frozenset(), masked, tree)
     if first is None:
         return KspResult((), exhausted=True)
     accepted: list[_Route] = [first]
@@ -190,7 +266,7 @@ def yen_ksp(
             # A root never holds t, so every path sharing it has an edge i.
             banned_edges = {p.edges[i] for p in accepted if p.nodes[: i + 1] == root_nodes}
             spur_route = _lexmin_shortest(
-                g, weights, spur, t, frozenset(root_nodes[:-1]), masked.union(banned_edges)
+                g, weights, spur, t, frozenset(root_nodes[:-1]), masked.union(banned_edges), tree
             )
             if spur_route is not None:
                 heapq.heappush(

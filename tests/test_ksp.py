@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,8 @@ from mcpaths import (
     pack,
     yen_ksp,
 )
-from mcpaths.dijkstra import packed_weights, threshold_mask
+from mcpaths.dijkstra import packed_weights, shortest_distances, threshold_mask
+from mcpaths.fileio import parse_graph_file
 from mcpaths.oracle import enumerate_simple_paths, oracle_ksp
 from conftest import random_graph
 
@@ -168,6 +170,73 @@ def test_matches_oracle_on_zero_heavy_graphs(query):
     assert got.exhausted == want.exhausted
 
 
+@st.composite
+def repair_queries(draw):
+    """A reverse tree's graph, destination and threshold mask, plus the
+    banned nodes, banned edges and spur of one repair, on graphs with
+    many zero-weight and tied edges."""
+    directed = draw(st.booleans())
+    n = draw(st.integers(min_value=1, max_value=12))
+    q = draw(st.integers(min_value=1, max_value=2))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3 * n)) if pairs else []
+    weight = st.sampled_from([0, 0, 0, 1, 1, 2])
+    g = build_graph(directed, n, q, [(u, v, tuple(draw(weight) for _ in range(q)))
+                                     for u, v in chosen])
+    weights = packed_weights(g, compute_layout(g))
+    present = sorted(w for w in weights if w is not None)
+    threshold = draw(st.sampled_from([None, 1, present[len(present) // 2] + 1]) if present
+                     else st.none())
+    masked = threshold_mask(weights, threshold)
+    nodes = st.integers(min_value=0, max_value=n - 1)
+    edges = st.lists(st.sampled_from(range(len(chosen))), max_size=4) if chosen else st.just([])
+    dest, spur = draw(nodes), draw(nodes)
+    banned_nodes = frozenset(draw(st.lists(nodes, max_size=3)))
+    return g, weights, dest, masked, spur, banned_nodes, masked.union(draw(edges))
+
+
+@settings(max_examples=400, deadline=None)
+@given(repair_queries())
+def test_repaired_tree_reads_a_fresh_backward_search(query):
+    g, weights, dest, masked, spur, banned_nodes, banned_edges = query
+    tree = mcpaths.ksp._ReverseTree(g, weights, dest, masked)
+    got = tree.distances(spur, banned_nodes, banned_edges)
+    fresh, _ = shortest_distances(g, weights, dest, banned_nodes=banned_nodes,
+                                  banned_edges=banned_edges, incoming=True, target=spur)
+    for v in range(g.node_count):
+        if fresh[v] is not None:
+            assert got[v] == fresh[v]
+        else:
+            assert got[v] is None or fresh[spur] is not None and got[v] > fresh[spur]
+    # A repair leaves the tree as it was.
+    assert tree.dist == shortest_distances(g, weights, dest, banned_edges=masked, incoming=True)[0]
+
+
+def _yen_peak_bytes_per_node(directed: bool) -> float:
+    n = 100_000
+    edges = ((0, 1, 1), (1, 2, 1), (0, 3, 2), (3, 2, 0), (0, 4, 1), (4, 2, 1))
+    text = f"mcgraph {'directed' if directed else 'undirected'} {n} 1\n"
+    text += "".join(f"{u} {v} {w}\n" for u, v, w in edges)
+    g = parse_graph_file(text)
+    layout = compute_layout(g)
+    packed_weights(g, layout)
+    tracemalloc.start()
+    try:
+        result = yen_ksp(g, layout, 0, 2, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.paths) == 3
+    return peak / n
+
+
+def test_a_ksp_query_costs_a_few_pointers_per_declared_node():
+    # The tree keeps one distance list; a repair adds a copy and its
+    # queue bounds. Nothing is kept per node the tree did not reach.
+    assert _yen_peak_bytes_per_node(directed=False) <= 48
+    assert _yen_peak_bytes_per_node(directed=True) <= 48
+
+
 @pytest.fixture
 def search_calls(monkeypatch):
     """Sources of the Dijkstra runs yen_ksp makes, and its number of
@@ -203,13 +272,15 @@ def test_zero_weight_step_into_a_dead_end_pocket_is_skipped(search_calls):
     assert lexmin == [1]
 
 
-def test_one_backward_search_per_lexmin_search(search_calls):
+def test_one_backward_search_per_query(search_calls):
+    # Past k=1 the query makes one full backward search from the
+    # destination and each lexmin search repairs that tree instead.
     rng = random.Random(5)
     g = random_graph(rng, directed=False, n_lo=10, n_hi=10, q_lo=1, q_hi=1, weight_max=1)
     result = yen_ksp(g, compute_layout(g), 0, 9, 8)
     searches, lexmin = search_calls
     assert sum(1 for e in g.edges if e.weights == (0,)) >= g.edge_count // 3
     assert len(result.paths) == 8
-    assert searches == [9] * lexmin[0]
+    assert searches == [9]
     # The first search plus 26 spurs; spurring from every index takes 44.
     assert lexmin == [27]
