@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import repeat
-from operator import lshift
+from functools import partial, reduce
+from itertools import compress, count, repeat
+from operator import add, ge, lshift
 from typing import Collection, MutableMapping, MutableSequence, Sequence
 
 from .graph import Graph, GraphError, InvariantError, NoPathError, check_endpoints
@@ -82,7 +83,8 @@ def packed_weights(g: Graph, layout: BitLayout) -> tuple[int | None, ...]:
     """Packed integer weight per edge id, a column of ``g``.
 
     Each weight column is shifted to its segment as a whole and the
-    shifted columns are summed id by id. The column for the graph's own
+    shifted columns are added id by id, one column onto the running
+    sum, all in chained ``map`` calls. The column for the graph's own
     layout (``compute_layout(g)``) is built on first use and stored with
     the graph, so every later query reads the same tuple; any other
     layout gets a fresh column.
@@ -91,7 +93,7 @@ def packed_weights(g: Graph, layout: BitLayout) -> tuple[int | None, ...]:
     def build(g: Graph) -> tuple[int | None, ...]:
         shifted = [map(lshift, g.present(column), repeat(offset))
                    for column, offset in zip(g.weights, layout.offsets)]
-        return g.column(map(sum, zip(*shifted)))
+        return g.column(reduce(partial(map, add), shifted))
 
     if layout == compute_layout(g):
         return g.derived("packed", build)
@@ -145,6 +147,7 @@ def settle(
     *,
     banned_nodes: Collection[int] = (),
     banned_edges: Collection[int] = (),
+    mask: Collection[int] = (),
     incoming: bool = False,
     target: int | None = None,
 ) -> None:
@@ -158,14 +161,25 @@ def settle(
     and fills ``dist`` in place. Arcs are read from ``g.adjacency`` in
     edge-id order, not by neighbour; ``dist`` and ``pred`` do not depend
     on that order, because ``pred[v]`` moves only on a strictly shorter
-    distance and no node has two arcs to one neighbour.
+    distance and no node has two arcs to one neighbour. Edges in
+    ``banned_edges`` or in ``mask`` are skipped alike; the two are apart
+    so that a search banning a few edges on top of a shared threshold
+    mask need not copy the mask.
 
-    With ``target`` set, the loop stops at the first pop farther than
-    ``dist[target]``, which may be final already; nodes still queued
-    then read None in ``pred``.
+    With ``target`` set, the loop keeps a horizon: ``dist[target]`` when
+    that is final, else ``best[target]`` once the target is queued. It
+    stops at the first pop farther than the horizon; nodes still queued
+    then read None in ``pred``. No key above the horizon is pushed
+    either, and that is exact: the target's own entry sits in the heap
+    at the horizon or below it, so such a key would never be popped
+    before the stop, and its ``pred`` would be cleared there. A skipped
+    node's ``best`` and ``pred`` are left as they were, both either
+    unset or above the horizon too.
     """
     adjacency = g.adjacency(incoming)
-    horizon = None if target is None else dist[target]
+    horizon = None
+    if target is not None:
+        horizon = best[target] if dist[target] is None else dist[target]
     while heap:
         d, u = heapq.heappop(heap)
         if horizon is not None and d > horizon:
@@ -178,16 +192,18 @@ def settle(
         if dist[u] is not None:
             continue
         dist[u] = d
-        if u == target:
-            horizon = d
         for v, eid in adjacency[u].items():
-            if dist[v] is not None or v in banned_nodes or eid in banned_edges:
+            if dist[v] is not None:
                 continue
             nd = d + weight_by_eid[eid]
-            if best[v] is None or nd < best[v]:
+            # The bans are tested last, on the few arcs that would push.
+            if ((best[v] is None or nd < best[v]) and (horizon is None or nd <= horizon)
+                    and v not in banned_nodes and eid not in banned_edges and eid not in mask):
                 best[v] = nd
                 pred[v] = (eid, u)
                 heapq.heappush(heap, (nd, v))
+                if v == target:
+                    horizon = nd
 
 
 def threshold_mask(weight_by_eid: Sequence[int | None], threshold: int | None) -> frozenset[int]:
@@ -200,9 +216,10 @@ def threshold_mask(weight_by_eid: Sequence[int | None], threshold: int | None) -
     """
     if threshold is None:
         return frozenset()
-    return frozenset(
-        eid for eid, w in enumerate(weight_by_eid) if w is not None and w >= threshold
-    )
+    try:
+        return frozenset(compress(count(), map(ge, weight_by_eid, repeat(threshold))))
+    except TypeError:  # a None hole, which no comparison takes
+        return frozenset(eid for eid, w in enumerate(weight_by_eid) if w is not None and w >= threshold)
 
 
 def filter_by_threshold(g: Graph, layout: BitLayout, threshold: int | None) -> Graph:

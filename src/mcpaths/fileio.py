@@ -6,7 +6,11 @@ Lines whose first non-blank character is ``#`` are comments; blank lines
 are ignored. All tokens are non-negative integers in ASCII digits.
 
 The parser hands ``Graph`` its edge columns straight from the text: edge
-ids follow line order, and no ``Edge`` object is made.
+ids follow line order, and no ``Edge`` object is made. The edge lines
+are joined with a marker token between them and split once; where the
+markers fall gives every line's token count, one ``str.translate``
+checks every token's digits, and strided slices of the one token list
+are the columns. Lines are read one at a time only to name a bad line.
 """
 
 from __future__ import annotations
@@ -19,6 +23,13 @@ from .graph import Graph, GraphError, InvariantError
 __all__ = ["HEADER_MAGIC", "parse_graph_file"]
 
 HEADER_MAGIC = "mcgraph"
+
+# Every character str.split() splits on, which is every one str.isspace() admits.
+_BLANKS = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
+           "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
+_DIGITS_AND_BLANKS = str.maketrans("", "", "0123456789" + _BLANKS)
+# Separates the edge lines once they are joined: a token no edge line holds.
+_MARK = ";"
 
 
 def _digits(token: str) -> bool:
@@ -75,36 +86,42 @@ def _reject(rows: Iterator[tuple[int, list[str]]], q: int) -> NoReturn:
     raise InvariantError("the bulk token checks refused text that reads line by line")
 
 
-def _columns(counts: list[int], tokens: list[str], q: int) -> list[list[int]] | None:
+def _columns(body: list[str], q: int) -> list[tuple[int, ...]] | None:
     """The integer columns u, v, w_1..w_q of the edge lines, or None if any line is bad.
 
-    ``counts`` holds the token count of each edge line, and ``tokens``
-    all of those lines' tokens in order.
+    ``body`` holds the edge lines, none of them blank. They are joined
+    with a marker token between lines and split once. Left over after
+    deleting ASCII digits and whitespace, the joined text must be just
+    the markers: then no line holds a marker of its own and every other
+    token is digits. A line holds ``2 + q`` tokens exactly when a marker
+    follows every ``2 + q`` tokens, so the columns are strided slices.
     """
     width = 2 + q
-    if any(map(width.__ne__, counts)):
+    if not body:  # q comes from the header alone: share one empty column
+        return [()] * width
+    joined = f" {_MARK} ".join(body)
+    if joined.translate(_DIGITS_AND_BLANKS) != _MARK * (len(body) - 1):
         return None
-    if tokens and not _digits("".join(tokens)):
+    tokens = joined.split()
+    stride = width + 1
+    if len(tokens) != stride * len(body) - 1 or tokens[width::stride].count(_MARK) != len(body) - 1:
         return None
     try:
-        ints = list(map(int, tokens))
+        return [tuple(map(int, tokens[i::stride])) for i in range(width)]
     except ValueError:  # a token with more digits than int() converts
         return None
-    if not ints:  # q comes from the header alone: share one empty column
-        return [ints] * width
-    return [ints[i::width] for i in range(width)]
 
 
 def parse_graph_file(text: str) -> Graph:
     """Parse the mcgraph format, reporting the offending line on failure.
 
-    The header is read first. Below it, one pass counts each line's
-    tokens and one split takes them all, with comment lines dropped
-    first; then one check covers the token counts, one every token's
-    digits, and one ``map(int, ...)`` converts them all, sliced into the
-    columns. Only when a check fails are the edge lines read again one
-    by one to name the first bad line, so token errors still come before
-    graph errors.
+    The header is read first. The lines below it, stripped, with blank
+    and comment lines dropped, are the edge lines: one split of them
+    joined gives every token, one ``str.translate`` checks their digits
+    and the markers between lines their counts, and one ``map(int,
+    ...)`` per column converts them (``_columns``). Only when a check
+    fails are the edge lines read again one by one to name the first bad
+    line, so token errors still come before graph errors.
     """
     lines = text.splitlines()
     rows = _numbered_rows(lines)
@@ -112,13 +129,13 @@ def parse_graph_file(text: str) -> Graph:
     if header is None:
         raise GraphError("empty input: missing header line")
     directed, node_count, q = _header(header_no, header)
-    body = lines[header_no:]
+    # strip() and split() agree on what is blank, so a stripped line is
+    # empty exactly when it has no token, and starts with '#' exactly when
+    # its first token does.
+    body = list(filter(None, map(str.strip, lines[header_no:])))
     if "#" in text:
-        # A comment's first token starts with '#': its first non-blank
-        # character, as split() and lstrip() agree on what is blank.
-        body = [line for line in body if not line.lstrip().startswith("#")]
-    counts = list(filter(None, map(len, map(str.split, body))))
-    columns = _columns(counts, " ".join(body).split(), q)
+        body = [line for line in body if line[0] != "#"]
+    columns = _columns(body, q)
     if columns is None:
         _reject(rows, q)
     tails, heads, *weights = columns

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 from .dijkstra import Path, packed_weights, settle, shortest_distances, threshold_mask, trace_path
 # ``filter_by_threshold`` is unused here but stays importable: bench/tracer.py
@@ -92,21 +92,22 @@ class _ReverseTree:
                 self.below[link[0]] = v
 
     def distances(
-        self, source: int, banned_nodes: frozenset[int], banned_edges: frozenset[int]
+        self, source: int, banned_nodes: frozenset[int], cut: Collection[int]
     ) -> list[int | None]:
         """Distances to ``dest`` with the bans, as a fresh backward search
         cut at ``source`` reads them on every node it settles; every other
         node reads None or more than the distance of ``source``.
 
-        ``banned_edges`` holds the tree's own mask. The red nodes, each
-        reached banned node, each node whose tree edge is banned and their
-        subtrees, lose their distance; each red node that is not banned
-        is seeded from its arcs into the rest, and ``settle`` searches
-        the red nodes alone, cut at ``source`` as a fresh search is.
+        ``cut`` holds the banned edges beyond the tree's own mask, which
+        is never copied. The red nodes, each reached banned node, each
+        node whose tree edge is cut and their subtrees, lose their
+        distance; each red node that is not banned is seeded from its
+        arcs into the rest, and ``settle`` searches the red nodes alone,
+        cut at ``source`` as a fresh search is.
         """
         dist = self.dist.copy()
         stack = [v for v in banned_nodes if dist[v] is not None]
-        stack += [self.below[e] for e in banned_edges - self.masked if e in self.below]
+        stack += [self.below[e] for e in cut if e in self.below]
         red = []
         while stack:
             v = stack.pop()
@@ -116,23 +117,24 @@ class _ReverseTree:
                 stack += self.children.get(v, ())
         best: list[int | None] = [None] * len(dist)
         heap = []
-        outgoing, weights = self.g.adjacency(), self.weights
+        outgoing, weights, masked = self.g.adjacency(), self.weights, self.masked
         for v in red:
             if v in banned_nodes:
                 continue
             seed = None
+            # The bans are tested last, on the few arcs that would lower the seed.
             for x, eid in outgoing[v].items():
-                if dist[x] is None or eid in banned_edges:
+                if dist[x] is None:
                     continue
                 d = weights[eid] + dist[x]
-                if seed is None or d < seed:
+                if (seed is None or d < seed) and eid not in cut and eid not in masked:
                     seed = d
             if seed is not None:
                 best[v] = seed
                 heap.append((seed, v))
         heapq.heapify(heap)
         settle(self.g, self.weights, dist, best, {}, heap, banned_nodes=banned_nodes,
-               banned_edges=banned_edges, incoming=True, target=source)
+               banned_edges=cut, mask=masked, incoming=True, target=source)
         return dist
 
 
@@ -142,26 +144,31 @@ def _lexmin_shortest(
     source: int,
     dest: int,
     banned_nodes: frozenset[int],
-    banned_edges: frozenset[int],
+    masked: frozenset[int],
+    cut: Collection[int],
     tree: _ReverseTree | None,
 ) -> _Route | None:
     """Shortest path with the lexicographically smallest node sequence.
 
-    Reads every node's distance to ``dest`` from ``tree``, the tree to
-    ``dest`` repaired for the bans, or else from one fresh backward search
-    cut at ``source``. Either way a node no farther than ``source`` reads
-    its exact distance and any other None or more, so the walk takes the
-    same steps: every step is tight (``w + to_dest[v] == remaining``), so
-    ``to_dest`` never rises along it and every visited node lies on the
-    current level ``remaining`` or above. A shortest path from a step that
-    drops below that level therefore meets no visited node, while a
-    zero-weight step is checked by ``leaves_level``.
+    The edges in ``masked`` (the query's threshold mask, shared by every
+    search) and in ``cut`` (this search's own) are banned, read apart so
+    that neither is copied into the other. Reads every node's distance
+    to ``dest`` from ``tree``, the tree to ``dest`` repaired for the
+    bans, or else from one fresh backward search cut at ``source``, made
+    only for the first path, when nothing is cut. Either way a node no
+    farther than ``source`` reads its exact distance and any other None
+    or more, so the walk takes the same steps: every step is tight
+    (``w + to_dest[v] == remaining``), so ``to_dest`` never rises along
+    it and every visited node lies on the current level ``remaining`` or
+    above. A shortest path from a step that drops below that level
+    therefore meets no visited node, while a zero-weight step is checked
+    by ``leaves_level``.
     """
     if tree is None:
         to_dest, _ = shortest_distances(g, weights, dest, banned_nodes=banned_nodes,
-                                        banned_edges=banned_edges, incoming=True, target=source)
+                                        banned_edges=masked, incoming=True, target=source)
     else:
-        to_dest = tree.distances(source, banned_nodes, banned_edges)
+        to_dest = tree.distances(source, banned_nodes, cut)
     remaining = to_dest[source]
     if remaining is None:
         return None
@@ -180,10 +187,10 @@ def _lexmin_shortest(
             if u == dest:
                 return True
             for x, eid in g.out_arcs(u):
-                if x in visited or x in seen or x in banned_nodes or eid in banned_edges:
-                    continue
                 w = weights[eid]
                 if to_dest[x] is None or w + to_dest[x] != remaining:
+                    continue
+                if x in visited or x in seen or x in banned_nodes or eid in cut or eid in masked:
                     continue
                 if w > 0:
                     return True
@@ -191,14 +198,15 @@ def _lexmin_shortest(
                 stack.append(x)
         return False
 
+    # Both walks test the bans last, on the few tight arcs.
     at = source
     while at != dest:
         chosen = None
         for v, eid in g.out_arcs(at):
-            if v in visited or v in banned_nodes or eid in banned_edges:
-                continue
             w = weights[eid]
             if to_dest[v] is None or w + to_dest[v] != remaining:
+                continue
+            if v in visited or v in banned_nodes or eid in cut or eid in masked:
                 continue
             if w == 0 and not leaves_level(v):
                 continue
@@ -251,7 +259,7 @@ def yen_ksp(
 
     # A single search needs no tree: one backward search cut at s.
     tree = _ReverseTree(g, weights, t, masked) if k > 1 else None
-    first = _lexmin_shortest(g, weights, s, t, frozenset(), masked, tree)
+    first = _lexmin_shortest(g, weights, s, t, frozenset(), masked, frozenset(), tree)
     if first is None:
         return KspResult((), exhausted=True)
     accepted: list[_Route] = [first]
@@ -264,9 +272,9 @@ def yen_ksp(
             spur = prev.nodes[i]
             root_nodes = prev.nodes[: i + 1]
             # A root never holds t, so every path sharing it has an edge i.
-            banned_edges = {p.edges[i] for p in accepted if p.nodes[: i + 1] == root_nodes}
+            cut = {p.edges[i] for p in accepted if p.nodes[: i + 1] == root_nodes}
             spur_route = _lexmin_shortest(
-                g, weights, spur, t, frozenset(root_nodes[:-1]), masked.union(banned_edges), tree
+                g, weights, spur, t, frozenset(root_nodes[:-1]), masked, cut, tree
             )
             if spur_route is not None:
                 heapq.heappush(

@@ -1,3 +1,4 @@
+import heapq
 import random
 
 import pytest
@@ -173,3 +174,30 @@ def test_target_bound_settles_exactly_the_ball():
                         bounded += full_dist[v] is not None
                         assert (dist[v], pred[v]) == (None, None)
     assert bounded > 100 and unreachable > 100
+
+
+def test_a_cut_search_pushes_no_key_past_the_target(monkeypatch):
+    # A hub: t is queued at once, then many heavy arcs leave the settled
+    # ball, first from s and again after t's distance drops through a.
+    s, t, a, hubs = 0, 1, 2, range(3, 13)
+    edges = [(s, t, (10,)), (s, a, (1,))] + [(s, h, (20,)) for h in hubs]
+    edges += [(a, t, (1,))] + [(a, h, (5,)) for h in hubs]
+    g = build_graph(True, 13, 1, edges)
+    pushed = []
+    push = heapq.heappush
+
+    def record(heap, item):
+        pushed.append(item)
+        push(heap, item)
+
+    monkeypatch.setattr(heapq, "heappush", record)
+    dm = dijkstra(g, compute_layout(g), s, target=t)
+    monkeypatch.undo()
+
+    assert extract_path(dm, t).nodes == (s, a, t)
+    tentative = None
+    for key, node in pushed:
+        assert tentative is None or key <= tentative, (key, node)
+        if node == t:
+            tentative = key
+    assert pushed == [(10, t), (1, a), (2, t)]

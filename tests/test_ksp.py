@@ -212,6 +212,16 @@ def test_repaired_tree_reads_a_fresh_backward_search(query):
     assert tree.dist == shortest_distances(g, weights, dest, banned_edges=masked, incoming=True)[0]
 
 
+@settings(max_examples=200, deadline=None)
+@given(repair_queries())
+def test_a_repair_reads_the_mask_apart_from_the_cut(query):
+    # yen_ksp hands a repair only the edges its spur cuts, never the mask.
+    g, weights, dest, masked, spur, banned_nodes, banned_edges = query
+    tree = mcpaths.ksp._ReverseTree(g, weights, dest, masked)
+    assert (tree.distances(spur, banned_nodes, banned_edges - masked)
+            == tree.distances(spur, banned_nodes, banned_edges))
+
+
 def _yen_peak_bytes_per_node(directed: bool) -> float:
     n = 100_000
     edges = ((0, 1, 1), (1, 2, 1), (0, 3, 2), (3, 2, 0), (0, 4, 1), (4, 2, 1))

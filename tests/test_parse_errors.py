@@ -13,11 +13,12 @@ desk-sized graph.
 
 import hashlib
 import random
+import sys
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mcpaths import GraphError, build_graph, parse_graph_file
+from mcpaths import GraphError, build_graph, fileio, parse_graph_file
 from mcpaths.cli import render, run_cli
 
 SEED = 20261019
@@ -172,6 +173,13 @@ def _random_text(draw) -> str:
     return "".join(line + draw(_EOLS) for line in lines)
 
 
+# Characters a mutation inserts: digits, separators and bad tokens; as
+# often, a character that one of str.splitlines() and str.split() breaks
+# on and the other does not, or ';', which the parser puts between lines.
+_INSERTED = st.one_of(st.sampled_from("0123456789 #\t\n\r\x0c　²+-x"),
+                      st.sampled_from("\r\x0b\x1c\x1d\x1e\x1f\x85\xa0\u2028\u2029;"))
+
+
 @st.composite
 def _mutated_text(draw) -> str:
     """A valid graph's text with characters deleted or inserted after its header line."""
@@ -187,7 +195,7 @@ def _mutated_text(draw) -> str:
         if draw(st.booleans()) and at < len(body):
             body = body[:at] + body[at + 1:]
         else:
-            body = body[:at] + draw(st.sampled_from("0123456789 #\t\n\r\x0c　²+-x")) + body[at:]
+            body = body[:at] + draw(_INSERTED) + body[at:]
     return f"mcgraph {'directed' if directed else 'undirected'} {n} {q}" + body
 
 
@@ -243,3 +251,9 @@ def test_hostile_text_always_ends_in_a_document(tmp_path, text, s, t):
     for u in range(g.node_count):
         assert g.out_arcs(u) == want.out_arcs(u)
         assert g.in_arcs(u) == want.in_arcs(u)
+
+
+def test_the_parser_deletes_exactly_what_split_splits_on():
+    blanks = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+    assert fileio._BLANKS == blanks
+    assert all(len(f"1{c}2".split()) == 2 for c in blanks)
