@@ -14,8 +14,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import compress, count, repeat
-from operator import add, ge, lshift
+from itertools import repeat
+from operator import add, lshift
 from typing import Collection, MutableMapping, MutableSequence, Sequence
 
 from .graph import Graph, GraphError, InvariantError, NoPathError, check_endpoints
@@ -107,6 +107,7 @@ def shortest_distances(
     *,
     banned_nodes: Collection[int] = (),
     banned_edges: Collection[int] = (),
+    mask: Collection[int] = (),
     incoming: bool = False,
     target: int | None = None,
 ) -> tuple[list[int | None], list[tuple[int, int] | None]]:
@@ -115,7 +116,8 @@ def shortest_distances(
     ``weight_by_eid`` is a column of ``g``: the weight of edge ``eid``
     sits at index ``eid``. Returns (dist, pred) where ``pred[v]`` is
     ``(edge_id, previous_node)`` on one shortest path to ``v``, or None.
-    ``banned_nodes`` and ``banned_edges`` mask parts of the graph without
+    ``banned_nodes``, ``banned_edges`` and ``mask`` (a second edge ban,
+    read apart as ``settle`` reads it) mask parts of the graph without
     copying it; with ``incoming=True`` the search walks arcs backwards
     (distance to a destination instead of from a source).
 
@@ -133,7 +135,7 @@ def shortest_distances(
     best: list[int | None] = [None] * n
     best[source] = 0
     settle(g, weight_by_eid, dist, best, pred, [(0, source)], banned_nodes=banned_nodes,
-           banned_edges=banned_edges, incoming=incoming, target=target)
+           banned_edges=banned_edges, mask=mask, incoming=incoming, target=target)
     return dist, pred
 
 
@@ -216,10 +218,9 @@ def threshold_mask(weight_by_eid: Sequence[int | None], threshold: int | None) -
     """
     if threshold is None:
         return frozenset()
-    try:
-        return frozenset(compress(count(), map(ge, weight_by_eid, repeat(threshold))))
-    except TypeError:  # a None hole, which no comparison takes
-        return frozenset(eid for eid, w in enumerate(weight_by_eid) if w is not None and w >= threshold)
+    return frozenset(
+        eid for eid, w in enumerate(weight_by_eid) if w is not None and w >= threshold
+    )
 
 
 def filter_by_threshold(g: Graph, layout: BitLayout, threshold: int | None) -> Graph:

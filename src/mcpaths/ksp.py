@@ -154,8 +154,8 @@ def _lexmin_shortest(
     search) and in ``cut`` (this search's own) are banned, read apart so
     that neither is copied into the other. Reads every node's distance
     to ``dest`` from ``tree``, the tree to ``dest`` repaired for the
-    bans, or else from one fresh backward search cut at ``source``, made
-    only for the first path, when nothing is cut. Either way a node no
+    bans, or else from one fresh backward search cut at ``source``; both
+    read ``masked`` and ``cut`` alike. Either way a node no
     farther than ``source`` reads its exact distance and any other None
     or more, so the walk takes the same steps: every step is tight
     (``w + to_dest[v] == remaining``), so ``to_dest`` never rises along
@@ -166,7 +166,8 @@ def _lexmin_shortest(
     """
     if tree is None:
         to_dest, _ = shortest_distances(g, weights, dest, banned_nodes=banned_nodes,
-                                        banned_edges=masked, incoming=True, target=source)
+                                        banned_edges=cut, mask=masked, incoming=True,
+                                        target=source)
     else:
         to_dest = tree.distances(source, banned_nodes, cut)
     remaining = to_dest[source]

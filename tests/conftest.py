@@ -7,15 +7,9 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
 
 import mcpaths
 from mcpaths import Graph, build_graph, compute_layout, dijkstra
-
-# HYPOTHESIS_PROFILE=ci: a failing property prints the blob that replays
-# it (``@reproduce_failure``), and a slow runner trips no deadline.
-settings.register_profile("ci", print_blob=True, deadline=None)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def subprocess_env() -> dict[str, str]:
