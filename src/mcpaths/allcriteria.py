@@ -11,14 +11,14 @@ one at a time, discarding any flow cycles met along the way. The flow
 and the peeling take arcs in edge-id order, so answers do not depend on
 the order in which a graph lists its edges.
 
-Every search stops at its target's distance: no node farther than d(s,t)
-from s (or from t, walking arcs backwards) can lie on a shortest s-t
-path, so none is settled, and the backward search walks the graph's
-incoming arcs instead of a reversed copy. The searches read the graph's
-own per-criterion weight columns and a summed column stored with the
-graph, built from them by its first query, so a repeat query on one
-graph builds no column: it searches, and collects the subgraph's arcs
-from the nodes found on shortest paths.
+One forward search on the summed weights, cut at t, settles every node
+within d(s,t) of s exactly, and that is all the subgraph needs: a node
+lies on a shortest s-t path exactly when a chain of tight arcs (d(s,u)
++ w(u,v) = d(s,v)) leads from it to t. The path that search finds also
+bounds every criterion's distance, so each per-criterion search prunes
+from its first pop. The searches read the graph's weight columns and a
+summed column stored with the graph by its first query. The subgraph,
+the flow and the peeling hold edge ids; no ``Edge`` is made.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .dijkstra import Path, shortest_distances, trace_path
-from .graph import Edge, Graph, GraphError, InvariantError, NoPathError, check_endpoints
+from .dijkstra import Path, pred_edges, shortest_distances, trace_path
+from .graph import Graph, GraphError, InvariantError, NoPathError, check_endpoints
 # ``reverse`` is unused here but stays importable: bench/tracer.py wraps
 # ``mcpaths.allcriteria.reverse`` by name.
 from .graph import reverse  # noqa: F401
@@ -72,10 +72,10 @@ class AggregatedWeights:
     """Summed edge weights and the distances built on them.
 
     ``combined`` is the graph's summed-weight column, indexed by edge id.
-    ``dist_from_source[v]`` and ``dist_to_dest[v]`` are the exact
-    summed-weight distances s->v and v->t when they are at most
-    d(s,t) = ``total_distance``, and None beyond it or when unreachable.
-    ``per_criterion_dist[i]`` is d(s,t) under criterion i alone.
+    ``dist_from_source[v]`` is the exact summed-weight distance s->v when
+    it is at most d(s,t) = ``total_distance``, and None beyond it or when
+    unreachable. ``per_criterion_dist[i]`` is d(s,t) under criterion i
+    alone.
     """
 
     graph: Graph
@@ -83,7 +83,6 @@ class AggregatedWeights:
     dest: int
     combined: tuple[int | None, ...]
     dist_from_source: tuple[int | None, ...]
-    dist_to_dest: tuple[int | None, ...]
     per_criterion_dist: tuple[int, ...]
 
     @property
@@ -99,29 +98,35 @@ def _summed_column(g: Graph) -> tuple[int | None, ...]:
 
 
 def aggregate_and_distances(g: Graph, s: int, t: int) -> AggregatedWeights:
-    """Summed weights plus distances from s, to t, and per criterion to t.
+    """Summed weights plus distances from s, and per criterion to t.
 
-    All q+2 searches stop once they pass their target, so only the nodes
-    within d(s,t) are settled. The weights are the graph's columns.
-    Raises NoPathError when t is unreachable from s.
+    All q+1 searches stop once they pass t, so only the nodes within
+    d(s,t) are settled. Each per-criterion search is also bounded by
+    that criterion's length of the summed search's s-t path, which is
+    at least its distance, so it prunes from its first pop. The weights
+    are the graph's columns. Raises GraphError on an undirected graph,
+    an endpoint out of range or s = t, checked in that order, and
+    NoPathError when t is unreachable from s.
     """
     if not g.directed:
         raise GraphError("all-criteria search requires a directed graph")
     check_endpoints(g, source=s, dest=t)
+    if s == t:
+        raise GraphError("source and destination must differ")
     combined = _summed_column(g)
-    dist_fwd, _ = shortest_distances(g, combined, s, target=t)
+    dist_fwd, pred = shortest_distances(g, combined, s, target=t)
     if dist_fwd[t] is None:
         raise NoPathError(f"no path from {s} to {t}")
-    dist_bwd, _ = shortest_distances(g, combined, t, incoming=True, target=s)
+    path = pred_edges(pred, s, t)
     per_criterion = []
-    for i in range(g.q):
-        dist_i, _ = shortest_distances(g, g.weights[i], s, target=t)
+    for i, column in enumerate(g.weights):
+        dist_i, _ = shortest_distances(
+            g, column, s, target=t, bound=sum(map(column.__getitem__, path))
+        )
         if dist_i[t] is None:
             raise InvariantError(f"criterion {i} cannot reach {t} from {s}")
         per_criterion.append(dist_i[t])
-    return AggregatedWeights(
-        g, s, t, combined, tuple(dist_fwd), tuple(dist_bwd), tuple(per_criterion)
-    )
+    return AggregatedWeights(g, s, t, combined, tuple(dist_fwd), tuple(per_criterion))
 
 
 def feasibility_check(aw: AggregatedWeights) -> bool:
@@ -131,41 +136,45 @@ def feasibility_check(aw: AggregatedWeights) -> bool:
 
 @dataclass(frozen=True)
 class ShortestSubgraph:
-    """Nodes and arcs lying on at least one summed-shortest s-t path."""
+    """Nodes and arcs (edge ids, in id order) on at least one
+    summed-shortest s-t path."""
 
     graph: Graph
     source: int
     dest: int
     total_distance: int
     nodes: frozenset[int]
-    edges: tuple[Edge, ...]
+    edges: tuple[int, ...]
 
 
 def build_subgraph(aw: AggregatedWeights) -> ShortestSubgraph:
-    """Keep node u when d(s,u) + d(u,t) = d(s,t), and arc (u,v) when
-    d(s,u) + w(u,v) + d(v,t) = d(s,t).
+    """Walk back from t over tight arcs, d(s,u) + w(u,v) = d(s,v).
 
-    Such an arc leaves a kept node, so only their out-arcs are read.
-    ``edges`` are in edge-id order, which fixes the order in which
-    ``max_flow_unit`` tries arcs and so the paths it finds, whatever the
-    order in which the graph lists its edges.
+    Every such arc into a kept node is kept, and its tail is kept and
+    walked from in turn; these are exactly the nodes u with d(s,u) +
+    d(u,t) = d(s,t) and the arcs with d(s,u) + w(u,v) + d(v,t) = d(s,t).
+    A tight arc's tail lies within d(s,t) of s, so the cut forward
+    search has settled it. ``edges`` are in edge-id order, which fixes
+    the order in which ``max_flow_unit`` tries arcs and so the paths it
+    finds, whatever the order in which the graph lists its edges.
     """
     g = aw.graph
-    span = aw.total_distance
-    fwd, bwd, combined = aw.dist_from_source, aw.dist_to_dest, aw.combined
-    nodes = frozenset(
-        u
-        for u in range(g.node_count)
-        if fwd[u] is not None and bwd[u] is not None and fwd[u] + bwd[u] == span
-    )
-    kept = [
-        eid
-        for u in nodes
-        for v, eid in g.adjacency()[u].items()
-        if bwd[v] is not None and fwd[u] + combined[eid] + bwd[v] == span
-    ]
+    fwd, combined = aw.dist_from_source, aw.combined
+    into = g.adjacency(incoming=True)
+    nodes = {aw.dest}
+    queue = [aw.dest]
+    kept: list[int] = []
+    for v in queue:
+        dv = fwd[v]
+        for u, eid in into[v].items():
+            du = fwd[u]
+            if du is not None and du + combined[eid] == dv:
+                kept.append(eid)
+                if u not in nodes:
+                    nodes.add(u)
+                    queue.append(u)
     kept.sort()
-    return ShortestSubgraph(g, aw.source, aw.dest, span, nodes, tuple(map(g.edge, kept)))
+    return ShortestSubgraph(g, aw.source, aw.dest, aw.total_distance, frozenset(nodes), tuple(kept))
 
 
 @dataclass
@@ -187,16 +196,18 @@ def max_flow_unit(sub: ShortestSubgraph, k: int) -> FlowState:
     if k < 1:
         raise GraphError(f"k must be >= 1, got {k}")
     s, t = sub.source, sub.dest
+    tails, heads = sub.graph.tails, sub.graph.heads
     # Compact arc arrays: arc 2i is sub.edges[i], arc 2i+1 its residual twin.
     arc_to: list[int] = []
     arc_cap: list[int] = []
     out: dict[int, list[int]] = {v: [] for v in sub.nodes}
-    for e in sub.edges:
-        out[e.u].append(len(arc_to))
-        arc_to.append(e.v)
+    for eid in sub.edges:
+        u, v = tails[eid], heads[eid]
+        out[u].append(len(arc_to))
+        arc_to.append(v)
         arc_cap.append(1)
-        out[e.v].append(len(arc_to))
-        arc_to.append(e.u)
+        out[v].append(len(arc_to))
+        arc_to.append(u)
         arc_cap.append(0)
 
     value = 0
@@ -244,7 +255,7 @@ def max_flow_unit(sub: ShortestSubgraph, k: int) -> FlowState:
                     u = arc_to[dead ^ 1]
                     it[u] += 1
 
-    flow = {e.eid: 1 - arc_cap[2 * i] for i, e in enumerate(sub.edges)}
+    flow = {eid: 1 - arc_cap[2 * i] for i, eid in enumerate(sub.edges)}
     return FlowState(sub, flow, value)
 
 
@@ -263,10 +274,11 @@ def decompose_flow(fs: FlowState, k: int) -> tuple[Path, ...]:
     s, t = sub.source, sub.dest
     layout = compute_layout(sub.graph)
     flow = fs.flow
+    tails, heads = sub.graph.tails, sub.graph.heads
     incoming: dict[int, list[tuple[int, int]]] = {v: [] for v in sub.nodes}
-    for e in sub.edges:
-        if flow[e.eid] == 1:
-            incoming[e.v].append((e.eid, e.u))
+    for eid in sub.edges:
+        if flow[eid] == 1:
+            incoming[heads[eid]].append((eid, tails[eid]))
     for arcs in incoming.values():
         arcs.sort(reverse=True)  # pop() then yields lowest edge id first
 
@@ -316,8 +328,6 @@ def k_disjoint_all_criteria(g: Graph, s: int, t: int, k: int) -> tuple[Path, ...
     """
     if k < 1:
         raise GraphError(f"k must be >= 1, got {k}")
-    if s == t:
-        raise GraphError("source and destination must differ")
     aw = aggregate_and_distances(g, s, t)
     if not feasibility_check(aw):
         raise InfeasibleError()

@@ -31,6 +31,7 @@ __all__ = [
     "filter_by_threshold",
     "dijkstra",
     "extract_path",
+    "pred_edges",
     "trace_path",
 ]
 
@@ -110,6 +111,7 @@ def shortest_distances(
     mask: Collection[int] = (),
     incoming: bool = False,
     target: int | None = None,
+    bound: int | None = None,
 ) -> tuple[list[int | None], list[tuple[int, int] | None]]:
     """One fresh Dijkstra search from ``source``, run by ``settle``.
 
@@ -126,6 +128,8 @@ def shortest_distances(
     exactly as in a full run (same ``dist`` and ``pred``, ties and
     zero-weight arcs included), and every other node reads None in both
     lists. An unreachable target leaves the search running to completion.
+    ``bound``, when at least d(target), changes neither list and only
+    saves heap work, as ``settle`` says.
     """
     n = g.node_count
     dist: list[int | None] = [None] * n
@@ -135,7 +139,7 @@ def shortest_distances(
     best: list[int | None] = [None] * n
     best[source] = 0
     settle(g, weight_by_eid, dist, best, pred, [(0, source)], banned_nodes=banned_nodes,
-           banned_edges=banned_edges, mask=mask, incoming=incoming, target=target)
+           banned_edges=banned_edges, mask=mask, incoming=incoming, target=target, bound=bound)
     return dist, pred
 
 
@@ -152,6 +156,7 @@ def settle(
     mask: Collection[int] = (),
     incoming: bool = False,
     target: int | None = None,
+    bound: int | None = None,
 ) -> None:
     """The Dijkstra loop every search runs, over prefilled state.
 
@@ -177,11 +182,18 @@ def settle(
     before the stop, and its ``pred`` would be cleared there. A skipped
     node's ``best`` and ``pred`` are left as they were, both either
     unset or above the horizon too.
+
+    ``bound`` caps the starting horizon: given the length of some path
+    to the target, the search prunes from its first pop instead of from
+    the target's first push. A bound at or above d(target) changes
+    neither ``dist`` nor ``pred``; a lower one leaves the target unreached.
     """
     adjacency = g.adjacency(incoming)
     horizon = None
     if target is not None:
         horizon = best[target] if dist[target] is None else dist[target]
+    if bound is not None and (horizon is None or bound < horizon):
+        horizon = bound
     while heap:
         d, u = heapq.heappop(heap)
         if horizon is not None and d > horizon:
@@ -283,6 +295,16 @@ def dijkstra(
     return DistanceMap(g, layout, source, dist, pred, target)
 
 
+def pred_edges(pred: Sequence[tuple[int, int] | None], source: int, t: int) -> list[int]:
+    """The edge ids of the ``pred`` links from ``source`` to a settled ``t``, in path order."""
+    edge_ids: list[int] = []
+    while t != source:
+        eid, t = pred[t]
+        edge_ids.append(eid)
+    edge_ids.reverse()
+    return edge_ids
+
+
 def extract_path(dm: DistanceMap, t: int) -> Path:
     """Reconstruct one shortest path from the map's source to ``t``.
 
@@ -294,14 +316,7 @@ def extract_path(dm: DistanceMap, t: int) -> Path:
         if dm.target is not None and dm.dist[dm.target] is not None:
             raise GraphError(f"the distance map stops at target {dm.target}, before node {t}")
         raise NoPathError(f"no path from {dm.source} to {t}")
-    edge_ids: list[int] = []
-    at = t
-    while at != dm.source:
-        eid, prev = dm.pred[at]
-        edge_ids.append(eid)
-        at = prev
-    edge_ids.reverse()
-    path = trace_path(dm.graph, dm.layout, edge_ids, dm.source)
+    path = trace_path(dm.graph, dm.layout, pred_edges(dm.pred, dm.source, t), dm.source)
     if path.ew_length != dm.dist[t]:
         raise InvariantError(f"path to {t} recosts to {path.ew_length}, not {dm.dist[t]}")
     return path

@@ -27,6 +27,7 @@ from mcpaths.allcriteria import (
     feasibility_check,
     max_flow_unit,
 )
+from mcpaths.dijkstra import shortest_distances
 from mcpaths.disjoint import build_node_disjoint_gadget, check_not_rigid
 from mcpaths.graph import Graph
 from mcpaths.oracle import (
@@ -177,7 +178,7 @@ def test_c6_all_criteria_pipeline():
                 continue
             feasible += 1
             sub = build_subgraph(aw)
-            sub_graph = Graph.from_edges(True, g.node_count, g.q, sub.edges)
+            sub_graph = Graph.from_edges(True, g.node_count, g.q, map(g.edge, sub.edges))
             expected_count = max_edge_disjoint_count(enumerate_simple_paths(sub_graph, s, t))
             fs = max_flow_unit(sub, g.edge_count + 1)
             assert fs.value == expected_count
@@ -216,7 +217,8 @@ def test_c7_lemma_suite():
             shortest = [p for p in enum if sum(p.criteria_length) == span]
             on_nodes = set().union(*(set(p.nodes) for p in shortest))
             on_edges = set().union(*(set(p.edges) for p in shortest))
-            fwd, bwd = aw.dist_from_source, aw.dist_to_dest
+            fwd = aw.dist_from_source
+            bwd, _ = shortest_distances(g, aw.combined, t, incoming=True)
             for u in range(g.node_count):
                 identity = (
                     fwd[u] is not None and bwd[u] is not None and fwd[u] + bwd[u] == span
@@ -230,10 +232,11 @@ def test_c7_lemma_suite():
                 )
                 assert identity == (e.eid in on_edges)
             sub = build_subgraph(aw)
-            kept_edges = {e.eid for e in sub.edges}
+            kept_edges = set(sub.edges)
             for p in shortest:  # every shortest path stays inside
                 assert set(p.nodes) <= sub.nodes and set(p.edges) <= kept_edges
-            inner = tuple(enumerate_simple_paths(Graph.from_edges(True, g.node_count, g.q, sub.edges), s, t))
+            sub_graph = Graph.from_edges(True, g.node_count, g.q, map(g.edge, sub.edges))
+            inner = tuple(enumerate_simple_paths(sub_graph, s, t))
             for p in inner:  # and everything inside is shortest
                 assert sum(p.criteria_length) == span
 

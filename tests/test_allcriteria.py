@@ -3,6 +3,7 @@ import subprocess
 import sys
 import textwrap
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from mcpaths import (
     build_graph,
     k_disjoint_all_criteria,
 )
+from mcpaths import allcriteria
 from mcpaths.allcriteria import (
     AggregatedWeights,
     FlowState,
@@ -53,7 +55,7 @@ def aligned_two_route_graph():
 
 
 def subgraph_as_graph(sub: ShortestSubgraph) -> Graph:
-    return Graph.from_edges(True, sub.graph.node_count, sub.graph.q, sub.edges)
+    return Graph.from_edges(True, sub.graph.node_count, sub.graph.q, map(sub.graph.edge, sub.edges))
 
 
 # ---- aggregation and feasibility -----------------------------------------
@@ -123,19 +125,21 @@ def test_distances_are_exact_up_to_the_span():
     span = aw.total_distance
     assert span == 6
     beyond = 0
-    for got, incoming, start in (
-        (aw.dist_from_source, False, 0),
-        (aw.dist_to_dest, True, 1),
-    ):
-        full, _ = shortest_distances(g, aw.combined, start, incoming=incoming)
-        for v in range(g.node_count):
-            if full[v] is not None and full[v] <= span:
-                assert got[v] == full[v]
-            else:
-                beyond += full[v] is not None
-                assert got[v] is None
+    full, _ = shortest_distances(g, aw.combined, 0)
+    for v in range(g.node_count):
+        if full[v] is not None and full[v] <= span:
+            assert aw.dist_from_source[v] == full[v]
+        else:
+            beyond += full[v] is not None
+            assert aw.dist_from_source[v] is None
     assert beyond >= 4
-    assert {e.eid for e in build_subgraph(aw).edges} == {0, 1, 2, 3, 4, 5}
+    # The subgraph has no backward search of its own; check it against one.
+    fwd = aw.dist_from_source
+    bwd, _ = shortest_distances(g, aw.combined, 1, incoming=True)
+    sub = build_subgraph(aw)
+    assert sub.nodes == {u for u in range(g.node_count)
+                         if fwd[u] is not None and bwd[u] is not None and fwd[u] + bwd[u] == span}
+    assert sub.edges == (0, 1, 2, 3, 4, 5)
 
 
 def test_pipeline_builds_no_graph(monkeypatch):
@@ -153,9 +157,39 @@ def test_pipeline_builds_no_graph(monkeypatch):
     assert builds == []
 
 
+def test_a_query_runs_one_summed_search_and_one_bounded_search_per_criterion(monkeypatch):
+    g = planted_chains_graph()
+    summed = aggregate_and_distances(g, 0, 1).combined
+    calls = []
+
+    def recording(graph, weights, source, **options):
+        calls.append((weights, source, options))
+        return shortest_distances(graph, weights, source, **options)
+
+    monkeypatch.setattr(allcriteria, "shortest_distances", recording)
+    k_disjoint_all_criteria(g, 0, 1, 2)
+    assert len(calls) == g.q + 1
+    assert [weights for weights, _, _ in calls] == [summed, *g.weights]
+    assert all(source == 0 and options.get("target") == 1 and not options.get("incoming")
+               for _, source, options in calls)
+    # Both criteria's distance is 3, the summed search's path's length under each.
+    assert [options.get("bound") for _, _, options in calls] == [None, 3, 3]
+
+
+def test_a_query_makes_no_edge_view(monkeypatch):
+    g = planted_chains_graph()
+
+    def refuse(self, eid):
+        raise AssertionError(f"Graph.edge({eid}) called")
+
+    monkeypatch.setattr(Graph, "edge", refuse)
+    paths = k_disjoint_all_criteria(g, 0, 1, 2)
+    assert [p.edges for p in paths] == [(0, 1, 2), (3, 4, 5)]
+
+
 def test_total_distance_of_unreached_dest_is_an_invariant_error():
     g = build_graph(True, 2, 1, [(0, 1, (1,))])
-    aw = AggregatedWeights(g, 0, 1, (1,), (0, None), (None, 0), (1,))
+    aw = AggregatedWeights(g, 0, 1, (1,), (0, None), (1,))
     with pytest.raises(InvariantError):
         aw.total_distance
 
@@ -178,7 +212,7 @@ def test_subgraph_drops_longer_route():
     aw = aggregate_and_distances(g, 0, 3)
     sub = build_subgraph(aw)
     assert sub.nodes == frozenset({0, 1, 3})
-    assert {e.eid for e in sub.edges} == {0, 1}
+    assert sub.edges == (0, 1)
 
 
 def test_subgraph_of_single_path_is_that_path(table1_directed_chain):
@@ -196,7 +230,7 @@ def test_every_shortest_path_lies_inside_subgraph():
         sub = build_subgraph(aw)
         enum = tuple(enumerate_simple_paths(g, s, t))
         span = aw.total_distance
-        kept_edges = {e.eid for e in sub.edges}
+        kept_edges = set(sub.edges)
         for p in enum:
             if sum(p.criteria_length) == span:
                 assert set(p.nodes) <= sub.nodes
@@ -247,20 +281,95 @@ def test_subgraph_equals_the_full_edge_scan(query):
         aw = aggregate_and_distances(g, s, t)
     except NoPathError:
         return
-    span, fwd, bwd = aw.total_distance, aw.dist_from_source, aw.dist_to_dest
+    span, fwd = aw.total_distance, aw.dist_from_source
+    bwd, _ = shortest_distances(g, aw.combined, t, incoming=True)
     sub = build_subgraph(aw)
     assert sub.nodes == frozenset(
         u for u in range(g.node_count)
         if fwd[u] is not None and bwd[u] is not None and fwd[u] + bwd[u] == span
     )
-    assert sub.edges == tuple(sorted(
-        (
-            e for e in g.edges
-            if fwd[e.u] is not None and bwd[e.v] is not None
-            and fwd[e.u] + sum(e.weights) + bwd[e.v] == span
-        ),
-        key=lambda e: e.eid,
-    ))
+    assert sub.edges == tuple(
+        e.eid for e in g.edges
+        if fwd[e.u] is not None and bwd[e.v] is not None
+        and fwd[e.u] + sum(e.weights) + bwd[e.v] == span
+    )
+
+
+def _nx_instance(rng: random.Random):
+    """A directed graph of 30-300 nodes with weights in {0, 1, 2}, as a
+    Graph and a networkx DiGraph, plus a reachable s-t pair. About half
+    the graphs scale every criterion from one base weight, so that
+    all-criteria paths exist, and then bump one criterion on about 2 %
+    of their edges."""
+    n = rng.randint(30, 300)
+    q = rng.randint(1, 3)
+    aligned = rng.random() < 0.5
+    pairs = set()
+    while len(pairs) < 3 * n:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            pairs.add((u, v))
+    triples = []
+    for u, v in sorted(pairs):
+        base = rng.choice((0, 1, 1, 2))
+        if aligned:
+            weights = [base * (i + 1) for i in range(q)]
+            if rng.random() < 0.02:
+                weights[rng.randrange(q)] += 1
+        else:
+            weights = [rng.choice((0, 1, 1, 2)) for _ in range(q)]
+        triples.append((u, v, tuple(weights)))
+    g = build_graph(True, n, q, triples)
+    nxg = nx.DiGraph()
+    nxg.add_nodes_from(range(n))
+    for eid, (u, v, weights) in enumerate(triples):
+        nxg.add_edge(u, v, eid=eid, summed=sum(weights), **{f"w{i}": w for i, w in enumerate(weights)})
+    while not (reach := sorted(nx.descendants(nxg, s := rng.randrange(n)))):
+        pass
+    return g, nxg, s, rng.choice(reach)
+
+
+def test_k_disjoint_matches_networkx_on_larger_graphs():
+    # The 12-node oracle cannot reach these sizes; networkx distances and
+    # max flow can. Zero weights and ties keep many equal shortest paths.
+    rng = random.Random(167)
+    feasible = infeasible = short = 0
+    for _ in range(150):
+        g, nxg, s, t = _nx_instance(rng)
+        k = rng.randint(1, 4)
+        fwd = nx.single_source_dijkstra_path_length(nxg, s, weight="summed")
+        bwd = nx.single_source_dijkstra_path_length(nxg.reverse(copy=False), t, weight="summed")
+        span = fwd[t]
+        tight = nx.DiGraph()
+        tight.add_nodes_from((s, t))
+        tight.add_edges_from(
+            (u, v, {"eid": data["eid"], "capacity": 1}) for u, v, data in nxg.edges(data=True)
+            if u in fwd and v in bwd and fwd[u] + data["summed"] + bwd[v] == span
+        )
+        aw = aggregate_and_distances(g, s, t)
+        sub = build_subgraph(aw)
+        assert sub.edges == tuple(sorted(data["eid"] for _, _, data in tight.edges(data=True)))
+        value = max_flow_unit(sub, k).value
+        assert value == min(k, nx.maximum_flow_value(tight, s, t))
+        best = [nx.dijkstra_path_length(nxg, s, t, weight=f"w{i}") for i in range(g.q)]
+        assert aw.per_criterion_dist == tuple(best)
+        if span != sum(best):
+            infeasible += 1
+            with pytest.raises(InfeasibleError):
+                k_disjoint_all_criteria(g, s, t, k)
+            continue
+        feasible += 1
+        paths = k_disjoint_all_criteria(g, s, t, value)
+        used = set()
+        for p in paths:
+            assert list(p.criteria_length) == best
+            assert not used & set(p.edges)
+            used |= set(p.edges)
+        if value < k:
+            short += 1
+            with pytest.raises(TooFewPathsError):
+                k_disjoint_all_criteria(g, s, t, k)
+    assert feasible > 80 and infeasible > 20 and short > 40, (feasible, infeasible, short)
 
 
 # ---- unit-capacity max flow ------------------------------------------------
@@ -290,9 +399,7 @@ def test_flow_matches_bruteforce_disjoint_count():
     rng = random.Random(149)
     for _ in range(60):
         g, s, t = random_connected_query(rng, directed=True)
-        sub = ShortestSubgraph(
-            g, s, t, 0, frozenset(range(g.node_count)), g.edges
-        )
+        sub = ShortestSubgraph(g, s, t, 0, frozenset(range(g.node_count)), tuple(g.ids))
         fs = max_flow_unit(sub, g.edge_count + 1)
         expected = max_edge_disjoint_count(enumerate_simple_paths(g, s, t))
         assert fs.value == expected
@@ -343,7 +450,7 @@ def test_decompose_removes_planted_cycle():
             (3, 4, (1,)),  # e4
         ],
     )
-    sub = ShortestSubgraph(g, 0, 2, 0, frozenset(range(5)), g.edges)
+    sub = ShortestSubgraph(g, 0, 2, 0, frozenset(range(5)), tuple(g.ids))
     fs = FlowState(sub, {eid: 1 for eid in range(5)}, 1)
     paths = decompose_flow(fs, 1)
     assert [p.nodes for p in paths] == [(0, 1, 2)]
@@ -356,7 +463,7 @@ def test_decompose_conserves_residual_flow():
     checked = 0
     for _ in range(40):
         g, s, t = random_connected_query(rng, directed=True)
-        sub = ShortestSubgraph(g, s, t, 0, frozenset(range(g.node_count)), g.edges)
+        sub = ShortestSubgraph(g, s, t, 0, frozenset(range(g.node_count)), tuple(g.ids))
         fs = max_flow_unit(sub, g.edge_count + 1)
         total = fs.value
         if total < 2:
@@ -392,7 +499,7 @@ def test_decompose_checks_conservation_under_python_O():
 
         assert False, "asserts must be stripped"
         g = build_graph(True, 3, 1, [(0, 1, (1,)), (1, 2, (1,))])
-        sub = ShortestSubgraph(g, 0, 2, 2, frozenset(range(3)), g.edges)
+        sub = ShortestSubgraph(g, 0, 2, 2, frozenset(range(3)), tuple(g.ids))
         try:
             decompose_flow(FlowState(sub, {0: 0, 1: 1}, 1), 1)
         except InvariantError as exc:

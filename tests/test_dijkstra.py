@@ -1,7 +1,10 @@
 import heapq
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcpaths import (
     GraphError,
@@ -13,6 +16,7 @@ from mcpaths import (
     pack,
 )
 from mcpaths.dijkstra import filter_by_threshold, packed_weights, shortest_distances
+from mcpaths.graph import Edge, Graph
 from mcpaths.oracle import enumerate_simple_paths
 from conftest import random_graph
 
@@ -201,3 +205,48 @@ def test_a_cut_search_pushes_no_key_past_the_target(monkeypatch):
         if node == t:
             tentative = key
     assert pushed == [(10, t), (1, a), (2, t)]
+
+
+@st.composite
+def bounded_searches(draw):
+    """A graph with zero weights and ties, a search on it (direction, both
+    edge bans, source, target), and how far above d(target) to bound it."""
+    directed = draw(st.booleans())
+    n = draw(st.integers(min_value=2, max_value=9))
+    q = draw(st.integers(min_value=1, max_value=2))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3 * n))
+    weights = st.lists(st.integers(min_value=0, max_value=2), min_size=q, max_size=q)
+    g = Graph.from_edges(directed, n, q, [Edge(u, v, tuple(draw(weights)), eid)
+                                          for eid, (u, v) in enumerate(chosen)])
+    ids = st.sets(st.sampled_from(range(len(chosen)))) if chosen else st.just(set())
+    search = {
+        "incoming": draw(st.booleans()),
+        "banned_edges": frozenset(draw(ids)),
+        "mask": frozenset(draw(ids)),
+        "target": draw(st.integers(min_value=0, max_value=n - 1)),
+    }
+    return g, draw(st.integers(min_value=0, max_value=n - 1)), search, draw(st.integers(0, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounded_searches())
+def test_a_bound_at_or_above_the_target_changes_nothing(case):
+    g, source, search, slack = case
+    weights = packed_weights(g, compute_layout(g))
+    cut = shortest_distances(g, weights, source, **search)
+    horizon = cut[0][search["target"]]
+    if horizon is None:
+        return
+    bound = horizon + slack
+    pushed = []
+    push = heapq.heappush
+
+    def record(heap, item):
+        pushed.append(item[0])
+        push(heap, item)
+
+    with mock.patch.object(heapq, "heappush", record):
+        got = shortest_distances(g, weights, source, bound=bound, **search)
+    assert got == cut
+    assert all(key <= bound for key in pushed)

@@ -10,6 +10,7 @@ from mcpaths import (
     compute_layout,
     dijkstra,
     extract_path,
+    k_disjoint_all_criteria,
     two_disjoint_shortest,
     yen_ksp,
 )
@@ -142,6 +143,7 @@ def test_query_endpoints_are_checked_with_one_message():
         lambda s, t: two_disjoint_shortest(line, s, t, "edge"),
         lambda s, t: enumerate_simple_paths(line, s, t),
         lambda s, t: aggregate_and_distances(arcs, s, t),
+        lambda s, t: k_disjoint_all_criteria(arcs, s, t, 1),
     ]
     for query in queries:
         with pytest.raises(GraphError) as info:
@@ -150,6 +152,14 @@ def test_query_endpoints_are_checked_with_one_message():
         with pytest.raises(GraphError) as info:
             query(0, -1)
         assert str(info.value) == "dest -1 out of range [0, 3)"
+        # The range is checked before s = t.
+        with pytest.raises(GraphError) as info:
+            query(5, 5)
+        assert str(info.value) == "source 5 out of range [0, 3)"
+    # And the graph's kind before either.
+    with pytest.raises(GraphError) as info:
+        k_disjoint_all_criteria(line, 0, 0, 1)
+    assert str(info.value) == "all-criteria search requires a directed graph"
 
 
 @given(edge_lists(), st.booleans())
