@@ -126,13 +126,13 @@ def _pack(g: Graph, layout: BitLayout):
     packed = packed_weights(g, layout)
     edges = [
         {
-            "id": e.eid,
-            "u": e.u,
-            "v": e.v,
-            "weights": list(e.weights),
-            "ensembled": str(packed[e.eid]),
+            "id": eid,
+            "u": g.tails[eid],
+            "v": g.heads[eid],
+            "weights": [column[eid] for column in g.weights],
+            "ensembled": str(packed[eid]),
         }
-        for e in g.edges
+        for eid in g.ids
     ]
     return {"edges": edges}, g
 
@@ -140,9 +140,9 @@ def _pack(g: Graph, layout: BitLayout):
 def _check_pack(paths: None, g: Graph, layout: BitLayout) -> str:
     """Whether the graph's stored packed column unpacks to every edge's weights."""
     packed = packed_weights(g, layout)
-    for e in g.edges:
-        if unpack(layout, packed[e.eid]) != e.weights:
-            return f"mismatch: edge {e.eid} does not round-trip"
+    for eid in g.ids:
+        if unpack(layout, packed[eid]) != tuple(column[eid] for column in g.weights):
+            return f"mismatch: edge {eid} does not round-trip"
     return "ok"
 
 

@@ -108,7 +108,6 @@ def shortest_distances(
     *,
     banned_nodes: Collection[int] = (),
     banned_edges: Collection[int] = (),
-    mask: Collection[int] = (),
     incoming: bool = False,
     target: int | None = None,
     bound: int | None = None,
@@ -118,8 +117,7 @@ def shortest_distances(
     ``weight_by_eid`` is a column of ``g``: the weight of edge ``eid``
     sits at index ``eid``. Returns (dist, pred) where ``pred[v]`` is
     ``(edge_id, previous_node)`` on one shortest path to ``v``, or None.
-    ``banned_nodes``, ``banned_edges`` and ``mask`` (a second edge ban,
-    read apart as ``settle`` reads it) mask parts of the graph without
+    ``banned_nodes`` and ``banned_edges`` mask parts of the graph without
     copying it; with ``incoming=True`` the search walks arcs backwards
     (distance to a destination instead of from a source).
 
@@ -139,7 +137,7 @@ def shortest_distances(
     best: list[int | None] = [None] * n
     best[source] = 0
     settle(g, weight_by_eid, dist, best, pred, [(0, source)], banned_nodes=banned_nodes,
-           banned_edges=banned_edges, mask=mask, incoming=incoming, target=target, bound=bound)
+           banned_edges=banned_edges, incoming=incoming, target=target, bound=bound)
     return dist, pred
 
 
@@ -170,8 +168,8 @@ def settle(
     on that order, because ``pred[v]`` moves only on a strictly shorter
     distance and no node has two arcs to one neighbour. Edges in
     ``banned_edges`` or in ``mask`` are skipped alike; the two are apart
-    so that a search banning a few edges on top of a shared threshold
-    mask need not copy the mask.
+    so that the KSP tree repair, banning a few edges on top of a shared
+    threshold mask, need not copy the mask.
 
     With ``target`` set, the loop keeps a horizon: ``dist[target]`` when
     that is final, else ``best[target]`` once the target is queued. It

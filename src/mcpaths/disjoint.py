@@ -313,6 +313,8 @@ def two_disjoint_shortest(
     """
     if mode not in (MODE_EDGE, MODE_NODE):
         raise GraphError(f"unknown disjointness mode {mode!r}")
+    if objective not in (OBJECTIVE_EACH_SHORTEST, OBJECTIVE_MIN_TOTAL):
+        raise GraphError(f"unknown objective {objective!r}")
     builder = build_edge_disjoint_gadget if mode == MODE_EDGE else build_node_disjoint_gadget
     gadget = builder(g, s, t)
     solution = solve_2dsp_exhaustive(gadget, objective, node_bound)

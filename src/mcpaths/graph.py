@@ -6,17 +6,17 @@ descending priority (position 0 is the most important criterion).
 
 A graph stores its edges as columns indexed by edge id: the tails, the
 heads, and one weight column per criterion, each holding None at ids no
-edge carries. The searches read only these columns and the adjacency.
+edge carries. Queries read only these columns and the adjacency.
 An ``Edge`` is a view of one id across the columns, made only when a
-caller asks for one (``g.edge(eid)``, ``g.edges``).
+caller asks for one (``g.edge(eid)``, ``g.edges``); no query does.
 
 Undirected edges are stored once and exposed as two directed arcs that
 share a single edge id, so disjointness checks treat both directions as
 the same physical link. Graphs are immutable after construction and safe
 to share across concurrent queries. The one thing a graph fills in later
 is its store of values derived from it alone, such as packed weight
-columns, sorted arc views and ``Edge`` views: each is computed on the
-first query that reads it and read-only from then on.
+columns, sorted arc views and the ``edges`` tuple: each is computed on
+the first call that reads it and read-only from then on.
 """
 
 from __future__ import annotations
@@ -248,19 +248,11 @@ class Graph:
             return self._in_views.setdefault(u, tuple(sorted(self._in[u].items())))
 
     def edge(self, eid: int) -> Edge:
-        """A view of edge ``eid``; KeyError if no edge has that id.
-
-        Each view is made from the columns on first use and kept in a
-        map that only ever gains entries, through ``setdefault``.
-        """
-        views: dict[int, Edge] = self.derived("edge views", lambda g: {})
-        view = views.get(eid)
-        if view is None:
-            if not 0 <= eid < len(self.tails) or self.tails[eid] is None:
-                raise KeyError(eid)
-            weights = tuple(column[eid] for column in self.weights)
-            view = views.setdefault(eid, Edge(self.tails[eid], self.heads[eid], weights, eid))
-        return view
+        """A view of edge ``eid``, made from the columns on each call;
+        KeyError if no edge has that id."""
+        if not 0 <= eid < len(self.tails) or self.tails[eid] is None:
+            raise KeyError(eid)
+        return Edge(self.tails[eid], self.heads[eid], tuple(c[eid] for c in self.weights), eid)
 
     @property
     def edges(self) -> tuple[Edge, ...]:

@@ -15,12 +15,13 @@ earlier nodes may cut it off, so it is taken only when a search within
 that level, avoiding the walk, reaches the destination or an edge down
 to a lower level.
 
-A query for one path runs that backward search once, cut at the source.
-A query for more runs it once in full and keeps the reverse
-shortest-path tree (Yen 1971); each search, the first and every spur's,
-then repairs the tree for its bans instead of searching afresh. Only
-the nodes whose tree path to the destination crosses a banned node or
-edge lose their distance (Feng 2014), and only those are searched again.
+Every search reads that backward search's reverse shortest-path tree
+(Yen 1971). A query for more than one path runs it once in full; each
+search, the first and every spur's, then repairs the tree for its bans
+instead of searching afresh. Only the nodes whose tree path to the
+destination crosses a banned node or edge lose their distance (Feng
+2014), and only those are searched again. A query for one path makes
+the one search it needs, with no bans, so its tree is cut at the source.
 
 Spurs follow Lawler's deviation rule: an accepted path spurs only from
 the node where it left the path it was found from. Candidates wait in
@@ -77,19 +78,27 @@ class _ReverseTree:
     other node keeps a tree path that avoids the ban, and bans only
     lengthen paths, so its distance stays exact. The children index and
     the tree-edge map hold only the reached nodes.
+
+    A tree ``cut_at`` a node is that search cut at it, as a fresh search
+    from there would be. It serves only the search from that node with
+    no bans, so it builds neither index.
     """
 
-    def __init__(self, g: Graph, weights: Sequence[int | None], dest: int, masked: frozenset[int]):
-        self.g, self.weights, self.masked = g, weights, masked
-        self.dist, pred = shortest_distances(g, weights, dest, banned_edges=masked, incoming=True)
+    def __init__(self, g: Graph, weights: Sequence[int | None], dest: int,
+                 masked: frozenset[int], cut_at: int | None = None):
+        self.g, self.weights, self.dest, self.masked = g, weights, dest, masked
+        self.dist, pred = shortest_distances(g, weights, dest, banned_edges=masked,
+                                             incoming=True, target=cut_at)
         # Node -> the nodes whose tree edge leads to it; tree edge id -> the
-        # node it leads from.
-        self.children: dict[int, list[int]] = {}
+        # node it leads from. None on a cut tree.
+        self.children: dict[int, list[int]] | None = None
         self.below: dict[int, int] = {}
-        for v, link in enumerate(pred):
-            if link is not None:
-                self.children.setdefault(link[1], []).append(v)
-                self.below[link[0]] = v
+        if cut_at is None:
+            self.children = {}
+            for v, link in enumerate(pred):
+                if link is not None:
+                    self.children.setdefault(link[1], []).append(v)
+                    self.below[link[0]] = v
 
     def distances(
         self, source: int, banned_nodes: frozenset[int], cut: Collection[int]
@@ -103,8 +112,14 @@ class _ReverseTree:
         node whose tree edge is cut and their subtrees, lose their
         distance; each red node that is not banned is seeded from its
         arcs into the rest, and ``settle`` searches the red nodes alone,
-        cut at ``source`` as a fresh search is.
+        cut at ``source`` as a fresh search is. With no bans there is
+        nothing to repair, and the tree's own list, which the caller must
+        not mutate, is returned.
         """
+        if not banned_nodes and not cut:
+            return self.dist
+        if self.children is None:
+            raise InvariantError("a cut reverse tree cannot be repaired for bans")
         dist = self.dist.copy()
         stack = [v for v in banned_nodes if dist[v] is not None]
         stack += [self.below[e] for e in cut if e in self.below]
@@ -139,37 +154,24 @@ class _ReverseTree:
 
 
 def _lexmin_shortest(
-    g: Graph,
-    weights: Sequence[int | None],
-    source: int,
-    dest: int,
-    banned_nodes: frozenset[int],
-    masked: frozenset[int],
-    cut: Collection[int],
-    tree: _ReverseTree | None,
+    tree: _ReverseTree, source: int, banned_nodes: frozenset[int], cut: Collection[int]
 ) -> _Route | None:
-    """Shortest path with the lexicographically smallest node sequence.
+    """Shortest path to the tree's ``dest`` with the lexicographically
+    smallest node sequence.
 
-    The edges in ``masked`` (the query's threshold mask, shared by every
-    search) and in ``cut`` (this search's own) are banned, read apart so
-    that neither is copied into the other. Reads every node's distance
-    to ``dest`` from ``tree``, the tree to ``dest`` repaired for the
-    bans, or else from one fresh backward search cut at ``source``; both
-    read ``masked`` and ``cut`` alike. Either way a node no
-    farther than ``source`` reads its exact distance and any other None
-    or more, so the walk takes the same steps: every step is tight
-    (``w + to_dest[v] == remaining``), so ``to_dest`` never rises along
-    it and every visited node lies on the current level ``remaining`` or
-    above. A shortest path from a step that drops below that level
-    therefore meets no visited node, while a zero-weight step is checked
-    by ``leaves_level``.
+    The edges in the tree's threshold mask, shared by every search, and
+    in ``cut``, this search's own, are banned, read apart so that neither
+    is copied into the other. Reads every node's distance to ``dest``
+    from ``tree`` repaired for the bans: a node no farther than
+    ``source`` reads its exact distance and any other None or more. Every
+    step of the walk is tight (``w + to_dest[v] == remaining``), so
+    ``to_dest`` never rises along it and every visited node lies on the
+    current level ``remaining`` or above. A shortest path from a step
+    that drops below that level therefore meets no visited node, while a
+    zero-weight step is checked by ``leaves_level``.
     """
-    if tree is None:
-        to_dest, _ = shortest_distances(g, weights, dest, banned_nodes=banned_nodes,
-                                        banned_edges=cut, mask=masked, incoming=True,
-                                        target=source)
-    else:
-        to_dest = tree.distances(source, banned_nodes, cut)
+    g, weights, dest, masked = tree.g, tree.weights, tree.dest, tree.masked
+    to_dest = tree.distances(source, banned_nodes, cut)
     remaining = to_dest[source]
     if remaining is None:
         return None
@@ -258,9 +260,9 @@ def yen_ksp(
     weights = packed_weights(g, layout)
     masked = threshold_mask(weights, threshold)
 
-    # A single search needs no tree: one backward search cut at s.
-    tree = _ReverseTree(g, weights, t, masked) if k > 1 else None
-    first = _lexmin_shortest(g, weights, s, t, frozenset(), masked, frozenset(), tree)
+    # A single search, with no bans, needs the tree only as far as s.
+    tree = _ReverseTree(g, weights, t, masked, cut_at=s if k == 1 else None)
+    first = _lexmin_shortest(tree, s, frozenset(), frozenset())
     if first is None:
         return KspResult((), exhausted=True)
     accepted: list[_Route] = [first]
@@ -274,9 +276,7 @@ def yen_ksp(
             root_nodes = prev.nodes[: i + 1]
             # A root never holds t, so every path sharing it has an edge i.
             cut = {p.edges[i] for p in accepted if p.nodes[: i + 1] == root_nodes}
-            spur_route = _lexmin_shortest(
-                g, weights, spur, t, frozenset(root_nodes[:-1]), masked, cut, tree
-            )
+            spur_route = _lexmin_shortest(tree, spur, frozenset(root_nodes[:-1]), cut)
             if spur_route is not None:
                 heapq.heappush(
                     candidates,

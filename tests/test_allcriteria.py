@@ -17,6 +17,7 @@ from mcpaths import (
     k_disjoint_all_criteria,
 )
 from mcpaths import allcriteria
+from mcpaths.cli import run_cli
 from mcpaths.allcriteria import (
     AggregatedWeights,
     FlowState,
@@ -176,8 +177,12 @@ def test_a_query_runs_one_summed_search_and_one_bounded_search_per_criterion(mon
     assert [options.get("bound") for _, _, options in calls] == [None, 3, 3]
 
 
-def test_a_query_makes_no_edge_view(monkeypatch):
+def test_a_query_makes_no_edge_view(monkeypatch, tmp_path):
     g = planted_chains_graph()
+    graph_file = tmp_path / "chains.mcg"
+    graph_file.write_text(f"mcgraph directed {g.node_count} {g.q}\n" + "".join(
+        f"{g.tails[eid]} {g.heads[eid]} {' '.join(str(c[eid]) for c in g.weights)}\n"
+        for eid in g.ids))
 
     def refuse(self, eid):
         raise AssertionError(f"Graph.edge({eid}) called")
@@ -185,6 +190,9 @@ def test_a_query_makes_no_edge_view(monkeypatch):
     monkeypatch.setattr(Graph, "edge", refuse)
     paths = k_disjoint_all_criteria(g, 0, 1, 2)
     assert [p.edges for p in paths] == [(0, 1, 2), (3, 4, 5)]
+    code, doc = run_cli(["pack", "--graph", str(graph_file), "--verify"])
+    assert code == 0 and doc["verify"] == "ok"
+    assert [e["weights"] for e in doc["edges"]] == [list(c) for c in zip(*g.weights)]
 
 
 def test_total_distance_of_unreached_dest_is_an_invariant_error():

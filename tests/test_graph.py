@@ -160,6 +160,11 @@ def test_query_endpoints_are_checked_with_one_message():
     with pytest.raises(GraphError) as info:
         k_disjoint_all_criteria(line, 0, 0, 1)
     assert str(info.value) == "all-criteria search requires a directed graph"
+    # A bad objective is named before the graph's kind and the endpoints.
+    for g, t in ((arcs, 2), (line, 5)):
+        with pytest.raises(GraphError) as info:
+            two_disjoint_shortest(g, 0, t, "edge", "bogus")
+        assert str(info.value) == "unknown objective 'bogus'"
 
 
 @given(edge_lists(), st.booleans())

@@ -210,6 +210,12 @@ def test_repaired_tree_reads_a_fresh_backward_search(query):
         else:
             assert got[v] is None or fresh[spur] is not None and got[v] > fresh[spur]
     assert tree.distances(spur, banned_nodes, banned_edges) == got
+    # A tree cut at the spur, asked with no bans, reads the fresh cut search.
+    plain, _ = shortest_distances(g, weights, dest, banned_edges=masked, incoming=True,
+                                  target=spur)
+    got = mcpaths.ksp._ReverseTree(g, weights, dest, masked, cut_at=spur).distances(
+        spur, frozenset(), ())
+    assert all(got[v] == d for v, d in enumerate(plain) if d is not None)
     # A repair leaves the tree as it was.
     assert tree.dist == shortest_distances(g, weights, dest, banned_edges=masked, incoming=True)[0]
 
@@ -241,15 +247,15 @@ def test_a_ksp_query_costs_a_few_pointers_per_declared_node():
 
 @pytest.fixture
 def search_calls(monkeypatch):
-    """Sources of the Dijkstra runs yen_ksp makes, and its number of
-    lexmin shortest-path searches."""
-    searches: list[int] = []
+    """Sources and keyword arguments of the Dijkstra runs yen_ksp makes,
+    and its number of lexmin shortest-path searches."""
+    searches: list[tuple[int, dict]] = []
     lexmin = [0]
     real_search = mcpaths.ksp.shortest_distances
     real_lexmin = mcpaths.ksp._lexmin_shortest
 
     def search(g, weights, source, **kwargs):
-        searches.append(source)
+        searches.append((source, kwargs))
         return real_search(g, weights, source, **kwargs)
 
     def counted_lexmin(*args):
@@ -265,12 +271,13 @@ def test_zero_weight_step_into_a_dead_end_pocket_is_skipped(search_calls):
     # Nodes 0, 1 and 2 share the level d(., 4) = 2; the pocket 1-2 is
     # reached over zero-weight edges and its only way out is back through
     # the walk's own node 0. The lexmin walk must pass it by, after one
-    # backward search.
+    # backward search, cut at the source.
     g = build_graph(False, 5, 1, [(0, 1, (0,)), (1, 2, (0,)), (0, 3, (1,)), (3, 4, (1,))])
     result = yen_ksp(g, compute_layout(g), 0, 4, 1)
     assert [p.nodes for p in result.paths] == [(0, 3, 4)]
     searches, lexmin = search_calls
-    assert searches == [4]
+    [(source, options)] = searches
+    assert (source, options.get("incoming"), options.get("target")) == (4, True, 0)
     assert lexmin == [1]
 
 
@@ -283,6 +290,7 @@ def test_one_backward_search_per_query(search_calls):
     searches, lexmin = search_calls
     assert sum(1 for e in g.edges if e.weights == (0,)) >= g.edge_count // 3
     assert len(result.paths) == 8
-    assert searches == [9]
+    [(source, options)] = searches
+    assert (source, options.get("incoming"), options.get("target")) == (9, True, None)
     # The first search plus 26 spurs; spurring from every index takes 44.
     assert lexmin == [27]
