@@ -19,7 +19,9 @@ verification needs the exhaustive search anyway. Both gadgets treat s1
 like s2 and t1 like t2 (same neighbours, dummy edges of equal weight), so
 the solver enumerates the s1-t1 routes once and reads every s2-t2 route
 as the mirror of one of them. Routes through the other pair's terminal
-never pair with anything and are masked out of the enumeration.
+never pair with anything and are masked out of the enumeration. When
+both paths must each be shortest, so is every edge that one backward
+search from t1 finds tight in neither direction.
 
 One assembler builds both gadgets: it numbers the terminals after every
 other gadget node, appends the dummy edges right after the input's own
@@ -224,6 +226,17 @@ def solve_2dsp_exhaustive(
     ``min-total`` minimizes the summed weight. Ties resolve by the pair's
     weights and original-graph node sequences, smaller path first, so the
     answer is unique and matches the exhaustive oracle's order.
+
+    ``each-shortest`` enumerates only routes over tight edges. One
+    backward search from t1, with s2 and t2 banned, gives d, and every
+    edge tight toward t1 in neither direction (neither d(b) + w = d(a)
+    nor d(a) + w = d(b)) is banned from the enumeration. This is exact:
+    along any route the steps' weights are at least their drops in d,
+    which telescope to d(s1), so a route is shortest exactly when every
+    step is tight toward t1, and none is lost. A route that crosses a
+    kept edge against its tight direction weighs more and is dropped with
+    the other non-shortest routes; zero-weight edges with d(a) = d(b) are
+    tight both ways and stay. ``min-total`` enumerates every route.
     """
     if objective not in (OBJECTIVE_EACH_SHORTEST, OBJECTIVE_MIN_TOTAL):
         raise GraphError(f"unknown objective {objective!r}")
@@ -232,7 +245,20 @@ def solve_2dsp_exhaustive(
             f"exhaustive solver bound exceeded: {gg.graph.node_count} nodes > {node_bound}"
         )
     s1, s2, t1, t2 = gg.terminals
-    found = enumerate_simple_paths(gg.graph, s1, t1, node_bound, {s2, t2})
+    loose: set[int] = set()
+    if objective == OBJECTIVE_EACH_SHORTEST:
+        g = gg.graph
+        weights = g.weights[0]
+        d, _ = shortest_distances(g, weights, t1, banned_nodes={s2, t2})
+        if d[s1] is None:
+            return None
+        # A loose edge is tight toward t1 in neither direction; an edge with
+        # an end t1 never reached is loose too, since no s1-t1 route uses it.
+        for eid in g.ids:
+            a, b, w = d[g.tails[eid]], d[g.heads[eid]], weights[eid]
+            if a is None or b is None or (a != b + w and b != a + w):
+                loose.add(eid)
+    found = enumerate_simple_paths(gg.graph, s1, t1, node_bound, {s2, t2}, loose)
     # (gadget weight, original node sequence, route): the gadget has one
     # criterion, and without parallel edges the sequence names the route.
     routes = sorted(

@@ -6,10 +6,11 @@ import os
 import random
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
 import mcpaths
-from mcpaths import Graph, build_graph, compute_layout, dijkstra
+from mcpaths import BitLayout, Graph, build_graph, compute_layout, dijkstra, pack
 
 
 def subprocess_env() -> dict[str, str]:
@@ -86,3 +87,40 @@ def table1_directed_chain() -> Graph:
             (3, 4, (4, 7, 2)),
         ],
     )
+
+
+def large_packed_instance(
+    rng: random.Random, *, directed: bool, n_lo: int, n_hi: int
+) -> tuple[Graph, BitLayout, nx.Graph, int | None]:
+    """A graph of ``n_lo``-``n_hi`` nodes and 3n edges for checks against
+    networkx, past the oracle's reach.
+
+    Weights are 0-2 on 1-3 criteria, so packed weights tie often, and
+    10-30 % of the edges weigh zero on every criterion. The threshold is
+    None or a packed weight some edges carry exactly. The networkx copy
+    holds every node and only the edges the threshold keeps, each with
+    its id and its packed weight ``w``, packed here from its criteria.
+    """
+    n = rng.randint(n_lo, n_hi)
+    q = rng.randint(1, 3)
+    zero = rng.uniform(0.1, 0.3)
+    pairs: set[tuple[int, int]] = set()
+    while len(pairs) < 3 * n:
+        u, v = rng.sample(range(n), 2)
+        pairs.add((u, v) if directed or u < v else (v, u))
+    triples = [
+        (u, v, (0,) * q if rng.random() < zero else tuple(rng.randint(0, 2) for _ in range(q)))
+        for u, v in sorted(pairs)
+    ]
+    g = build_graph(directed, n, q, triples)
+    layout = compute_layout(g)
+    packed = [pack(layout, weights) for _, _, weights in triples]
+    threshold = rng.choice((None, *sorted(packed)[len(packed) // 2 :: len(packed) // 5]))
+    nxg = nx.DiGraph() if directed else nx.Graph()
+    nxg.add_nodes_from(range(n))
+    nxg.add_edges_from(
+        (u, v, {"eid": eid, "w": w})
+        for eid, ((u, v, _), w) in enumerate(zip(triples, packed))
+        if threshold is None or w < threshold
+    )
+    return g, layout, nxg, threshold

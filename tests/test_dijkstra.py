@@ -2,6 +2,7 @@ import heapq
 import random
 from unittest import mock
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,7 @@ from mcpaths import (
 from mcpaths.dijkstra import filter_by_threshold, packed_weights, shortest_distances
 from mcpaths.graph import Edge, Graph
 from mcpaths.oracle import enumerate_simple_paths
-from conftest import random_graph
+from conftest import large_packed_instance, random_graph
 
 
 def test_threshold_removes_heavy_table1_edges(table1_graph):
@@ -250,3 +251,28 @@ def test_a_bound_at_or_above_the_target_changes_nothing(case):
         got = shortest_distances(g, weights, source, bound=bound, **search)
     assert got == cut
     assert all(key <= bound for key in pushed)
+
+
+def test_sp_matches_networkx_on_larger_graphs():
+    # Past the 12-node oracle: every distance against networkx over the
+    # packed weights, with the threshold's edges removed on that side.
+    rng = random.Random(181)
+    unreached = 0
+    for _ in range(120):
+        g, layout, nxg, threshold = large_packed_instance(rng, directed=rng.random() < 0.5, n_lo=30, n_hi=300)
+        s = rng.randrange(g.node_count)
+        want = nx.single_source_dijkstra_path_length(nxg, s, weight="w")
+        dm = dijkstra(g, layout, s, threshold=threshold)
+        assert dm.dist == [want.get(v) for v in range(g.node_count)]
+        t = rng.randrange(g.node_count)
+        if t not in want:
+            unreached += 1
+            with pytest.raises(NoPathError):
+                extract_path(dm, t)
+            continue
+        assert dijkstra(g, layout, s, target=t, threshold=threshold).dist[t] == want[t]
+        path = extract_path(dm, t)
+        hops = list(zip(path.nodes, path.nodes[1:]))
+        assert path.edges == tuple(nxg.edges[u, v]["eid"] for u, v in hops)
+        assert path.ew_length == sum(nxg.edges[u, v]["w"] for u, v in hops) == want[t]
+    assert unreached > 5, unreached

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import textwrap
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -267,6 +268,22 @@ def test_solver_outputs_are_disjoint():
                 assert not set(pair[0].edges) & set(pair[1].edges)
 
 
+def loose_edges(gg):
+    """Gadget edges tight toward t1 in neither direction, by networkx
+    distances from t1 over the gadget without s2 and t2."""
+    _, s2, t1, t2 = gg.terminals
+    g = gg.graph
+    nxg = nx.Graph()
+    nxg.add_edges_from((g.tails[eid], g.heads[eid], {"w": g.weights[0][eid]}) for eid in g.ids)
+    nxg.remove_nodes_from((s2, t2))
+    d = nx.single_source_dijkstra_path_length(nxg, t1, weight="w")
+    return {
+        eid for eid in g.ids
+        if not any(a in d and b in d and d[a] == d[b] + g.weights[0][eid]
+                   for a, b in ((g.tails[eid], g.heads[eid]), (g.heads[eid], g.tails[eid])))
+    }
+
+
 def test_solver_enumerates_routes_once(monkeypatch):
     calls = []
 
@@ -277,7 +294,9 @@ def test_solver_enumerates_routes_once(monkeypatch):
     monkeypatch.setattr(disjoint, "enumerate_simple_paths", counting)
     diamond = build_graph(False, 4, 1, [(0, 1, (1,)), (0, 2, (1,)), (1, 3, (1,)), (2, 3, (1,))])
     line = build_graph(False, 3, 1, [(0, 1, (1,)), (1, 2, (1,))])
-    for g, t in ((diamond, 3), (line, 2)):
+    # the chord 1-2, edge 4, is tight toward 3 in neither direction
+    uneven = build_graph(False, 4, 1, [(0, 1, (1,)), (0, 2, (2,)), (1, 3, (1,)), (2, 3, (2,)), (1, 2, (3,))])
+    for g, t in ((diamond, 3), (line, 2), (uneven, 3)):
         for mode in ("edge", "node"):
             for objective in ("min-total", "each-shortest"):
                 calls.clear()
@@ -286,7 +305,41 @@ def test_solver_enumerates_routes_once(monkeypatch):
                 assert len(calls) == 1
                 # routes through the other pair's terminals are never listed
                 _, s2, _, t2 = gg.terminals
-                assert len(calls[0]) == 5 and set(calls[0][4]) == {s2, t2}
+                assert len(calls[0]) == 6 and set(calls[0][4]) == {s2, t2}
+                # each-shortest bans the loose edges, min-total no edge
+                want = loose_edges(gg) if objective == "each-shortest" else set()
+                assert set(calls[0][5]) == want
+                if g is uneven and objective == "each-shortest":
+                    assert 4 in want
+
+
+def test_each_shortest_lists_only_the_shortest_route(monkeypatch):
+    # A chain of k diamonds, each with arms weighing 1 + 1 and 1 + 2:
+    # 2^k routes, and the all-light one is the only shortest.
+    k = 5
+    triples = []
+    for i in range(k):
+        j, light, heavy = 3 * i, 3 * i + 1, 3 * i + 2
+        triples += [(j, light, (1,)), (light, j + 3, (1,)), (j, heavy, (1,)), (heavy, j + 3, (2,))]
+    g = build_graph(False, 3 * k + 1, 1, triples)
+    s, t = 0, 3 * k
+    enum = tuple(enumerate_simple_paths(g, s, t, g.node_count))
+    assert len(enum) == 2**k
+    listed = []
+
+    def counting(*args):
+        for p in enumerate_simple_paths(*args):
+            listed.append(p)
+            yield p
+
+    monkeypatch.setattr(disjoint, "enumerate_simple_paths", counting)
+    for mode in ("edge", "node"):
+        for objective, routes in (("each-shortest", 1), ("min-total", 2**k)):
+            listed.clear()
+            got = two_disjoint_shortest(g, s, t, mode, objective, node_bound=24)
+            assert len(listed) == routes
+            want = oracle_disjoint(enum, mode, objective)
+            assert (got and (got.first.nodes, got.second.nodes)) == (want and (want[0].nodes, want[1].nodes))
 
 
 def test_solver_bound_refusal():

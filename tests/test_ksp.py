@@ -1,6 +1,8 @@
 import random
 import tracemalloc
+from itertools import islice
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,7 @@ from mcpaths import (
 from mcpaths.dijkstra import packed_weights, shortest_distances, threshold_mask
 from mcpaths.fileio import parse_graph_file
 from mcpaths.oracle import enumerate_simple_paths, oracle_ksp
-from conftest import random_graph
+from conftest import large_packed_instance, random_graph
 
 
 def _key(p):
@@ -294,3 +296,29 @@ def test_one_backward_search_per_query(search_calls):
     assert (source, options.get("incoming"), options.get("target")) == (9, True, None)
     # The first search plus 26 spurs; spurring from every index takes 44.
     assert lexmin == [27]
+
+
+def test_ksp_costs_match_networkx_on_larger_graphs():
+    # Past the 12-node oracle, on zero-heavy undirected graphs: the first
+    # k costs are unique even where the order among equal costs differs.
+    rng = random.Random(191)
+    short = 0
+    for _ in range(100):
+        g, layout, nxg, threshold = large_packed_instance(rng, directed=False, n_lo=30, n_hi=150)
+        s, t = rng.sample(range(g.node_count), 2)
+        k = rng.randint(1, 8)
+        got = yen_ksp(g, layout, s, t, k, threshold)
+        try:
+            want = [nx.path_weight(nxg, p, "w") for p in islice(nx.shortest_simple_paths(nxg, s, t, "w"), k)]
+        except nx.NetworkXNoPath:
+            want = []
+        assert [p.ew_length for p in got.paths] == want
+        assert got.exhausted == (len(want) < k)
+        short += got.exhausted
+        assert len({p.edges for p in got.paths}) == len(got.paths)
+        for p in got.paths:
+            assert len(set(p.nodes)) == len(p.nodes) and (p.nodes[0], p.nodes[-1]) == (s, t)
+            hops = list(zip(p.nodes, p.nodes[1:]))
+            assert p.edges == tuple(nxg.edges[u, v]["eid"] for u, v in hops)
+            assert p.ew_length == nx.path_weight(nxg, p.nodes, "w")
+    assert 0 < short < 50, short
