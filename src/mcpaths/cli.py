@@ -17,10 +17,10 @@ from itertools import islice
 from typing import Sequence
 
 from .allcriteria import InfeasibleError, TooFewPathsError, k_disjoint_all_criteria
-from .dijkstra import Path, dijkstra, extract_path, packed_weights, threshold_mask
-# ``filter_by_threshold`` is unused here but stays importable: bench/tracer.py
-# wraps ``mcpaths.cli.filter_by_threshold`` by name (ROADMAP, benchmark upkeep).
-from .dijkstra import filter_by_threshold  # noqa: F401
+from .dijkstra import Path, packed_weights, shortest_path, threshold_mask
+# These three are unused here but stay importable: bench/tracer.py wraps
+# them in ``mcpaths.cli`` by name (ROADMAP, benchmark upkeep).
+from .dijkstra import dijkstra, extract_path, filter_by_threshold  # noqa: F401
 from .disjoint import (
     MODE_EDGE,
     MODE_NODE,
@@ -147,9 +147,8 @@ def _check_pack(paths: None, g: Graph, layout: BitLayout) -> str:
 
 
 def _sp(g: Graph, layout: BitLayout, source: int, dest: int, threshold: int | None):
-    dm = dijkstra(g, layout, source, target=dest, threshold=threshold)
     try:
-        path = extract_path(dm, dest)
+        path = shortest_path(g, layout, source, dest, threshold=threshold)
     except NoPathError as exc:
         return {"status": "no-path", "message": str(exc), "paths": []}, None
     return {"paths": [_path_doc(path)]}, path

@@ -7,11 +7,37 @@ ties are popped lowest node id first, which makes distance maps and the
 paths reconstructed from them reproducible. Every search runs one loop,
 ``settle``: ``shortest_distances`` seeds it with a single source, and
 the KSP reverse-tree repair seeds it with the nodes it searches again.
+
+``shortest_path`` answers one (source, dest) pair in three phases and
+returns the very path ``extract_path(dijkstra(...), dest)`` reads:
+
+1. A bidirectional search finds the distance D. A forward side grows
+   from the source over out-arcs, a backward side from the destination
+   over in-arcs, and each arc scanned offers the meeting length
+   ``d + w + best`` against the other side's tentative distance, so
+   ``mu`` is the least s-t length seen. The search stops once the two
+   heap tops sum to ``mu`` or more; then ``mu`` is D.
+2. ``settle`` runs the forward search from the source again, cut at
+   the destination and bound by D, but pushes no node ``v`` at a
+   distance ``nd`` with ``nd + lb(v) > D``. ``lb(v)`` is ``v``'s
+   distance to the destination when the backward side settled ``v``,
+   and the backward heap's top otherwise, a lower bound on it; with the
+   backward heap empty, no node it left unsettled reaches the
+   destination, and none is pushed.
+3. This is exact. A node is on a shortest s-t path when its distances
+   from the source and to the destination sum to D; every tight
+   in-neighbour of such a node is on one too, and the prune never
+   skips a push at a node's true distance when the node is on one. So
+   those nodes reach their exact distances, pop in the order the full
+   search pops them (other nodes push none of them at its distance),
+   and take their ``pred`` link from the same first-popped tight
+   in-neighbour.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import repeat
@@ -31,6 +57,7 @@ __all__ = [
     "filter_by_threshold",
     "dijkstra",
     "extract_path",
+    "shortest_path",
     "pred_edges",
     "trace_path",
 ]
@@ -144,8 +171,8 @@ def shortest_distances(
 def settle(
     g: Graph,
     weight_by_eid: Sequence[int | None],
-    dist: MutableSequence[int | None],
-    best: MutableSequence[int | None],
+    dist: MutableMapping[int, int | None] | MutableSequence[int | None],
+    best: MutableMapping[int, int | None] | MutableSequence[int | None],
     pred: MutableMapping[int, tuple[int, int] | None] | MutableSequence[tuple[int, int] | None],
     heap: list[tuple[int, int]],
     *,
@@ -169,7 +196,11 @@ def settle(
     distance and no node has two arcs to one neighbour. Edges in
     ``banned_edges`` or in ``mask`` are skipped alike; the two are apart
     so that the KSP tree repair, banning a few edges on top of a shared
-    threshold mask, need not copy the mask.
+    threshold mask, need not copy the mask. A ``best[v]`` prefilled with
+    no queued entry behind it caps ``v``: no push reaches ``v`` at that
+    distance or more. ``shortest_path`` prunes that way, at no cost to
+    the loop, with ``dist`` and ``best`` as defaultdicts, so only the
+    nodes it touches take memory.
 
     With ``target`` set, the loop keeps a horizon: ``dist[target]`` when
     that is final, else ``best[target]`` once the target is queued. It
@@ -281,7 +312,9 @@ def dijkstra(
     so the map equals one over ``filter_by_threshold(g, layout,
     threshold)`` without building that graph. With ``target`` set the
     search stops once it passes the target, as in ``shortest_distances``:
-    only nodes no farther than the target are reached in the map.
+    only nodes no farther than the target are reached in the map. For one
+    path to one node, ``shortest_path`` returns what ``extract_path``
+    reads here after searching far fewer nodes.
     """
     check_endpoints(g, source=source)
     if target is not None:
@@ -317,4 +350,67 @@ def extract_path(dm: DistanceMap, t: int) -> Path:
     path = trace_path(dm.graph, dm.layout, pred_edges(dm.pred, dm.source, t), dm.source)
     if path.ew_length != dm.dist[t]:
         raise InvariantError(f"path to {t} recosts to {path.ew_length}, not {dm.dist[t]}")
+    return path
+
+
+def shortest_path(
+    g: Graph, layout: BitLayout, source: int, dest: int, *, threshold: int | None = None
+) -> Path:
+    """The shortest path ``extract_path(dijkstra(g, layout, source,
+    target=dest, threshold=threshold), dest)`` returns, found in the
+    three phases the module docstring gives, with the same errors in the
+    same order: the source checked before the destination, and
+    NoPathError when no kept path joins them.
+    """
+    check_endpoints(g, source=source, dest=dest)
+    weights = packed_weights(g, layout)
+    mask = threshold_mask(weights, threshold)
+    # Phase 1: the distance D, as ``mu``, from a bidirectional search.
+    # Its state is kept in dicts, so it costs nothing per node it never
+    # reaches.
+    dist_f: dict[int, int] = {}
+    dist_b: dict[int, int] = {}
+    best_f, best_b = {source: 0}, {dest: 0}
+    heap_f, heap_b = [(0, source)], [(0, dest)]
+    forward, backward = g.adjacency(), g.adjacency(incoming=True)
+    mu = 0 if source == dest else None
+    while heap_f and heap_b:
+        top_f, top_b = heap_f[0][0], heap_b[0][0]
+        if mu is not None and top_f + top_b >= mu:
+            break
+        # The side with the shorter heap steps, the forward one on a tie.
+        if len(heap_f) <= len(heap_b):
+            heap, dist, best, other, adjacency = heap_f, dist_f, best_f, best_b, forward
+        else:
+            heap, dist, best, other, adjacency = heap_b, dist_b, best_b, best_f, backward
+        d, u = heapq.heappop(heap)
+        if u in dist:
+            continue
+        dist[u] = d
+        for v, eid in adjacency[u].items():
+            nd = d + weights[eid]
+            # The meeting test reads the other side's tentative distance,
+            # and runs on every kept arc, settled ends included.
+            meet = other.get(v)
+            if meet is not None and (mu is None or nd + meet < mu) and eid not in mask:
+                mu = nd + meet
+            known = best.get(v)
+            if (known is None or nd < known) and v not in dist and eid not in mask:
+                best[v] = nd
+                heapq.heappush(heap, (nd, v))
+    if mu is None:
+        raise NoPathError(f"no path from {source} to {dest}")
+    # Phase 2: ``best`` prefilled one above each node's push cap D - lb(v),
+    # so settle's own ``nd < best[v]`` test is the prune.
+    cap = mu - heap_b[0][0] + 1 if heap_b else 0
+    best = defaultdict(lambda: cap, {v: mu - d + 1 for v, d in dist_b.items()})
+    best[source] = 0
+    dist = defaultdict(lambda: None)
+    pred: dict[int, tuple[int, int] | None] = {}
+    settle(g, weights, dist, best, pred, [(0, source)], mask=mask, target=dest, bound=mu)
+    if dist[dest] != mu:
+        raise InvariantError(f"the pruned search reads {dist[dest]} at {dest}, not {mu}")
+    path = trace_path(g, layout, pred_edges(pred, source, dest), source)
+    if path.ew_length != mu:
+        raise InvariantError(f"path to {dest} recosts to {path.ew_length}, not {mu}")
     return path

@@ -273,13 +273,14 @@ def solve_2dsp_exhaustive(
     best = None
     best_key = None
     for i, (w_i, nodes_i, route_i) in enumerate(routes[:-1]):
-        # routes are weight-sorted, so once even the next route cannot
-        # tie the incumbent total, no later pair can either
-        if best_key is not None and w_i + routes[i + 1][0] > best_key[0]:
+        # routes sort by (weight, nodes), so a later pair that ties the
+        # incumbent total has a larger key; once even the next route cannot
+        # beat that total, no later pair can either
+        if best_key is not None and w_i + routes[i + 1][0] >= best_key[0]:
             break
         for j in range(i + 1, len(routes)):
             w_j, nodes_j, route_j = routes[j]
-            if best_key is not None and w_i + w_j > best_key[0]:
+            if best_key is not None and w_i + w_j >= best_key[0]:
                 break
             if interiors[i] & interiors[j]:
                 continue

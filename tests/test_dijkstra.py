@@ -1,5 +1,6 @@
 import heapq
 import random
+import tracemalloc
 from unittest import mock
 
 import networkx as nx
@@ -16,7 +17,7 @@ from mcpaths import (
     extract_path,
     pack,
 )
-from mcpaths.dijkstra import filter_by_threshold, packed_weights, shortest_distances
+from mcpaths.dijkstra import filter_by_threshold, packed_weights, shortest_distances, shortest_path
 from mcpaths.graph import Edge, Graph
 from mcpaths.oracle import enumerate_simple_paths
 from conftest import large_packed_instance, random_graph
@@ -276,3 +277,141 @@ def test_sp_matches_networkx_on_larger_graphs():
         assert path.edges == tuple(nxg.edges[u, v]["eid"] for u, v in hops)
         assert path.ew_length == sum(nxg.edges[u, v]["w"] for u, v in hops) == want[t]
     assert unreached > 5, unreached
+
+
+def _full_search_path(g, layout, s, t, threshold):
+    """The path the uncut search from ``s`` reads, or its no-path message."""
+    try:
+        return extract_path(dijkstra(g, layout, s, threshold=threshold), t)
+    except NoPathError as exc:
+        return str(exc)
+
+
+def _three_phase_path(g, layout, s, t, threshold):
+    try:
+        return shortest_path(g, layout, s, t, threshold=threshold)
+    except NoPathError as exc:
+        return str(exc)
+
+
+@st.composite
+def sp_queries(draw):
+    """A graph of up to 12 nodes with zero-weight edges and tied packed
+    weights, a threshold (None or near a packed weight), and an (s, t)
+    pair drawn freely, so s = t and unreachable pairs both come up."""
+    directed = draw(st.booleans())
+    n = draw(st.integers(min_value=1, max_value=12))
+    q = draw(st.integers(min_value=1, max_value=2))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3 * n)) if pairs else []
+    weights = st.one_of(st.just((0,) * q), st.tuples(*[st.integers(min_value=0, max_value=2)] * q))
+    g = build_graph(directed, n, q, [(u, v, draw(weights)) for u, v in chosen])
+    layout = compute_layout(g)
+    packed = [w for w in packed_weights(g, layout) if w is not None]
+    threshold = None
+    if packed and draw(st.booleans()):
+        threshold = draw(st.sampled_from(packed)) + draw(st.integers(min_value=0, max_value=1))
+    node = st.integers(min_value=0, max_value=n - 1)
+    return g, layout, draw(node), draw(node), threshold
+
+
+@settings(max_examples=400, deadline=None)
+@given(sp_queries())
+def test_three_phase_sp_reads_the_full_search_path(query):
+    g, layout, s, t, threshold = query
+    want = _full_search_path(g, layout, s, t, threshold)
+    got = _three_phase_path(g, layout, s, t, threshold)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert (got.edges, got.ew_length) == (want.edges, want.ew_length)
+
+
+def test_three_phase_sp_meets_on_tentative_distances():
+    # All zero: the forward side settles 1, 2 and 3 before the backward
+    # side pops t = 3, so a meeting test over settled nodes alone finds
+    # nothing; the tentative distance at 3 gives the meeting.
+    g = build_graph(False, 4, 1, [(2, 3, (0,)), (2, 1, (0,))])
+    layout = compute_layout(g)
+    assert shortest_path(g, layout, 1, 3).edges == (1, 0)
+    assert shortest_path(g, layout, 3, 3).edges == ()
+    with pytest.raises(NoPathError, match="no path from 0 to 3"):
+        shortest_path(g, layout, 0, 3)
+    with pytest.raises(GraphError, match="source 4"):
+        shortest_path(g, layout, 4, 9)
+
+
+def test_three_phase_sp_matches_networkx_on_larger_graphs():
+    rng = random.Random(191)
+    unreached = 0
+    for _ in range(120):
+        g, layout, nxg, threshold = large_packed_instance(rng, directed=rng.random() < 0.5, n_lo=30, n_hi=300)
+        s, t = rng.randrange(g.node_count), rng.randrange(g.node_count)
+        want = _full_search_path(g, layout, s, t, threshold)
+        got = _three_phase_path(g, layout, s, t, threshold)
+        if isinstance(want, str):
+            unreached += 1
+            assert got == want and not nx.has_path(nxg, s, t)
+            continue
+        assert (got.edges, got.ew_length) == (want.edges, want.ew_length)
+        assert got.ew_length == nx.dijkstra_path_length(nxg, s, t, weight="w")
+        hops = list(zip(got.nodes, got.nodes[1:]))
+        assert got.edges == tuple(nxg.edges[u, v]["eid"] for u, v in hops)
+    assert unreached > 5, unreached
+
+
+def _pops(search):
+    """Heap pops one call of ``search`` makes."""
+    count = [0]
+    pop = heapq.heappop
+
+    def counted(heap):
+        count[0] += 1
+        return pop(heap)
+
+    with mock.patch.object(heapq, "heappop", counted):
+        result = search()
+    return result, count[0]
+
+
+def test_three_phase_sp_pops_a_fifth_of_the_one_sided_search():
+    # The benchmark's sp shape, scaled down: undirected, 3n edges, three
+    # criteria of 0-999, on a random spanning chain so every pair is
+    # joined. Pops count stale heap entries too.
+    rng = random.Random(2000)
+    n = 2000
+    chain = rng.sample(range(n), n)
+    pairs = {(min(u, v), max(u, v)) for u, v in zip(chain, chain[1:])}
+    while len(pairs) < 3 * n:
+        u, v = sorted(rng.sample(range(n), 2))
+        pairs.add((u, v))
+    weights = [tuple(rng.randint(0, 999) for _ in range(3)) for _ in pairs]
+    g = build_graph(False, n, 3, [(u, v, w) for (u, v), w in zip(sorted(pairs), weights)])
+    layout = compute_layout(g)
+    one_sided = three_phase = 0
+    for _ in range(10):
+        s, t = rng.sample(range(n), 2)
+        want, pops = _pops(lambda: extract_path(dijkstra(g, layout, s, target=t), t))
+        one_sided += pops
+        got, pops = _pops(lambda: shortest_path(g, layout, s, t))
+        three_phase += pops
+        assert got == want
+    assert 5 * three_phase < one_sided, (three_phase, one_sided)
+
+
+def test_three_phase_sp_allocates_nothing_per_declared_node():
+    # Both phases keep their state in dicts: a node the searches never
+    # touch costs nothing, where one list of n entries costs 8 bytes each.
+    n = 100_000
+    g = build_graph(False, n, 1, [(0, 1, (5,)), (2, 3, (1,))])
+    layout = compute_layout(g)
+    packed_weights(g, layout)
+    tracemalloc.start()
+    try:
+        assert shortest_path(g, layout, 0, 1).edges == (0,)
+        with pytest.raises(NoPathError):
+            shortest_path(g, layout, 0, n - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n, peak

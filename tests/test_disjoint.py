@@ -342,6 +342,32 @@ def test_each_shortest_lists_only_the_shortest_route(monkeypatch):
             assert (got and (got.first.nodes, got.second.nodes)) == (want and (want[0].nodes, want[1].nodes))
 
 
+def test_tied_totals_end_the_pair_scan(monkeypatch):
+    # All-zero K8: 1957 routes, every pair total ties at 0. Once the first
+    # route has a partner, no later pair can beat it, so the scan makes at
+    # most one disjointness test per listed route, not one per pair.
+    from itertools import combinations
+
+    n = 8
+    g = build_graph(False, n, 1, [(u, v, (0,)) for u, v in combinations(range(n), 2)])
+    enum = tuple(enumerate_simple_paths(g, 0, n - 1))
+    tests = [0]
+
+    class Counted(frozenset):
+        def __and__(self, other):
+            tests[0] += 1
+            return frozenset.__and__(self, other)
+
+    monkeypatch.setattr(disjoint, "frozenset", Counted, raising=False)
+    for mode in ("edge", "node"):
+        for objective in ("each-shortest", "min-total"):
+            tests[0] = 0
+            got = two_disjoint_shortest(g, 0, n - 1, mode, objective, node_bound=3 * n)
+            assert tests[0] < len(enum), (mode, objective, tests[0])
+            want = oracle_disjoint(enum, mode, objective)
+            assert (got.first.nodes, got.second.nodes) == (want[0].nodes, want[1].nodes)
+
+
 def test_solver_bound_refusal():
     g = build_graph(False, 13, 1, [(0, 1, (1,))])
     gg = gadget_for(g, 0, 12, "edge")
