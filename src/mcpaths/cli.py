@@ -34,6 +34,7 @@ from .ksp import yen_ksp
 from .lexweight import BitLayout, compute_layout, unpack
 from .oracle import (
     DEFAULT_NODE_BOUND,
+    VERIFY_PATH_CAP,
     all_criteria_shortest,
     enumerate_simple_paths,
     max_edge_disjoint_count,
@@ -46,9 +47,6 @@ __all__ = ["run_cli", "main"]
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NO_SOLUTION = 2
-
-# ``--verify`` skips a query with more simple paths than this.
-VERIFY_PATH_CAP = 100_000
 
 
 class _UsageError(Exception):

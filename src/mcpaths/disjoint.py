@@ -14,11 +14,12 @@ destinations so that a two-pair disjoint-shortest-paths solver applies:
   paths, each 2 units heavier than its original.
 
 The two-pair solver here is an exhaustive stand-in kept behind a small
-interface so a polynomial algorithm can replace it later; desk-scale
-verification needs the exhaustive search anyway. Both gadgets treat s1
-like s2 and t1 like t2 (same neighbours, dummy edges of equal weight), so
-the solver enumerates the s1-t1 routes once and reads every s2-t2 route
-as the mirror of one of them. Routes through the other pair's terminal
+interface so a polynomial algorithm can replace it later. It answers what
+the oracle checks, inputs of at most 12 nodes and 100,000 s-t paths, and
+refuses the rest with ``SolverBoundError``. Both gadgets treat s1 like s2
+and t1 like t2 (same neighbours, dummy edges of equal weight), so the
+solver enumerates the s1-t1 routes once and reads every s2-t2 route as
+the mirror of one of them. Routes through the other pair's terminal
 never pair with anything and are masked out of the enumeration. When
 both paths must each be shortest, so is every edge that one backward
 search from t1 finds tight in neither direction.
@@ -35,11 +36,12 @@ side first and t side last and looking both ends up by key.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .dijkstra import Path, packed_weights, shortest_distances, trace_path
 from .graph import Graph, GraphError, InvariantError, check_endpoints
 from .lexweight import compute_layout
-from .oracle import enumerate_simple_paths
+from .oracle import DEFAULT_NODE_BOUND, VERIFY_PATH_CAP, enumerate_simple_paths
 
 __all__ = [
     "MODE_EDGE",
@@ -62,11 +64,10 @@ MODE_NODE = "node"
 OBJECTIVE_EACH_SHORTEST = "each-shortest"
 OBJECTIVE_MIN_TOTAL = "min-total"
 
-DEFAULT_SOLVER_BOUND = 16
-
 
 class SolverBoundError(GraphError):
-    """Instance too large for the exhaustive two-pair solver."""
+    """Instance past the exhaustive solver's bounds, which are the oracle's:
+    more than 12 input nodes (``DEFAULT_NODE_BOUND``) or 100,000 routes."""
 
 
 @dataclass(frozen=True)
@@ -204,12 +205,12 @@ def check_not_rigid(gg: GadgetGraph) -> bool:
     return not rigid
 
 
-def solve_2dsp_exhaustive(
-    gg: GadgetGraph,
-    objective: str = OBJECTIVE_MIN_TOTAL,
-    node_bound: int = DEFAULT_SOLVER_BOUND,
-) -> tuple[Path, Path] | None:
+def solve_2dsp_exhaustive(gg: GadgetGraph, objective: str = OBJECTIVE_MIN_TOTAL) -> tuple[Path, Path] | None:
     """Best disjoint terminal pair by full enumeration, or None.
+
+    Refuses an input above ``DEFAULT_NODE_BOUND`` nodes before listing a
+    route, and an enumeration of more than ``VERIFY_PATH_CAP`` routes (one
+    per input s-t path): past either, ``--verify`` cannot check the answer.
 
     Both gadgets treat s1 like s2 and t1 like t2, so the s2-t2 routes are
     the s1-t1 routes with the terminals swapped, and one enumeration
@@ -240,10 +241,9 @@ def solve_2dsp_exhaustive(
     """
     if objective not in (OBJECTIVE_EACH_SHORTEST, OBJECTIVE_MIN_TOTAL):
         raise GraphError(f"unknown objective {objective!r}")
-    if gg.graph.node_count > node_bound:
-        raise SolverBoundError(
-            f"exhaustive solver bound exceeded: {gg.graph.node_count} nodes > {node_bound}"
-        )
+    n = gg.source_graph.node_count
+    if n > DEFAULT_NODE_BOUND:
+        raise SolverBoundError(f"exhaustive solver bound exceeded: {n} nodes > {DEFAULT_NODE_BOUND}")
     s1, s2, t1, t2 = gg.terminals
     loose: set[int] = set()
     if objective == OBJECTIVE_EACH_SHORTEST:
@@ -258,11 +258,14 @@ def solve_2dsp_exhaustive(
             a, b, w = d[g.tails[eid]], d[g.heads[eid]], weights[eid]
             if a is None or b is None or (a != b + w and b != a + w):
                 loose.add(eid)
-    found = enumerate_simple_paths(gg.graph, s1, t1, node_bound, {s2, t2}, loose)
+    found = enumerate_simple_paths(gg.graph, s1, t1, gg.graph.node_count, {s2, t2}, loose)
+    listed = list(islice(found, VERIFY_PATH_CAP + 1))
+    if len(listed) > VERIFY_PATH_CAP:
+        raise SolverBoundError(f"exhaustive solver bound exceeded: more than {VERIFY_PATH_CAP} routes")
     # (gadget weight, original node sequence, route): the gadget has one
     # criterion, and without parallel edges the sequence names the route.
     routes = sorted(
-        ((p.criteria_length[0], tuple(gg.node_origin[v] for v in p.nodes[1:-1]), p) for p in found),
+        ((p.criteria_length[0], tuple(gg.node_origin[v] for v in p.nodes[1:-1]), p) for p in listed),
         key=lambda r: (r[0], r[1]),
     )
     if objective == OBJECTIVE_EACH_SHORTEST:
@@ -326,17 +329,13 @@ def abridge(gg: GadgetGraph, pair: tuple[Path, Path]) -> DisjointPair:
 
 
 def two_disjoint_shortest(
-    g: Graph,
-    s: int,
-    t: int,
-    mode: str,
-    objective: str = OBJECTIVE_MIN_TOTAL,
-    node_bound: int = DEFAULT_SOLVER_BOUND,
+    g: Graph, s: int, t: int, mode: str, objective: str = OBJECTIVE_MIN_TOTAL
 ) -> DisjointPair | None:
     """End-to-end disjoint-pair pipeline; None when no disjoint pair exists.
 
     Packs the criteria, builds the mode's gadget, solves the two-pair
-    instance, and shrinks the answer back to the input graph.
+    instance, and shrinks the answer back to the input graph. Raises
+    ``SolverBoundError`` past the solver's bounds.
     """
     if mode not in (MODE_EDGE, MODE_NODE):
         raise GraphError(f"unknown disjointness mode {mode!r}")
@@ -344,7 +343,7 @@ def two_disjoint_shortest(
         raise GraphError(f"unknown objective {objective!r}")
     builder = build_edge_disjoint_gadget if mode == MODE_EDGE else build_node_disjoint_gadget
     gadget = builder(g, s, t)
-    solution = solve_2dsp_exhaustive(gadget, objective, node_bound)
+    solution = solve_2dsp_exhaustive(gadget, objective)
     if solution is None:
         return None
     result = abridge(gadget, solution)

@@ -27,6 +27,9 @@ __all__ = [
 ]
 
 DEFAULT_NODE_BOUND = 12
+# ``--verify`` skips, and the exhaustive 2dsp solver refuses, past this
+# many simple paths.
+VERIFY_PATH_CAP = 100_000
 
 
 def enumerate_simple_paths(

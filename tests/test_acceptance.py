@@ -137,7 +137,7 @@ def test_c5_two_disjoint_end_to_end():
             enum = tuple(enumerate_simple_paths(g, s, t))
             for mode in ("edge", "node"):
                 for objective in ("each-shortest", "min-total"):
-                    got = two_disjoint_shortest(g, s, t, mode, objective, node_bound=40)
+                    got = two_disjoint_shortest(g, s, t, mode, objective)
                     want = oracle_disjoint(enum, mode, objective)
                     if want is None:
                         assert got is None

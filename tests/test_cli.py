@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from mcpaths import (
 )
 from mcpaths.cli import _graph_doc, _layout_doc, _path_doc, render, run_cli
 from mcpaths.dijkstra import filter_by_threshold
+from mcpaths.oracle import VERIFY_PATH_CAP, enumerate_simple_paths
 from conftest import subprocess_env
 
 TABLE1 = """\
@@ -510,7 +512,10 @@ def test_verify_agrees_with_oracle(tmp_path_factory, query):
     for argv, refused in runs:
         code, doc = run_cli(argv)
         if refused or doc["status"] == "error":
-            assert refused or doc["message"].startswith("exhaustive solver bound exceeded"), doc
+            # Within 12 nodes the 2dsp solver refuses only past the path cap.
+            if not refused:
+                assert doc["message"] == f"exhaustive solver bound exceeded: more than {VERIFY_PATH_CAP} routes"
+                assert len(tuple(islice(enumerate_simple_paths(g, s, t), VERIFY_PATH_CAP + 1))) > VERIFY_PATH_CAP
             assert (code, doc["status"]) == (1, "error")
             continue
         assert doc["verify"] == "ok", (argv, doc)

@@ -255,7 +255,7 @@ def test_solver_outputs_are_disjoint():
         g = random_graph(rng, directed=False)
         for mode in ("edge", "node"):
             gg = gadget_for(g, 0, g.node_count - 1, mode)
-            pair = solve_2dsp_exhaustive(gg, node_bound=40)
+            pair = solve_2dsp_exhaustive(gg)
             if pair is None:
                 continue
             s1, s2, t1, t2 = gg.terminals
@@ -316,14 +316,14 @@ def test_solver_enumerates_routes_once(monkeypatch):
 def test_each_shortest_lists_only_the_shortest_route(monkeypatch):
     # A chain of k diamonds, each with arms weighing 1 + 1 and 1 + 2:
     # 2^k routes, and the all-light one is the only shortest.
-    k = 5
+    k = 3
     triples = []
     for i in range(k):
         j, light, heavy = 3 * i, 3 * i + 1, 3 * i + 2
         triples += [(j, light, (1,)), (light, j + 3, (1,)), (j, heavy, (1,)), (heavy, j + 3, (2,))]
     g = build_graph(False, 3 * k + 1, 1, triples)
     s, t = 0, 3 * k
-    enum = tuple(enumerate_simple_paths(g, s, t, g.node_count))
+    enum = tuple(enumerate_simple_paths(g, s, t))
     assert len(enum) == 2**k
     listed = []
 
@@ -336,7 +336,7 @@ def test_each_shortest_lists_only_the_shortest_route(monkeypatch):
     for mode in ("edge", "node"):
         for objective, routes in (("each-shortest", 1), ("min-total", 2**k)):
             listed.clear()
-            got = two_disjoint_shortest(g, s, t, mode, objective, node_bound=24)
+            got = two_disjoint_shortest(g, s, t, mode, objective)
             assert len(listed) == routes
             want = oracle_disjoint(enum, mode, objective)
             assert (got and (got.first.nodes, got.second.nodes)) == (want and (want[0].nodes, want[1].nodes))
@@ -360,19 +360,47 @@ def test_tied_totals_end_the_pair_scan(monkeypatch):
 
     monkeypatch.setattr(disjoint, "frozenset", Counted, raising=False)
     for mode in ("edge", "node"):
+        # Every route weighs 0, so each-shortest keeps every route and both
+        # objectives ask the oracle the same question; one full scan per
+        # mode checks the solver's early exit.
+        want = oracle_disjoint(enum, mode)
         for objective in ("each-shortest", "min-total"):
             tests[0] = 0
-            got = two_disjoint_shortest(g, 0, n - 1, mode, objective, node_bound=3 * n)
+            got = two_disjoint_shortest(g, 0, n - 1, mode, objective)
             assert tests[0] < len(enum), (mode, objective, tests[0])
-            want = oracle_disjoint(enum, mode, objective)
             assert (got.first.nodes, got.second.nodes) == (want[0].nodes, want[1].nodes)
 
 
-def test_solver_bound_refusal():
-    g = build_graph(False, 13, 1, [(0, 1, (1,))])
-    gg = gadget_for(g, 0, 12, "edge")
-    with pytest.raises(SolverBoundError):
-        solve_2dsp_exhaustive(gg)
+def test_solver_bound_refusal(monkeypatch):
+    from itertools import combinations
+
+    listed = []
+
+    def counting(*args):
+        for p in enumerate_simple_paths(*args):
+            listed.append(p)
+            yield p
+
+    monkeypatch.setattr(disjoint, "enumerate_simple_paths", counting)
+    # Past the oracle's 12 nodes the input is refused before any route is listed.
+    g = build_graph(False, 13, 1, [(0, 1, (1,)), (1, 12, (1,))])
+    for mode in ("edge", "node"):
+        for objective in ("each-shortest", "min-total"):
+            with pytest.raises(SolverBoundError, match="^exhaustive solver bound exceeded: 13 nodes > 12$"):
+                two_disjoint_shortest(g, 0, 12, mode, objective)
+    assert listed == []
+    # Unit-weight K7 has 326 routes from 0 to 6: min-total lists one past
+    # the cap and refuses; each-shortest lists only the direct edge.
+    monkeypatch.setattr(disjoint, "VERIFY_PATH_CAP", 50)
+    k7 = build_graph(False, 7, 1, [(u, v, (1,)) for u, v in combinations(range(7), 2)])
+    for mode in ("edge", "node"):
+        listed.clear()
+        with pytest.raises(SolverBoundError, match="^exhaustive solver bound exceeded: more than 50 routes$"):
+            two_disjoint_shortest(k7, 0, 6, mode, "min-total")
+        assert len(listed) == 51
+        listed.clear()
+        assert two_disjoint_shortest(k7, 0, 6, mode, "each-shortest") is None
+        assert len(listed) == 1
 
 
 # ---- abridgement ----------------------------------------------------------
@@ -489,7 +517,7 @@ def test_pipeline_matches_oracle_on_random_instances():
         enum = tuple(enumerate_simple_paths(g, s, t))
         for mode in ("edge", "node"):
             for objective in ("each-shortest", "min-total"):
-                got = two_disjoint_shortest(g, s, t, mode, objective, node_bound=40)
+                got = two_disjoint_shortest(g, s, t, mode, objective)
                 want = oracle_disjoint(enum, mode, objective)
                 if want is None:
                     nones += 1
@@ -512,7 +540,7 @@ def test_abridged_outputs_contain_only_original_edges():
         g = random_graph(rng, directed=False, n_lo=4, n_hi=7)
         s, t = 0, g.node_count - 1
         for mode in ("edge", "node"):
-            pair = two_disjoint_shortest(g, s, t, mode, node_bound=40)
+            pair = two_disjoint_shortest(g, s, t, mode)
             if pair is None:
                 continue
             valid = {e.eid for e in g.edges}
@@ -546,10 +574,7 @@ def test_pipeline_matches_oracle_on_zero_heavy_graphs(query):
     enum = tuple(enumerate_simple_paths(g, s, t))
     for mode in ("edge", "node"):
         for objective in ("each-shortest", "min-total"):
-            try:
-                got = two_disjoint_shortest(g, s, t, mode, objective, node_bound=24)
-            except SolverBoundError:
-                continue
+            got = two_disjoint_shortest(g, s, t, mode, objective)
             want = oracle_disjoint(enum, mode, objective)
             if want is None:
                 assert got is None
@@ -558,6 +583,53 @@ def test_pipeline_matches_oracle_on_zero_heavy_graphs(query):
                 assert (got.first.nodes, got.first.edges, got.second.nodes, got.second.edges) == (
                     want[0].nodes, want[0].edges, want[1].nodes, want[1].edges
                 )
+
+
+@st.composite
+def wide_endpoint_queries(draw):
+    """Undirected graphs of 9 to 12 nodes and at most 2n edges where s and
+    t each have degree 4 or more, so the node gadget has more than 16
+    nodes. Weights are zero-heavy, or skewed: one light s-t path among
+    heavy edges, so the lighter path weighs far less than half the total."""
+    n = draw(st.integers(min_value=9, max_value=12))
+    q = draw(st.integers(min_value=1, max_value=2))
+    s, t = draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=2, max_size=2, unique=True))
+    others = [v for v in range(n) if v not in (s, t)]
+    edges = {frozenset((s, t))} if draw(st.booleans()) else set()
+    for end in (s, t):
+        ends = draw(st.lists(st.sampled_from(others), unique=True, min_size=4, max_size=5))
+        edges |= {frozenset((end, v)) for v in ends}
+    light = set()
+    if skewed := draw(st.booleans()):
+        route = [s, *draw(st.lists(st.sampled_from(others), unique=True, min_size=1, max_size=3)), t]
+        light = {frozenset(e) for e in zip(route, route[1:])}
+    edges |= light
+    rest = sorted({frozenset((u, v)) for u in range(n) for v in range(u + 1, n)} - edges, key=sorted)
+    room = 2 * n - len(edges)
+    extra = draw(st.integers(min_value=room // 2, max_value=room))
+    edges |= set(draw(st.lists(st.sampled_from(rest), unique=True, min_size=extra, max_size=extra)))
+    if skewed:
+        heavy, cheap = st.integers(min_value=4, max_value=9), st.sampled_from((0, 1))
+    else:
+        heavy = cheap = st.sampled_from((0, 0, 0, 1))
+    triples = [(*sorted(e), tuple(draw(cheap if e in light else heavy) for _ in range(q)))
+               for e in sorted(edges, key=sorted)]
+    return build_graph(False, n, q, triples), s, t
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_endpoint_queries())
+def test_pipeline_matches_oracle_past_sixteen_gadget_nodes(query):
+    g, s, t = query
+    assert build_node_disjoint_gadget(g, s, t).graph.node_count > 16
+    enum = tuple(enumerate_simple_paths(g, s, t))
+    for mode in ("edge", "node"):
+        for objective in ("each-shortest", "min-total"):
+            got = two_disjoint_shortest(g, s, t, mode, objective)
+            want = oracle_disjoint(enum, mode, objective)
+            assert (got and (got.first.nodes, got.first.edges, got.second.nodes, got.second.edges)) == (
+                want and (want[0].nodes, want[0].edges, want[1].nodes, want[1].edges)
+            )
 
 
 def test_disjointness_is_checked_under_python_O():

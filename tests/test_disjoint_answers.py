@@ -1,8 +1,9 @@
 """One pinned hash over a fixed, seeded set of disjoint-pair answers.
 
-Every query runs through ``two_disjoint_shortest`` at the default solver
-bound, in both modes and under both objectives, on random undirected
-graphs of 3 to 12 nodes with zero weights and ties. For each query the
+Every query runs through ``two_disjoint_shortest``, in both modes and
+under both objectives, on random undirected graphs of 3 to 12 nodes with
+zero weights and ties; all of them lie within the exhaustive solver's
+bounds of 12 input nodes and 100,000 routes. For each query the
 hash takes the raw two-pair solution on the gadget (node and edge
 sequences, read by wrapping ``solve_2dsp_exhaustive`` from outside), the
 abridged pair on the input graph, or the refusal. A change to the solver
@@ -20,7 +21,7 @@ from mcpaths import SolverBoundError, build_graph, two_disjoint_shortest
 SEED = 20261019
 GRAPHS = 150
 ANSWERS = 600
-ANSWERS_SHA256 = "d37075336f38dddbd5ca8e4fcc83e349c53bbcd9c55e4ec2bfb2fc5b37ee1e4b"
+ANSWERS_SHA256 = "478ac828653bfb54bf0c112b0ee364072202487c572d54c65baa8908cdb00d04"
 COMBOS = [(mode, objective) for mode in ("edge", "node") for objective in ("min-total", "each-shortest")]
 
 
@@ -46,8 +47,8 @@ def test_disjoint_answers_hash_is_pinned(monkeypatch):
     raw = []
     solve = disjoint.solve_2dsp_exhaustive
 
-    def recording(gg, objective, node_bound):
-        raw.append(solve(gg, objective, node_bound))
+    def recording(gg, objective):
+        raw.append(solve(gg, objective))
         return raw[-1]
 
     monkeypatch.setattr(disjoint, "solve_2dsp_exhaustive", recording)

@@ -17,7 +17,7 @@ from mcpaths.cli import render, run_cli
 SEED = 20261018
 GRAPHS = 16
 DOCUMENTS = 306
-DOCUMENTS_SHA256 = "d372b8d010f450d0fc908034e5cb564805d53726408d1536ef89e515292c8be5"
+DOCUMENTS_SHA256 = "c81cd854fd6c8734822cfccaeabc1401cf1d77fcac8c92e1364fba5fff3f31d2"
 
 
 def _graph_text(rng: random.Random) -> tuple[str, int, int, bool]:
