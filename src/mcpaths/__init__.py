@@ -16,7 +16,7 @@ submodules. Brute-force reference implementations live in
 """
 
 from .allcriteria import InfeasibleError, TooFewPathsError, k_disjoint_all_criteria
-from .dijkstra import Path, dijkstra, extract_path
+from .dijkstra import Path, dijkstra, extract_path, shortest_path
 from .disjoint import (
     MODE_EDGE,
     MODE_NODE,
@@ -46,6 +46,7 @@ __all__ = [
     "Path",
     "dijkstra",
     "extract_path",
+    "shortest_path",
     "KspResult",
     "yen_ksp",
     "DisjointPair",

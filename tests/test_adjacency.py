@@ -138,11 +138,12 @@ def test_arc_views_are_sorted_and_built_once(tmp_path):
     assert g.out_arcs(0) == ((1, 3), (2, 2), (3, 0), (4, 1)) and g.in_arcs(0) is g.out_arcs(0)
 
 
-def _peak_bytes_per_node(text, node_count):
+def _parse_memory(text):
+    """Bytes the parsed graph keeps, and the peak while parsing, under tracemalloc."""
     tracemalloc.start()
     try:
-        parse_graph_file(text)
-        return tracemalloc.get_traced_memory()[1] / node_count
+        g = parse_graph_file(text)  # noqa: F841 (kept alive for the count)
+        return tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
 
@@ -150,8 +151,22 @@ def _peak_bytes_per_node(text, node_count):
 def test_a_header_costs_a_few_pointers_per_declared_node():
     # Nodes without an arc share one empty map: a list of pointers when
     # undirected, two when directed (out- and in-maps), 8 and 16 bytes.
-    assert _peak_bytes_per_node("mcgraph undirected 100000 1\n", 100_000) <= 32
-    assert _peak_bytes_per_node("mcgraph directed 100000 1\n0 1 5\n", 100_000) <= 32
+    assert _parse_memory("mcgraph undirected 100000 1\n")[1] / 100_000 <= 32
+    assert _parse_memory("mcgraph directed 100000 1\n0 1 5\n")[1] / 100_000 <= 32
+    # With no edge line, a criterion costs a pointer in the graph's weight
+    # tuple and one in the parser's list of shared empty columns: no third
+    # list of q entries.
+    assert _parse_memory("mcgraph directed 2 300000")[1] / 300_000 <= 20
+
+
+def test_the_parse_peaks_near_the_graph_it_builds():
+    # Edge lines are split a bounded piece at a time, so the transient is
+    # one piece's lines and tokens, not the whole body's.
+    rng = random.Random(21)
+    pairs = rng.sample([(u, v) for u in range(400) for v in range(u + 1, 400)], 20_000)
+    rows = [" ".join(map(str, (u, v, *rng.choices(range(1000), k=3)))) for u, v in pairs]
+    kept, peak = _parse_memory("mcgraph undirected 400 3\n" + "\n".join(rows) + "\n")
+    assert peak <= 1.25 * kept
 
 
 def test_a_graph_round_trips_through_pickle():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mcpaths
 from mcpaths import (
     GraphError,
     NoPathError,
@@ -339,6 +340,10 @@ def test_three_phase_sp_meets_on_tentative_distances():
         shortest_path(g, layout, 0, 3)
     with pytest.raises(GraphError, match="source 4"):
         shortest_path(g, layout, 4, 9)
+
+
+def test_the_package_exports_the_single_pair_search():
+    assert mcpaths.shortest_path is shortest_path and "shortest_path" in mcpaths.__all__
 
 
 def test_three_phase_sp_matches_networkx_on_larger_graphs():

@@ -15,7 +15,7 @@ import hashlib
 import random
 import sys
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mcpaths import GraphError, build_graph, fileio, parse_graph_file
@@ -257,3 +257,59 @@ def test_the_parser_deletes_exactly_what_split_splits_on():
     blanks = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
     assert fileio._BLANKS == blanks
     assert all(len(f"1{c}2".split()) == 2 for c in blanks)
+
+
+# Line breaks of str.splitlines() that a piece might be cut next to; the
+# parser cuts only after '\n', never inside '\r\n'.
+_BREAKS = st.sampled_from(("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"))
+_FILLERS = st.sampled_from(("", "  ", "# note", "#", "\t# 0 1 2"))
+
+
+@st.composite
+def _pieced_text(draw) -> str:
+    """A graph's text with blank and comment lines, some before the header,
+    mixed line breaks, and at times a bad header, a parallel edge on the
+    first edge line and a bad token on the last."""
+    directed = draw(st.booleans())
+    n = draw(st.integers(2, 8))
+    q = draw(st.integers(1, 3))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12))
+    weight = st.integers(0, 300)
+    edges = [f"{u} {v} " + " ".join(str(draw(weight)) for _ in range(q)) for u, v in chosen]
+    if edges and draw(st.booleans()):
+        edges.insert(1, edges[0])
+    if draw(st.booleans()):
+        bad = draw(st.sampled_from(("x", "-1", "²", "٣", "3.0", ";", "9" * 5000)))
+        edges.append(" ".join(["0", "1", *["1"] * (q - 1), bad]))
+    lines = draw(st.lists(_FILLERS, max_size=3))
+    kind = draw(st.sampled_from(("directed" if directed else "undirected",) * 3 + ("both",)))
+    lines.append(f"mcgraph {kind} {n} {q}")  # named by its line number when bad
+    for edge in edges:
+        lines += draw(st.lists(_FILLERS, max_size=2)) + [edge]
+    last = draw(st.one_of(st.just(""), _BREAKS))
+    return "".join(line + draw(_BREAKS) for line in lines[:-1]) + lines[-1] + last
+
+
+def _parsed(text: str):
+    """What ``parse_graph_file`` makes of ``text``: its columns and adjacency, or its error."""
+    try:
+        g = parse_graph_file(text)
+    except GraphError as exc:
+        return str(exc)
+    adjacency = [[list(m.items()) for m in g.adjacency(incoming)] for incoming in (False, True)]
+    return g.directed, g.node_count, g.q, g.tails, g.heads, g.weights, adjacency
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pieced_text(), st.integers(1, 64))
+# A parallel edge in the first piece, a bad token in the last: the token wins.
+@example("mcgraph directed 30 1\n0 1 5\n0 1 6\n" + "".join(f"{i} {i + 1} 3\n" for i in range(1, 21))
+         + "2 0 x\n", 40)
+def test_pieces_of_any_size_parse_as_one(text, piece):
+    want = _parsed(text)
+    default, fileio._PIECE = fileio._PIECE, piece
+    try:
+        assert _parsed(text) == want
+    finally:
+        fileio._PIECE = default
