@@ -7,9 +7,10 @@ sum of the per-criterion distances. When that holds, the edges lying on
 some summed-shortest path form a subgraph in which *every* s-t path is
 such a path, so k disjoint witnesses exist precisely when a unit-capacity
 max flow on that subgraph reaches k. Paths are then peeled off the flow
-one at a time, discarding any flow cycles met along the way. The flow
-and the peeling take arcs in edge-id order, so answers do not depend on
-the order in which a graph lists its edges.
+one at a time, cancelling any flow cycles met along the way; the flow
+and the peeling read one residual arc array. Both take arcs in edge-id
+order, so answers do not depend on the order in which a graph lists its
+edges.
 
 One forward search on the summed weights, cut at t, settles every node
 within d(s,t) of s exactly, and that is all the subgraph needs: a node
@@ -17,8 +18,8 @@ lies on a shortest s-t path exactly when a chain of tight arcs (d(s,u)
 + w(u,v) = d(s,v)) leads from it to t. The path that search finds also
 bounds every criterion's distance, so each per-criterion search prunes
 from its first pop. The searches read the graph's weight columns and a
-summed column stored with the graph by its first query. The subgraph,
-the flow and the peeling hold edge ids; no ``Edge`` is made.
+summed column stored with the graph by its first query. The subgraph
+holds edge ids and the flow arc ids; no ``Edge`` is made.
 """
 
 from __future__ import annotations
@@ -142,7 +143,6 @@ class ShortestSubgraph:
     graph: Graph
     source: int
     dest: int
-    total_distance: int
     nodes: frozenset[int]
     edges: tuple[int, ...]
 
@@ -174,15 +174,24 @@ def build_subgraph(aw: AggregatedWeights) -> ShortestSubgraph:
                     nodes.add(u)
                     queue.append(u)
     kept.sort()
-    return ShortestSubgraph(g, aw.source, aw.dest, aw.total_distance, frozenset(nodes), tuple(kept))
+    return ShortestSubgraph(g, aw.source, aw.dest, frozenset(nodes), tuple(kept))
 
 
 @dataclass
 class FlowState:
-    """0/1 flow over the shortest-path subgraph, keyed by edge id."""
+    """A 0/1 flow over the shortest-path subgraph, as its residual arcs.
+
+    Arc 2i is ``subgraph.edges[i]`` and arc 2i+1 its twin, pointing back;
+    ``head[a]`` is where arc a leads and ``cap[a]`` its residual capacity,
+    so edge i carries flow exactly when ``cap[2i + 1] == 1``. ``out[v]``
+    lists the arcs leaving v, its out-edges and the twins of its
+    in-edges, in edge-id order.
+    """
 
     subgraph: ShortestSubgraph
-    flow: dict[int, int]
+    head: list[int]
+    cap: list[int]
+    out: dict[int, list[int]]
     value: int
 
 
@@ -197,18 +206,11 @@ def max_flow_unit(sub: ShortestSubgraph, k: int) -> FlowState:
         raise GraphError(f"k must be >= 1, got {k}")
     s, t = sub.source, sub.dest
     tails, heads = sub.graph.tails, sub.graph.heads
-    # Compact arc arrays: arc 2i is sub.edges[i], arc 2i+1 its residual twin.
-    arc_to: list[int] = []
-    arc_cap: list[int] = []
+    head = [x for eid in sub.edges for x in (heads[eid], tails[eid])]
+    cap = [1, 0] * len(sub.edges)
     out: dict[int, list[int]] = {v: [] for v in sub.nodes}
-    for eid in sub.edges:
-        u, v = tails[eid], heads[eid]
-        out[u].append(len(arc_to))
-        arc_to.append(v)
-        arc_cap.append(1)
-        out[v].append(len(arc_to))
-        arc_to.append(u)
-        arc_cap.append(0)
+    for a in range(len(head)):
+        out[head[a ^ 1]].append(a)  # arc a leaves the head of its twin
 
     value = 0
     if s in sub.nodes and t in sub.nodes and s != t:
@@ -218,8 +220,8 @@ def max_flow_unit(sub: ShortestSubgraph, k: int) -> FlowState:
             while queue:
                 u = queue.popleft()
                 for a in out[u]:
-                    v = arc_to[a]
-                    if arc_cap[a] > 0 and v not in level:
+                    v = head[a]
+                    if cap[a] > 0 and v not in level:
                         level[v] = level[u] + 1
                         queue.append(v)
             if t not in level:
@@ -232,8 +234,8 @@ def max_flow_unit(sub: ShortestSubgraph, k: int) -> FlowState:
             while value < k:
                 if u == t:
                     for a in path:
-                        arc_cap[a] -= 1
-                        arc_cap[a ^ 1] += 1
+                        cap[a] -= 1
+                        cap[a ^ 1] += 1
                     value += 1
                     path.clear()
                     u = s
@@ -241,8 +243,8 @@ def max_flow_unit(sub: ShortestSubgraph, k: int) -> FlowState:
                 advanced = False
                 while it[u] < len(out[u]):
                     a = out[u][it[u]]
-                    v = arc_to[a]
-                    if arc_cap[a] > 0 and level.get(v) == level[u] + 1:
+                    v = head[a]
+                    if cap[a] > 0 and level.get(v) == level[u] + 1:
                         path.append(a)
                         u = v
                         advanced = True
@@ -252,69 +254,59 @@ def max_flow_unit(sub: ShortestSubgraph, k: int) -> FlowState:
                     if u == s:
                         break
                     dead = path.pop()
-                    u = arc_to[dead ^ 1]
+                    u = head[dead ^ 1]
                     it[u] += 1
-
-    flow = {eid: 1 - arc_cap[2 * i] for i, eid in enumerate(sub.edges)}
-    return FlowState(sub, flow, value)
+    return FlowState(sub, head, cap, out, value)
 
 
 def decompose_flow(fs: FlowState, k: int) -> tuple[Path, ...]:
     """Peel k edge-disjoint s-t paths off a 0/1 flow.
 
-    Each round walks flow arcs backwards from t. Revisiting a node means
-    the walk ran around a flow cycle, which is zeroed out on the spot
-    (the flow value is unchanged); reaching s empties the walk stack into
-    a path and lowers the flow value by one. Arc choices follow the lowest
-    edge id, so decompositions are reproducible.
+    Each round walks flow arcs backwards from t: at node v, the lowest
+    twin arc of ``fs.out[v]`` with capacity 1, that is the lowest-id edge
+    into v that carries flow. Revisiting a node means the walk ran around
+    a flow cycle, which is cancelled on the spot (the flow value is
+    unchanged); reaching s cancels the walked arcs as a path and lowers
+    the flow value by one. Cancelled arcs never carry flow again, so each
+    node's pointer into ``fs.out[v]`` only moves forward.
     """
     if fs.value < k:
         raise TooFewPathsError()
     sub = fs.subgraph
     s, t = sub.source, sub.dest
     layout = compute_layout(sub.graph)
-    flow = fs.flow
-    tails, heads = sub.graph.tails, sub.graph.heads
-    incoming: dict[int, list[tuple[int, int]]] = {v: [] for v in sub.nodes}
-    for eid in sub.edges:
-        if flow[eid] == 1:
-            incoming[heads[eid]].append((eid, tails[eid]))
-    for arcs in incoming.values():
-        arcs.sort(reverse=True)  # pop() then yields lowest edge id first
-
-    def next_arc(v: int) -> tuple[int, int]:
-        arcs = incoming[v]
-        while arcs and flow[arcs[-1][0]] == 0:
-            arcs.pop()
-        if not arcs:
-            raise InvariantError(f"flow conservation violated: no live arc enters node {v}")
-        return arcs[-1]
+    head, cap, out = fs.head, fs.cap, fs.out
+    at = dict.fromkeys(out, 0)
 
     paths: list[Path] = []
     for _ in range(k):
-        stack: list[tuple[int, int, int]] = []  # (tail, head, eid) of walked arcs
+        stack: list[int] = []  # twins of the walked arcs, from t back
         marked = {t}
         v = t
         while v != s:
-            eid, u = next_arc(v)
-            stack.append((u, v, eid))
-            v = u
+            arcs, i = out[v], at[v]
+            while i < len(arcs) and not (arcs[i] & 1 and cap[arcs[i]]):
+                i += 1
+            if i == len(arcs):
+                raise InvariantError(f"flow conservation violated: no live arc enters node {v}")
+            at[v], a = i, arcs[i]
+            stack.append(a)
+            v = head[a]
             if v in marked:
-                # Zero the whole cycle: every arc back through the one
+                # Cancel the whole cycle: every arc back through the one
                 # entering the repeated node. s never repeats: the walk
                 # ends on reaching it.
                 while True:
-                    tail, head, ce = stack.pop()
-                    flow[ce] = 0
-                    marked.discard(head)
-                    if head == v:
+                    a = stack.pop()
+                    cap[a], cap[a ^ 1] = 0, 1
+                    entered = head[a ^ 1]
+                    marked.discard(entered)
+                    if entered == v:
                         break
             marked.add(v)
-        edge_ids: list[int] = []
-        while stack:
-            tail, head, eid = stack.pop()
-            flow[eid] = 0
-            edge_ids.append(eid)
+        for a in stack:
+            cap[a], cap[a ^ 1] = 0, 1
+        edge_ids = [sub.edges[a >> 1] for a in reversed(stack)]
         paths.append(trace_path(sub.graph, layout, edge_ids, s))
         fs.value -= 1
     return tuple(paths)

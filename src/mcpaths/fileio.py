@@ -7,7 +7,7 @@ are ignored. All tokens are non-negative integers in ASCII digits.
 
 The parser hands ``Graph`` its edge columns straight from the text: edge
 ids follow line order, and no ``Edge`` object is made. It reads the text
-in pieces of about 128 KB, each cut right after a newline (a text with
+in pieces of about 128 KB, each cut right after a line break (a text with
 none is one piece), and appends each piece's edge lines to the columns,
 so it holds the graph plus one piece's lines and tokens at a time. A
 piece's edge lines are joined with a marker token between them and split
@@ -19,6 +19,7 @@ a bad line, from the whole text again.
 
 from __future__ import annotations
 
+import re
 from itertools import chain, islice
 from typing import Iterator, NoReturn
 
@@ -36,6 +37,8 @@ _DIGITS_AND_BLANKS = str.maketrans("", "", "0123456789" + _BLANKS)
 _MARK = ";"
 # About how many characters of the text are split into lines and tokens at once.
 _PIECE = 1 << 17
+# Every line break str.splitlines() splits at, '\r\n' as one.
+_BREAK = re.compile("\r\n?|[\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 def _digits(token: str) -> bool:
@@ -63,11 +66,13 @@ def _numbered_rows(lines: list[str], start: int = 1) -> Iterator[tuple[int, list
 def _pieces(text: str) -> Iterator[list[str]]:
     """The lines of ``text.splitlines()``, in lists of about ``_PIECE`` characters.
 
-    Each piece ends right after a '\\n', and a '\\n' always ends a line.
+    Each piece ends right after the first line break that ends at or past
+    ``_PIECE`` characters, '\\r\\n' kept whole, so no line is cut.
     """
     start = 0
     while start < len(text):
-        end = text.find("\n", start + _PIECE - 1) + 1 or len(text)
+        cut = _BREAK.search(text, start + _PIECE - 1)
+        end = cut.end() if cut else len(text)
         yield text[start:end].splitlines()
         start = end
 

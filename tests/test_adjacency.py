@@ -161,12 +161,14 @@ def test_a_header_costs_a_few_pointers_per_declared_node():
 
 def test_the_parse_peaks_near_the_graph_it_builds():
     # Edge lines are split a bounded piece at a time, so the transient is
-    # one piece's lines and tokens, not the whole body's.
+    # one piece's lines and tokens, not the whole body's, whatever breaks
+    # the lines.
     rng = random.Random(21)
     pairs = rng.sample([(u, v) for u in range(400) for v in range(u + 1, 400)], 20_000)
     rows = [" ".join(map(str, (u, v, *rng.choices(range(1000), k=3)))) for u, v in pairs]
-    kept, peak = _parse_memory("mcgraph undirected 400 3\n" + "\n".join(rows) + "\n")
-    assert peak <= 1.25 * kept
+    for end in ("\n", "\r\n", "\r", "\x0b", "\u2028"):
+        kept, peak = _parse_memory(f"mcgraph undirected 400 3{end}" + end.join(rows) + end)
+        assert peak <= 1.25 * kept, repr(end)
 
 
 def test_a_graph_round_trips_through_pickle():

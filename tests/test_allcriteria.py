@@ -407,7 +407,7 @@ def test_flow_matches_bruteforce_disjoint_count():
     rng = random.Random(149)
     for _ in range(60):
         g, s, t = random_connected_query(rng, directed=True)
-        sub = ShortestSubgraph(g, s, t, 0, frozenset(range(g.node_count)), tuple(g.ids))
+        sub = ShortestSubgraph(g, s, t, frozenset(range(g.node_count)), tuple(g.ids))
         fs = max_flow_unit(sub, g.edge_count + 1)
         expected = max_edge_disjoint_count(enumerate_simple_paths(g, s, t))
         assert fs.value == expected
@@ -416,7 +416,23 @@ def test_flow_matches_bruteforce_disjoint_count():
 # ---- flow decomposition ----------------------------------------------------
 
 
-def _assert_valid_flow(g: Graph, flow: dict[int, int], s: int, t: int, value: int):
+def _flow(fs: FlowState) -> dict[int, int]:
+    """Edge id -> the flow it carries, read off its twin arc's capacity."""
+    assert all(fs.cap[a] + fs.cap[a + 1] == 1 for a in range(0, len(fs.cap), 2))
+    return {eid: fs.cap[2 * i + 1] for i, eid in enumerate(fs.subgraph.edges)}
+
+
+def _planted(sub: ShortestSubgraph, carrying: set[int], value: int) -> FlowState:
+    """Residual arcs of ``sub`` with one unit on each edge of ``carrying``."""
+    tails, heads = sub.graph.tails, sub.graph.heads
+    head = [x for eid in sub.edges for x in (heads[eid], tails[eid])]
+    cap = [c for eid in sub.edges for c in ((0, 1) if eid in carrying else (1, 0))]
+    out = {v: [a for a in range(len(head)) if head[a ^ 1] == v] for v in sub.nodes}
+    return FlowState(sub, head, cap, out, value)
+
+
+def _assert_valid_flow(g: Graph, fs: FlowState, s: int, t: int, value: int):
+    flow = _flow(fs)
     balance = [0] * g.node_count
     for e in g.edges:
         f = flow[e.eid]
@@ -440,7 +456,7 @@ def test_decompose_diamond():
     paths = decompose_flow(fs, 2)
     assert {p.nodes for p in paths} == {(0, 1, 3), (0, 2, 3)}
     assert fs.value == 0
-    assert all(f == 0 for f in fs.flow.values())
+    assert not any(_flow(fs).values())
 
 
 def test_decompose_removes_planted_cycle():
@@ -458,12 +474,30 @@ def test_decompose_removes_planted_cycle():
             (3, 4, (1,)),  # e4
         ],
     )
-    sub = ShortestSubgraph(g, 0, 2, 0, frozenset(range(5)), tuple(g.ids))
-    fs = FlowState(sub, {eid: 1 for eid in range(5)}, 1)
+    sub = ShortestSubgraph(g, 0, 2, frozenset(range(5)), tuple(g.ids))
+    fs = _planted(sub, set(range(5)), 1)
+    _assert_valid_flow(g, fs, 0, 2, 1)
     paths = decompose_flow(fs, 1)
     assert [p.nodes for p in paths] == [(0, 1, 2)]
     assert fs.value == 0
-    assert all(f == 0 for f in fs.flow.values())
+    assert not any(_flow(fs).values())
+
+
+def test_decompose_cancels_a_cycle_that_max_flow_made():
+    # All arcs weigh 0, so every arc from a node reached before 7 is tight
+    # and the subgraph holds all 23. The flow of value 4 uses 13 arcs; the
+    # four paths use 11, so peeling must cancel a cycle of the flow's own.
+    arcs = [(3, 0), (3, 2), (2, 1), (6, 0), (0, 7), (0, 3), (1, 2), (7, 4), (7, 0), (2, 7),
+            (0, 6), (3, 7), (5, 3), (6, 1), (4, 3), (1, 0), (4, 7), (2, 0), (5, 6), (0, 5),
+            (4, 0), (4, 1), (1, 4)]
+    g = build_graph(True, 8, 1, [(u, v, (0,)) for u, v in arcs])
+    fs = max_flow_unit(build_subgraph(aggregate_and_distances(g, 0, 7)), 4)
+    assert fs.value == 4 and sum(_flow(fs).values()) == 13
+    _assert_valid_flow(g, fs, 0, 7, 4)
+    paths = decompose_flow(fs, 4)
+    assert [p.nodes for p in paths] == [(0, 7), (0, 3, 2, 7), (0, 5, 3, 7), (0, 6, 1, 4, 7)]
+    assert [list(p.edges) for p in paths] == [[4], [5, 1, 9], [19, 12, 11], [10, 13, 22, 16]]
+    assert fs.value == 0 and not any(_flow(fs).values())
 
 
 def test_decompose_conserves_residual_flow():
@@ -471,17 +505,17 @@ def test_decompose_conserves_residual_flow():
     checked = 0
     for _ in range(40):
         g, s, t = random_connected_query(rng, directed=True)
-        sub = ShortestSubgraph(g, s, t, 0, frozenset(range(g.node_count)), tuple(g.ids))
+        sub = ShortestSubgraph(g, s, t, frozenset(range(g.node_count)), tuple(g.ids))
         fs = max_flow_unit(sub, g.edge_count + 1)
         total = fs.value
         if total < 2:
             continue
         checked += 1
-        _assert_valid_flow(g, fs.flow, s, t, total)
+        _assert_valid_flow(g, fs, s, t, total)
         extracted = decompose_flow(fs, total - 1)
         assert len(extracted) == total - 1
         assert fs.value == 1
-        _assert_valid_flow(g, fs.flow, s, t, 1)
+        _assert_valid_flow(g, fs, s, t, 1)
         used = set()
         for p in extracted:
             assert not used & set(p.edges)
@@ -499,7 +533,8 @@ def test_decompose_requires_enough_value():
 
 
 def test_decompose_checks_conservation_under_python_O():
-    # The arc into node 1 carries no flow, so the walk back from t stalls.
+    # Edge 0 -> 1 carries no flow (its twin, arc 1, has no capacity) but
+    # edge 1 -> 2 does, so the walk back from t stalls at node 1.
     script = textwrap.dedent(
         """
         from mcpaths.allcriteria import FlowState, ShortestSubgraph, decompose_flow
@@ -507,9 +542,10 @@ def test_decompose_checks_conservation_under_python_O():
 
         assert False, "asserts must be stripped"
         g = build_graph(True, 3, 1, [(0, 1, (1,)), (1, 2, (1,))])
-        sub = ShortestSubgraph(g, 0, 2, 2, frozenset(range(3)), tuple(g.ids))
+        sub = ShortestSubgraph(g, 0, 2, frozenset(range(3)), tuple(g.ids))
+        fs = FlowState(sub, [1, 0, 2, 1], [1, 0, 0, 1], {0: [0], 1: [1, 2], 2: [3]}, 1)
         try:
-            decompose_flow(FlowState(sub, {0: 0, 1: 1}, 1), 1)
+            decompose_flow(fs, 1)
         except InvariantError as exc:
             print("InvariantError:", exc)
         """

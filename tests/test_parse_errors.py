@@ -259,9 +259,10 @@ def test_the_parser_deletes_exactly_what_split_splits_on():
     assert all(len(f"1{c}2".split()) == 2 for c in blanks)
 
 
-# Line breaks of str.splitlines() that a piece might be cut next to; the
-# parser cuts only after '\n', never inside '\r\n'.
-_BREAKS = st.sampled_from(("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"))
+# Every line break of str.splitlines(); the parser may cut a piece after
+# any of them, but never inside '\r\n'.
+_BREAKS = st.sampled_from(("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                           "\u2028", "\u2029"))
 _FILLERS = st.sampled_from(("", "  ", "# note", "#", "\t# 0 1 2"))
 
 
@@ -310,6 +311,7 @@ def test_pieces_of_any_size_parse_as_one(text, piece):
     want = _parsed(text)
     default, fileio._PIECE = fileio._PIECE, piece
     try:
+        assert [line for lines in fileio._pieces(text) for line in lines] == text.splitlines()
         assert _parsed(text) == want
     finally:
         fileio._PIECE = default
