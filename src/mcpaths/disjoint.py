@@ -22,7 +22,8 @@ solver enumerates the s1-t1 routes once and reads every s2-t2 route as
 the mirror of one of them. Routes through the other pair's terminal
 never pair with anything and are masked out of the enumeration. When
 both paths must each be shortest, so is every edge that one backward
-search from t1 finds tight in neither direction.
+search from t1 finds tight in neither direction. Routes are id tuples,
+and only the answer's two become ``Path``s.
 
 One assembler builds both gadgets: it numbers the terminals after every
 other gadget node, appends the dummy edges right after the input's own
@@ -41,7 +42,7 @@ from itertools import islice
 from .dijkstra import Path, packed_weights, shortest_distances, trace_path
 from .graph import Graph, GraphError, InvariantError, check_endpoints
 from .lexweight import compute_layout
-from .oracle import DEFAULT_NODE_BOUND, VERIFY_PATH_CAP, enumerate_simple_paths
+from .oracle import DEFAULT_NODE_BOUND, VERIFY_PATH_CAP, simple_routes
 
 __all__ = [
     "MODE_EDGE",
@@ -219,7 +220,9 @@ def solve_2dsp_exhaustive(gg: GadgetGraph, objective: str = OBJECTIVE_MIN_TOTAL)
     a terminal with every partner and weighs at least 2 more than the
     route it shortcuts, so the enumeration masks both out. Every listed
     route carries the same dummy weight, so gadget weights order routes
-    as their originals.
+    as their originals: a route scores its edges' sum on the packed
+    column. The walk, ``simple_routes``, steps only into t1 once every
+    in-neighbour of t1 is on the route, so no edge-gadget branch passes t.
 
     Disjointness follows the gadget's mode: node-disjoint pairs share no
     node at all, edge-disjoint pairs no edge id. With ``each-shortest``
@@ -245,10 +248,10 @@ def solve_2dsp_exhaustive(gg: GadgetGraph, objective: str = OBJECTIVE_MIN_TOTAL)
     if n > DEFAULT_NODE_BOUND:
         raise SolverBoundError(f"exhaustive solver bound exceeded: {n} nodes > {DEFAULT_NODE_BOUND}")
     s1, s2, t1, t2 = gg.terminals
+    g = gg.graph
+    weights = g.weights[0]
     loose: set[int] = set()
     if objective == OBJECTIVE_EACH_SHORTEST:
-        g = gg.graph
-        weights = g.weights[0]
         d, _ = shortest_distances(g, weights, t1, banned_nodes={s2, t2})
         if d[s1] is None:
             return None
@@ -258,31 +261,29 @@ def solve_2dsp_exhaustive(gg: GadgetGraph, objective: str = OBJECTIVE_MIN_TOTAL)
             a, b, w = d[g.tails[eid]], d[g.heads[eid]], weights[eid]
             if a is None or b is None or (a != b + w and b != a + w):
                 loose.add(eid)
-    found = enumerate_simple_paths(gg.graph, s1, t1, gg.graph.node_count, {s2, t2}, loose)
-    listed = list(islice(found, VERIFY_PATH_CAP + 1))
+    listed = list(islice(simple_routes(g, s1, t1, {s2, t2}, loose), VERIFY_PATH_CAP + 1))
     if len(listed) > VERIFY_PATH_CAP:
         raise SolverBoundError(f"exhaustive solver bound exceeded: more than {VERIFY_PATH_CAP} routes")
-    # (gadget weight, original node sequence, route): the gadget has one
-    # criterion, and without parallel edges the sequence names the route.
-    routes = sorted(
-        ((p.criteria_length[0], tuple(gg.node_origin[v] for v in p.nodes[1:-1]), p) for p in listed),
-        key=lambda r: (r[0], r[1]),
-    )
+    # (gadget weight, original node sequence, nodes, edges): without parallel
+    # edges the sequence names the route, so the sort never compares the rest.
+    origin = gg.node_origin.__getitem__
+    routes = sorted((sum(map(weights.__getitem__, edges)), tuple(map(origin, nodes[1:-1])), nodes, edges)
+                    for nodes, edges in listed)
     if objective == OBJECTIVE_EACH_SHORTEST:
         routes = [r for r in routes if r[0] == routes[0][0]]
     node_mode = gg.mode == MODE_NODE
     # A mirror keeps its original's interior, and the end terminals differ.
-    interiors = [frozenset(p.nodes[1:-1] if node_mode else p.edges[1:-1]) for _, _, p in routes]
+    interiors = [frozenset(nodes[1:-1] if node_mode else edges[1:-1]) for _, _, nodes, edges in routes]
     best = None
     best_key = None
-    for i, (w_i, nodes_i, route_i) in enumerate(routes[:-1]):
+    for i, (w_i, nodes_i, _, _) in enumerate(routes[:-1]):
         # routes sort by (weight, nodes), so a later pair that ties the
         # incumbent total has a larger key; once even the next route cannot
         # beat that total, no later pair can either
         if best_key is not None and w_i + routes[i + 1][0] >= best_key[0]:
             break
         for j in range(i + 1, len(routes)):
-            w_j, nodes_j, route_j = routes[j]
+            w_j, nodes_j, _, _ = routes[j]
             if best_key is not None and w_i + w_j >= best_key[0]:
                 break
             if interiors[i] & interiors[j]:
@@ -290,15 +291,16 @@ def solve_2dsp_exhaustive(gg: GadgetGraph, objective: str = OBJECTIVE_MIN_TOTAL)
             key = (w_i + w_j, w_i, nodes_i, nodes_j)
             if best_key is None or key < best_key:
                 best_key = key
-                best = (route_i, route_j)
+                best = (i, j)
             break  # later partners of route i come in key order
     if best is None:
         return None
-    first, second = best
+    (_, _, _, first), (_, _, nodes, edges) = routes[best[0]], routes[best[1]]
     # The mirror's end dummies are the twins at s2 and t2 of the route's.
-    start = next(eid for v, eid in gg.graph.out_arcs(s2) if v == second.nodes[1])
-    end = next(eid for v, eid in gg.graph.out_arcs(t2) if v == second.nodes[-2])
-    return first, trace_path(gg.graph, compute_layout(gg.graph), (start, *second.edges[1:-1], end), s2)
+    start = next(eid for v, eid in g.out_arcs(s2) if v == nodes[1])
+    end = next(eid for v, eid in g.out_arcs(t2) if v == nodes[-2])
+    layout = compute_layout(g)
+    return trace_path(g, layout, first, s1), trace_path(g, layout, (start, *edges[1:-1], end), s2)
 
 
 def abridge(gg: GadgetGraph, pair: tuple[Path, Path]) -> DisjointPair:

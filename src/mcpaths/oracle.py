@@ -1,16 +1,18 @@
 """Brute-force reference implementations for desk-scale verification.
 
-``enumerate_simple_paths`` streams every simple s-t path of a small graph,
-masked rather than copied, and each query answers by direct search over
-any iterable of such paths: slow but transparently correct. They back
-the property tests and the CLI ``--verify`` flag, which stops reading at
-its path cap. Comparisons run on raw criteria vectors, not packed
-integers, so the oracle stays independent of the bit-packing it checks.
+``simple_routes`` walks every simple s-t path of a small graph as id
+tuples, masked rather than copied, ``enumerate_simple_paths`` streams
+them as ``Path``s, and each query answers by direct search over any
+iterable of such paths: slow but transparently correct. They back the
+property tests and the CLI ``--verify`` flag, which stops reading at its
+path cap. Comparisons run on raw criteria vectors, not packed integers,
+so the oracle stays independent of the bit-packing it checks.
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import starmap
 from typing import Collection, Iterable, Iterator
 
 from .dijkstra import Path
@@ -19,6 +21,7 @@ from .lexweight import compute_layout, pack
 from .ksp import KspResult
 
 __all__ = [
+    "simple_routes",
     "enumerate_simple_paths",
     "oracle_ksp",
     "oracle_disjoint",
@@ -30,6 +33,49 @@ DEFAULT_NODE_BOUND = 12
 # ``--verify`` skips, and the exhaustive 2dsp solver refuses, past this
 # many simple paths.
 VERIFY_PATH_CAP = 100_000
+
+
+def simple_routes(g: Graph, s: int, t: int, banned_nodes: Collection[int] = (),
+                  banned_edges: Collection[int] = ()) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """``enumerate_simple_paths`` without its checks, each path as ``(nodes, edge ids)``.
+
+    The walk counts the in-neighbours of t still off the path whose arc
+    into t is not banned. Any simple continuation enters t through one of
+    them, so once none is left the walk takes no step but the one into t
+    (Read and Tarjan, 1975), and lists the same routes.
+    """
+    if s in banned_nodes or t in banned_nodes:
+        return
+    if s == t:
+        yield (s,), ()
+        return
+    nodes, edge_ids = [s], []
+    # Banned nodes count as already on the path, so no route enters one.
+    on_path = {s, *banned_nodes}
+    entries = {u for u, eid in g.adjacency(incoming=True)[t].items()
+               if u not in on_path and eid not in banned_edges}
+    live = len(entries)
+    # Per node on the path, an iterator over the arcs still to try.
+    arcs = [iter(g.out_arcs(s))]
+    while arcs:
+        for v, eid in arcs[-1]:
+            if v in on_path or eid in banned_edges:
+                continue
+            if v == t:
+                yield (*nodes, t), (*edge_ids, eid)
+            elif live:
+                on_path.add(v)
+                nodes.append(v)
+                edge_ids.append(eid)
+                live -= v in entries
+                arcs.append(iter(g.out_arcs(v)))
+                break
+        else:
+            arcs.pop()
+            v = nodes.pop()
+            on_path.discard(v)
+            live += v in entries
+            del edge_ids[-1:]  # already empty when the walk backs out of s
 
 
 def enumerate_simple_paths(
@@ -48,7 +94,7 @@ def enumerate_simple_paths(
     needs no sort: ``out_arcs`` lists neighbours in ascending order and
     no two edges join the same pair. ``banned_nodes`` and
     ``banned_edges`` mask the graph as in ``shortest_distances``: no path
-    uses one, and a banned ``s`` or ``t`` yields nothing.
+    uses one, and a banned ``s`` or ``t`` yields nothing. The walk is ``simple_routes``.
     """
     if g.node_count > node_bound:
         raise GraphError(f"graph has {g.node_count} nodes, enumeration bound is {node_bound}")
@@ -59,35 +105,7 @@ def enumerate_simple_paths(
         criteria = tuple(sum(map(column.__getitem__, edge_ids)) for column in g.weights)
         return Path(nodes, edge_ids, pack(layout, criteria), criteria)
 
-    def walk() -> Iterator[Path]:
-        if s in banned_nodes:  # a banned t is never entered below
-            return
-        if s == t:
-            yield path((s,), ())
-            return
-        nodes, edge_ids = [s], []
-        # Banned nodes count as already on the path, so no route enters one.
-        on_path = {s, *banned_nodes}
-        # Per node on the path, an iterator over the arcs still to try.
-        arcs = [iter(g.out_arcs(s))]
-        while arcs:
-            for v, eid in arcs[-1]:
-                if v in on_path or eid in banned_edges:
-                    continue
-                if v == t:
-                    yield path((*nodes, t), (*edge_ids, eid))
-                else:
-                    on_path.add(v)
-                    nodes.append(v)
-                    edge_ids.append(eid)
-                    arcs.append(iter(g.out_arcs(v)))
-                    break
-            else:
-                arcs.pop()
-                on_path.discard(nodes.pop())
-                del edge_ids[-1:]  # already empty when the walk backs out of s
-
-    return walk()
+    return starmap(path, simple_routes(g, s, t, banned_nodes, banned_edges))
 
 
 def _path_key(p: Path) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import mcpaths.disjoint as disjoint
 from mcpaths import (
+    Graph,
     GraphError,
     Path,
     SolverBoundError,
@@ -27,7 +28,7 @@ from mcpaths.disjoint import (
     check_not_rigid,
     solve_2dsp_exhaustive,
 )
-from mcpaths.oracle import enumerate_simple_paths, oracle_disjoint
+from mcpaths.oracle import enumerate_simple_paths, oracle_disjoint, simple_routes
 from conftest import random_graph, subprocess_env
 
 
@@ -289,9 +290,9 @@ def test_solver_enumerates_routes_once(monkeypatch):
 
     def counting(*args):
         calls.append(args)
-        return enumerate_simple_paths(*args)
+        return simple_routes(*args)
 
-    monkeypatch.setattr(disjoint, "enumerate_simple_paths", counting)
+    monkeypatch.setattr(disjoint, "simple_routes", counting)
     diamond = build_graph(False, 4, 1, [(0, 1, (1,)), (0, 2, (1,)), (1, 3, (1,)), (2, 3, (1,))])
     line = build_graph(False, 3, 1, [(0, 1, (1,)), (1, 2, (1,))])
     # the chord 1-2, edge 4, is tight toward 3 in neither direction
@@ -305,10 +306,10 @@ def test_solver_enumerates_routes_once(monkeypatch):
                 assert len(calls) == 1
                 # routes through the other pair's terminals are never listed
                 _, s2, _, t2 = gg.terminals
-                assert len(calls[0]) == 6 and set(calls[0][4]) == {s2, t2}
+                assert len(calls[0]) == 5 and set(calls[0][3]) == {s2, t2}
                 # each-shortest bans the loose edges, min-total no edge
                 want = loose_edges(gg) if objective == "each-shortest" else set()
-                assert set(calls[0][5]) == want
+                assert set(calls[0][4]) == want
                 if g is uneven and objective == "each-shortest":
                     assert 4 in want
 
@@ -328,11 +329,11 @@ def test_each_shortest_lists_only_the_shortest_route(monkeypatch):
     listed = []
 
     def counting(*args):
-        for p in enumerate_simple_paths(*args):
-            listed.append(p)
-            yield p
+        for route in simple_routes(*args):
+            listed.append(route)
+            yield route
 
-    monkeypatch.setattr(disjoint, "enumerate_simple_paths", counting)
+    monkeypatch.setattr(disjoint, "simple_routes", counting)
     for mode in ("edge", "node"):
         for objective, routes in (("each-shortest", 1), ("min-total", 2**k)):
             listed.clear()
@@ -377,11 +378,11 @@ def test_solver_bound_refusal(monkeypatch):
     listed = []
 
     def counting(*args):
-        for p in enumerate_simple_paths(*args):
-            listed.append(p)
-            yield p
+        for route in simple_routes(*args):
+            listed.append(route)
+            yield route
 
-    monkeypatch.setattr(disjoint, "enumerate_simple_paths", counting)
+    monkeypatch.setattr(disjoint, "simple_routes", counting)
     # Past the oracle's 12 nodes the input is refused before any route is listed.
     g = build_graph(False, 13, 1, [(0, 1, (1,)), (1, 12, (1,))])
     for mode in ("edge", "node"):
@@ -401,6 +402,34 @@ def test_solver_bound_refusal(monkeypatch):
         listed.clear()
         assert two_disjoint_shortest(k7, 0, 6, mode, "each-shortest") is None
         assert len(listed) == 1
+
+
+def test_the_edge_gadget_walk_stops_past_t(monkeypatch):
+    # In the edge gadget t1's one in-neighbour is t, so once a route
+    # reaches t the walk steps only into t1. Without that cut, min-total
+    # on unit-weight K8 made 13,703 out_arcs calls: every branch past t
+    # was a dead end. The node gadget enters t1 from every split node, so
+    # the cut seldom fires there.
+    from itertools import combinations
+
+    steps = [0]
+    out_arcs = Graph.out_arcs
+
+    def counted(self, u):
+        steps[0] += 1
+        return out_arcs(self, u)
+
+    monkeypatch.setattr(Graph, "out_arcs", counted)
+    k8, k10 = (build_graph(False, n, 1, [(u, v, (1,)) for u, v in combinations(range(n), 2)]) for n in (8, 10))
+    for mode, most in (("edge", 3917), ("node", 5876)):
+        steps[0] = 0
+        got = two_disjoint_shortest(k8, 0, 7, mode, "min-total")
+        assert steps[0] <= most, (mode, steps[0])
+        assert (got.first.nodes, got.second.nodes) == ((0, 7), (0, 1, 7))
+    # past the route cap the cut saves steps, not the refusal
+    for mode in ("edge", "node"):
+        with pytest.raises(SolverBoundError, match="^exhaustive solver bound exceeded: more than 100000 routes$"):
+            two_disjoint_shortest(k10, 0, 9, mode, "min-total")
 
 
 # ---- abridgement ----------------------------------------------------------

@@ -1,9 +1,13 @@
 import random
+from unittest import mock
 
 import networkx as nx
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mcpaths import (
+    Graph,
     GraphError,
     build_graph,
 )
@@ -12,6 +16,7 @@ from mcpaths.oracle import (
     max_edge_disjoint_count,
     oracle_disjoint,
     oracle_ksp,
+    simple_routes,
 )
 from conftest import random_graph
 
@@ -60,6 +65,79 @@ def test_masked_enumeration_filters_the_unmasked_one():
         assert tuple(masked) == tuple(
             p for p in unmasked if not banned & set(p.nodes) and not dropped & set(p.edges)
         )
+
+
+def reference_routes(g, s, t, banned_nodes, banned_edges, cut):
+    """The routes of a plain recursive depth-first search over sorted arcs,
+    and the number of nodes it steps out of. With ``cut``, it steps into a
+    node other than t only while some in-neighbour of t is off the path,
+    not banned, and joined to t by an arc that is not banned. A banned s
+    or t ends the search before its first step."""
+    routes, stepped = [], [0]
+    into_t = g.adjacency(incoming=True)[t].items()
+
+    def walk(nodes, edges):
+        if nodes[-1] == t:
+            routes.append((tuple(nodes), tuple(edges)))
+            return
+        stepped[0] += 1
+        for v, eid in sorted(g.adjacency()[nodes[-1]].items()):
+            if v in nodes or v in banned_nodes or eid in banned_edges:
+                continue
+            if cut and v != t and not any(
+                x not in nodes and x not in banned_nodes and e not in banned_edges for x, e in into_t
+            ):
+                continue
+            walk(nodes + [v], edges + [eid])
+
+    if s not in banned_nodes and t not in banned_nodes:
+        walk([s], [])
+    return routes, stepped[0]
+
+
+@st.composite
+def walk_queries(draw):
+    directed = draw(st.booleans())
+    n = draw(st.integers(min_value=1, max_value=9))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u < v or (directed and u != v)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = build_graph(directed, n, 1, [(u, v, (1,)) for u, v in chosen])
+    nodes = st.integers(min_value=0, max_value=n - 1)
+    s, t = draw(nodes), draw(nodes)
+    banned_nodes = frozenset(draw(st.lists(nodes, max_size=3)))
+    banned_edges = set(draw(st.lists(st.sampled_from(range(len(chosen))), max_size=4)) if chosen else ())
+    if draw(st.booleans()):  # some arcs into t too
+        banned_edges |= {eid for _, eid in g.in_arcs(t) if draw(st.booleans())}
+    return g, s, t, banned_nodes, frozenset(banned_edges)
+
+
+def _complete(directed, n):
+    return build_graph(directed, n, 1, [(u, v, (1,)) for u in range(n) for v in range(n)
+                                        if u < v or (directed and u != v)])
+
+
+K5, K6, K6_DIRECTED = _complete(False, 5), _complete(False, 6), _complete(True, 6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_queries())
+@example((K5, 0, 4, frozenset({4}), frozenset()))  # t banned
+@example((K6_DIRECTED, 0, 5, frozenset(), frozenset(eid for _, eid in K6_DIRECTED.in_arcs(5) if eid % 2)))
+@example((K6, 0, 1, frozenset({3}), frozenset()))  # s adjacent to t
+@example((K5, 2, 2, frozenset(), frozenset()))  # s == t
+def test_the_cut_changes_no_route(query):
+    g, s, t, banned_nodes, banned_edges = query
+    plain, _ = reference_routes(g, s, t, banned_nodes, banned_edges, cut=False)
+    want, steps = reference_routes(g, s, t, banned_nodes, banned_edges, cut=True)
+    assert want == plain
+    stepped = []
+    out_arcs = Graph.out_arcs
+    with mock.patch.object(Graph, "out_arcs", lambda self, u: stepped.append(u) or out_arcs(self, u)):
+        got = list(simple_routes(g, s, t, banned_nodes, banned_edges))
+    assert got == plain
+    # the walk cuts exactly where the reference does: no fewer steps, and
+    # no more
+    assert len(stepped) == steps
 
 
 def test_enumeration_bound_refusal():
