@@ -21,13 +21,7 @@ from .dijkstra import Path, packed_weights, shortest_path, threshold_mask
 # These three are unused here but stay importable: bench/tracer.py wraps
 # them in ``mcpaths.cli`` by name (ROADMAP, benchmark upkeep).
 from .dijkstra import dijkstra, extract_path, filter_by_threshold  # noqa: F401
-from .disjoint import (
-    MODE_EDGE,
-    MODE_NODE,
-    OBJECTIVE_EACH_SHORTEST,
-    OBJECTIVE_MIN_TOTAL,
-    two_disjoint_shortest,
-)
+from .disjoint import MODE_EDGE, MODE_NODE, OBJECTIVE_EACH_SHORTEST, OBJECTIVE_MIN_TOTAL, two_disjoint_shortest
 from .fileio import parse_graph_file
 from .graph import Graph, GraphError, NoPathError
 from .ksp import yen_ksp
@@ -49,13 +43,16 @@ EXIT_ERROR = 1
 EXIT_NO_SOLUTION = 2
 
 
-class _UsageError(Exception):
-    pass
+class _Stop(Exception):
+    """Parsing ends in a document, not a query: (exit code, status, message)."""
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(f"{message}\n{self.format_usage()}")
+        raise _Stop(EXIT_ERROR, "error", f"{message}\n{self.format_usage()}")
+
+    def print_help(self, file=None) -> None:
+        raise _Stop(EXIT_OK, "ok", self.format_help())
 
 
 def _build_parser() -> _Parser:
@@ -70,27 +67,11 @@ def _build_parser() -> _Parser:
 
     parser = _Parser(prog="mcpaths", description="prioritized multi-criteria path queries")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("pack", parents=[common], help="print the bit layout and per-edge packed weights")
-
-    p_sp = sub.add_parser("sp", parents=[common, endpoints], help="single shortest path")
-    p_sp.add_argument("--threshold", type=int, default=None, help="drop edges with packed weight >= this value")
-
-    p_ksp = sub.add_parser("ksp", parents=[common, endpoints], help="k shortest simple paths")
-    p_ksp.add_argument("-k", type=int, default=1)
-    p_ksp.add_argument("--threshold", type=int, default=None, help="drop edges with packed weight >= this value")
-
-    p_2dsp = sub.add_parser("2dsp", parents=[common, endpoints], help="two disjoint shortest paths")
-    p_2dsp.add_argument("--mode", choices=(MODE_NODE, MODE_EDGE), default=MODE_NODE)
-    p_2dsp.add_argument(
-        "--objective",
-        choices=(OBJECTIVE_EACH_SHORTEST, OBJECTIVE_MIN_TOTAL),
-        default=OBJECTIVE_MIN_TOTAL,
-    )
-
-    p_kd = sub.add_parser("kdisjoint", parents=[common, endpoints], help="k disjoint all-criteria-shortest paths")
-    p_kd.add_argument("-k", type=int, default=1)
-
+    for name, (help_text, flags, _, _) in _COMMANDS.items():
+        parents = [common] if flags is None else [common, endpoints]
+        command = sub.add_parser(name, parents=parents, help=help_text)
+        for flag, options in flags or ():
+            command.add_argument(flag, **options)
     return parser
 
 
@@ -135,8 +116,9 @@ def _pack(g: Graph, layout: BitLayout):
     return {"edges": edges}, g
 
 
-def _check_pack(paths: None, g: Graph, layout: BitLayout) -> str:
+def _check_pack(paths: None, g: Graph) -> str:
     """Whether the graph's stored packed column unpacks to every edge's weights."""
+    layout = compute_layout(g)
     packed = packed_weights(g, layout)
     for eid in g.ids:
         if unpack(layout, packed[eid]) != tuple(column[eid] for column in g.weights):
@@ -152,7 +134,7 @@ def _sp(g: Graph, layout: BitLayout, source: int, dest: int, threshold: int | No
     return {"paths": [_path_doc(path)]}, path
 
 
-def _check_sp(paths: tuple[Path, ...], path: Path | None, layout: BitLayout, **query) -> str:
+def _check_sp(paths: tuple[Path, ...], path: Path | None, **query) -> str:
     if not paths:
         return "ok" if path is None else "mismatch: oracle found no path"
     if path is None:
@@ -171,7 +153,7 @@ def _ksp(g: Graph, layout: BitLayout, source: int, dest: int, k: int, threshold:
     return fields, result
 
 
-def _check_ksp(paths: tuple[Path, ...], result, layout: BitLayout, *, k: int, **query) -> str:
+def _check_ksp(paths: tuple[Path, ...], result, *, k: int, **query) -> str:
     want = oracle_ksp(paths, k)
     got = [(p.nodes, p.criteria_length) for p in result.paths]
     expected = [(p.nodes, p.criteria_length) for p in want.paths]
@@ -188,7 +170,7 @@ def _2dsp(g: Graph, layout: BitLayout, source: int, dest: int, mode: str, object
     return {"paths": [_path_doc(pair.first), _path_doc(pair.second)]}, pair
 
 
-def _check_2dsp(paths: tuple[Path, ...], pair, layout: BitLayout, *, mode: str, objective: str, **query) -> str:
+def _check_2dsp(paths: tuple[Path, ...], pair, *, mode: str, objective: str, **query) -> str:
     want = oracle_disjoint(paths, mode, objective)
     if want is None or pair is None:
         return "ok" if (want is None) == (pair is None) else "mismatch: disjoint pair existence"
@@ -209,7 +191,7 @@ def _kdisjoint(g: Graph, layout: BitLayout, source: int, dest: int, k: int):
     return {"paths": [_path_doc(p) for p in paths]}, paths
 
 
-def _check_kdisjoint(paths: tuple[Path, ...], answer, layout: BitLayout, *, k: int, **query) -> str:
+def _check_kdisjoint(paths: tuple[Path, ...], answer, *, k: int, **query) -> str:
     witnesses = all_criteria_shortest(paths)
     got = _KDISJOINT_STATUS.get(type(answer), "ok")
     if not paths:
@@ -239,15 +221,22 @@ def _check_kdisjoint(paths: tuple[Path, ...], answer, layout: BitLayout, *, k: i
     return "ok"
 
 
-# Subcommand -> (answer, check). ``answer(g, layout, **query)`` returns the
-# document fields and the raw answer; ``check(paths, answer, layout,
+_K = ("-k", {"type": int, "default": 1})
+_THRESHOLD = ("--threshold", {"type": int, "default": None, "help": "drop edges with packed weight >= this value"})
+
+# Subcommand -> (help, flags after the endpoints, answer, check); ``pack``
+# takes no endpoints, so its flags are None. ``answer(g, layout, **query)``
+# returns the document fields and the raw answer; ``check(paths, answer,
 # **query)`` compares that answer with the oracle's simple paths.
 _COMMANDS = {
-    "pack": (_pack, _check_pack),
-    "sp": (_sp, _check_sp),
-    "ksp": (_ksp, _check_ksp),
-    "2dsp": (_2dsp, _check_2dsp),
-    "kdisjoint": (_kdisjoint, _check_kdisjoint),
+    "pack": ("print the bit layout and per-edge packed weights", None, _pack, _check_pack),
+    "sp": ("single shortest path", (_THRESHOLD,), _sp, _check_sp),
+    "ksp": ("k shortest simple paths", (_K, _THRESHOLD), _ksp, _check_ksp),
+    "2dsp": ("two disjoint shortest paths", (
+        ("--mode", {"choices": (MODE_NODE, MODE_EDGE), "default": MODE_NODE}),
+        ("--objective", {"choices": (OBJECTIVE_EACH_SHORTEST, OBJECTIVE_MIN_TOTAL), "default": OBJECTIVE_MIN_TOTAL}),
+    ), _2dsp, _check_2dsp),
+    "kdisjoint": ("k disjoint all-criteria-shortest paths", (_K,), _kdisjoint, _check_kdisjoint),
 }
 # Flags every subcommand takes; the rest of the parsed arguments is the query.
 _COMMON_FLAGS = ("command", "graph", "format", "verify")
@@ -269,7 +258,7 @@ def _verify(g: Graph, layout: BitLayout, query: dict, check, answer) -> str:
         paths = tuple(islice(found, VERIFY_PATH_CAP + 1))
         if len(paths) > VERIFY_PATH_CAP:
             return f"skipped: more than {VERIFY_PATH_CAP} simple paths"
-    return check(paths, answer, layout, **query)
+    return check(paths, answer, **query)
 
 
 def _run_query(args: argparse.Namespace) -> tuple[int, dict]:
@@ -286,7 +275,7 @@ def _run_query(args: argparse.Namespace) -> tuple[int, dict]:
     query = {k: v for k, v in vars(args).items() if k not in _COMMON_FLAGS}
     if query:
         doc["query"] = query
-    answer_fn, check = _COMMANDS[args.command]
+    _, _, answer_fn, check = _COMMANDS[args.command]
     fields, answer = answer_fn(g, layout, **query)
     doc.update(fields)
     if args.verify:
@@ -303,24 +292,14 @@ def run_cli(argv: Sequence[str]) -> tuple[int, dict]:
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))
-    except _UsageError as exc:
-        return EXIT_ERROR, {"status": "error", "message": str(exc), "format": "text"}
+    except _Stop as stop:
+        code, status, message = stop.args
+        return code, {"status": status, "message": message, "format": "text"}
     try:
         return _run_query(args)
-    except GraphError as exc:
-        return EXIT_ERROR, {
-            "command": args.command,
-            "format": args.format,
-            "status": "error",
-            "message": str(exc),
-        }
-    except (OSError, UnicodeDecodeError) as exc:
-        return EXIT_ERROR, {
-            "command": args.command,
-            "format": args.format,
-            "status": "error",
-            "message": f"cannot read {args.graph}: {exc}",
-        }
+    except (GraphError, OSError, UnicodeDecodeError) as exc:
+        message = str(exc) if isinstance(exc, GraphError) else f"cannot read {args.graph}: {exc}"
+        return EXIT_ERROR, {"command": args.command, "format": args.format, "status": "error", "message": message}
 
 
 def render(doc: dict) -> str:

@@ -41,7 +41,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import repeat
-from operator import add, lshift
+from operator import add, ge, lshift
 from typing import Collection, MutableMapping, MutableSequence, Sequence
 
 from .graph import Graph, GraphError, InvariantError, NoPathError, check_endpoints
@@ -115,7 +115,10 @@ def packed_weights(g: Graph, layout: BitLayout) -> tuple[int | None, ...]:
     sum, all in chained ``map`` calls. The column for the graph's own
     layout (``compute_layout(g)``) is built on first use and stored with
     the graph, so every later query reads the same tuple; any other
-    layout gets a fresh column.
+    layout gets a fresh column. That layout must fit the graph: one
+    segment per criterion, each at least as wide as the graph's own, and
+    each above the next one's top, or a path sum could carry into the
+    segment above and reorder the answers.
     """
 
     def build(g: Graph) -> tuple[int | None, ...]:
@@ -123,8 +126,14 @@ def packed_weights(g: Graph, layout: BitLayout) -> tuple[int | None, ...]:
                    for column, offset in zip(g.weights, layout.offsets)]
         return g.column(reduce(partial(map, add), shifted))
 
-    if layout == compute_layout(g):
+    own = compute_layout(g)
+    if layout == own:
         return g.derived("packed", build)
+    tops = [*map(add, layout.offsets[1:], layout.bits[1:]), 0]
+    if not (len(layout.bits) == len(layout.offsets) == g.q
+            and all(map(ge, layout.bits, own.bits)) and all(map(ge, layout.offsets, tops))):
+        raise GraphError(f"layout does not fit the graph: needs {g.q} segments at least {list(own.bits)} bits wide, "
+                         f"in priority order; got bits {list(layout.bits)} at offsets {list(layout.offsets)}")
     return build(g)
 
 

@@ -82,22 +82,21 @@ def enumerate_simple_paths(
     g: Graph,
     s: int,
     t: int,
-    node_bound: int = DEFAULT_NODE_BOUND,
     banned_nodes: Collection[int] = (),
     banned_edges: Collection[int] = (),
 ) -> Iterator[Path]:
     """Every simple s-t path, by depth-first search, in node-sequence order.
 
-    Refuses graphs above ``node_bound`` nodes, and bad endpoints, before
-    the first path is asked for; enumeration is exponential and meant
-    for verification only. ``s == t`` yields the empty path. The order
+    Refuses graphs above ``DEFAULT_NODE_BOUND`` nodes, and bad
+    endpoints, before the first path is asked for; enumeration is
+    exponential and meant for verification only. ``s == t`` yields the empty path. The order
     needs no sort: ``out_arcs`` lists neighbours in ascending order and
     no two edges join the same pair. ``banned_nodes`` and
     ``banned_edges`` mask the graph as in ``shortest_distances``: no path
     uses one, and a banned ``s`` or ``t`` yields nothing. The walk is ``simple_routes``.
     """
-    if g.node_count > node_bound:
-        raise GraphError(f"graph has {g.node_count} nodes, enumeration bound is {node_bound}")
+    if g.node_count > DEFAULT_NODE_BOUND:
+        raise GraphError(f"graph has {g.node_count} nodes, enumeration bound is {DEFAULT_NODE_BOUND}")
     check_endpoints(g, source=s, dest=t)
     layout = compute_layout(g)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -210,6 +211,75 @@ def test_unknown_subcommand_is_usage_error():
     code, doc = run_cli(["frobnicate"])
     assert code == 1
     assert doc["status"] == "error"
+
+
+def _usage_error_argvs(graph):
+    """Argument vectors the parser refuses, plus a graph file that cannot
+    be read and one that is malformed."""
+    argvs = [[], ["frobnicate"], ["--graph", "g.mcg"], ["--format", "json"]]
+    extras = {
+        "pack": [],
+        "sp": [["--threshold", "x"], ["-k", "2"]],
+        "ksp": [["-k", "x"], ["--threshold", "x"], ["-k"]],
+        "2dsp": [["--mode", "both"], ["--objective", "shortest"], ["-k", "2"]],
+        "kdisjoint": [["-k", "x"], ["--threshold", "5"]],
+    }
+    for command, flags in extras.items():
+        argvs += [
+            [command],
+            [command, "--graph"],
+            [command, "--graph", "g.mcg", "--format", "xml"],
+            [command, "--graph", "g.mcg", "--bogus"],
+            [command, "--graph", "g.mcg", "--source", "0"],
+        ]
+        if command == "pack":
+            continue
+        ends = ["--graph", "g.mcg", "--source", "0", "--dest", "1"]
+        argvs += [
+            [command, "--graph", "g.mcg"],
+            [command, "--graph", "g.mcg", "--source", "x", "--dest", "1"],
+            [command, "--graph", "g.mcg", "--source", "0", "--dest", "-"],
+            [command, *ends, "--bogus"],
+            *([command, *ends, *flag] for flag in flags),
+        ]
+    for command in ("pack", "sp"):
+        tail = [] if command == "pack" else ["--source", "0", "--dest", "1"]
+        for path in ("/nonexistent/g.mcg", graph):
+            argvs += [[command, "--graph", path, *tail, "--format", fmt] for fmt in ("text", "json")]
+    return argvs
+
+
+# Computed before the parser was built from the subcommand table, so the
+# table-built parser is shown to refuse every argument vector with the
+# same bytes. argparse's wording may change between Python releases, so
+# the hash is pinned for the release it was computed on.
+USAGE_ERRORS = 63
+USAGE_ERRORS_SHA256 = {(3, 11): "a57e69e360a1e776e0e7cf96b67555d89568996e70634b54abb6155a4aacaf29"}
+
+
+def test_usage_error_documents_are_pinned(monkeypatch, tmp_path):
+    if sys.version_info[:2] not in USAGE_ERRORS_SHA256:
+        pytest.skip("argparse messages are pinned for Python 3.11 only")
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines at the terminal width
+    graph = tmp_path / "bad.mcg"
+    graph.write_text("mcgraph undirected 3 2\n0 1 7\n")
+    digest = hashlib.sha256()
+    argvs = _usage_error_argvs(str(graph))
+    for argv in argvs:
+        code, doc = run_cli(argv)
+        assert code == 1 and doc["status"] == "error", argv
+        digest.update(f"{code}\n{render(doc)}\n\0".encode())
+    assert len(argvs) == USAGE_ERRORS
+    assert digest.hexdigest() == USAGE_ERRORS_SHA256[sys.version_info[:2]]
+
+
+@pytest.mark.parametrize("argv", [["--help"], *([command, "-h"] for command in mcpaths.cli._COMMANDS)], ids=" ".join)
+def test_help_is_a_document(argv):
+    code, doc = run_cli(argv)
+    assert (code, doc["status"], doc["format"]) == (0, "ok", "text")
+    assert doc["message"].startswith(f"usage: mcpaths {argv[0] if len(argv) == 2 else '['}")
+    if argv == ["--help"]:
+        assert "{pack,sp,ksp,2dsp,kdisjoint}" in doc["message"]
 
 
 def test_missing_file_is_input_error():

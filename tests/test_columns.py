@@ -4,16 +4,20 @@ import random
 import sys
 import threading
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcpaths import (
+    BitLayout,
+    GraphError,
     build_graph,
     compute_layout,
     dijkstra,
     extract_path,
     k_disjoint_all_criteria,
     pack,
+    shortest_path,
     yen_ksp,
 )
 from mcpaths.allcriteria import _summed_column
@@ -58,9 +62,11 @@ def test_columns_equal_a_fresh_computation(g, data):
     assert packed_weights(g, layout) is columns["packed"][0]
     assert _summed_column(g) is columns["summed"][0]
 
-    # A layout from another graph packs correctly and is never stored.
-    other = build_graph(True, 2, g.q, [(0, 1, tuple(data.draw(st.integers(0, 9)) for _ in range(g.q)))])
-    foreign = compute_layout(other)
+    # A layout from another graph packs correctly and is never stored if it
+    # fits g: every segment at least as wide as g's own. A narrower one is
+    # refused.
+    wider = tuple(total + data.draw(st.integers(0, 9)) for total in layout.totals)
+    foreign = compute_layout(build_graph(True, 2, g.q, [(0, 1, wider)]))
     got = packed_weights(g, foreign)
     assert got == tuple(pack(foreign, g.edge(eid).weights) if eid in carried else None
                         for eid in range(g.next_edge_id()))
@@ -69,6 +75,31 @@ def test_columns_equal_a_fresh_computation(g, data):
     assert packed_weights(g, layout) is columns["packed"][0]
     # The holes are never masked.
     assert threshold_mask(got, 0) == frozenset(carried)
+    if any(layout.bits):
+        i = data.draw(st.sampled_from([i for i, bits in enumerate(layout.bits) if bits]))
+        narrower = tuple(total >> (j == i) for j, total in enumerate(layout.totals))
+        with pytest.raises(GraphError, match="layout does not fit the graph"):
+            packed_weights(g, compute_layout(build_graph(True, 2, g.q, [(0, 1, narrower)])))
+
+
+def test_a_layout_that_does_not_fit_the_graph_is_refused():
+    # Criteria (1, 0) then (0, 5): 0->2->3 comes first. Packed with the
+    # 1-bit segments of a smaller graph, 0->2->3 weighs 5, carries into
+    # the first criterion's bit and would rank behind 0->1->3 (weight 2).
+    g = build_graph(True, 4, 2, [(0, 1, (1, 0)), (1, 3, (0, 0)), (0, 2, (0, 5)), (2, 3, (0, 0))])
+    tiny = compute_layout(build_graph(True, 2, 2, [(0, 1, (1, 1))]))
+    for query in (lambda: yen_ksp(g, tiny, 0, 3, 2), lambda: shortest_path(g, tiny, 0, 3)):
+        with pytest.raises(GraphError, match="layout does not fit the graph"):
+            query()
+    own = compute_layout(g)
+    for bits, offsets in (((1,), (0,)), ((1, 3), (2, 0)), ((1, 3), (0, 1)), ((1, 3, 1), (4, 1, 0))):
+        with pytest.raises(GraphError, match="layout does not fit the graph"):
+            packed_weights(g, BitLayout(own.totals[: len(bits)], bits, offsets))
+    # A wider layout, with a gap between the segments, keeps the order.
+    wide = BitLayout(own.totals, (2, 4), (6, 0))
+    for layout in (own, wide):
+        assert [p.nodes for p in yen_ksp(g, layout, 0, 3, 2).paths] == [(0, 2, 3), (0, 1, 3)]
+        assert shortest_path(g, layout, 0, 3).nodes == (0, 2, 3)
 
 
 def _grid(n: int = 12):

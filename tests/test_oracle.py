@@ -60,7 +60,7 @@ def test_masked_enumeration_filters_the_unmasked_one():
         s, t = rng.randrange(g.node_count), rng.randrange(g.node_count)
         banned = set(rng.sample(range(g.node_count), rng.randint(0, g.node_count)))
         dropped = set(rng.sample(list(g.ids), rng.randint(0, g.edge_count)))
-        masked = enumerate_simple_paths(g, s, t, 12, banned, dropped)
+        masked = enumerate_simple_paths(g, s, t, banned_nodes=banned, banned_edges=dropped)
         unmasked = enumerate_simple_paths(g, s, t)
         assert tuple(masked) == tuple(
             p for p in unmasked if not banned & set(p.nodes) and not dropped & set(p.edges)
