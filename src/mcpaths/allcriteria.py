@@ -13,11 +13,11 @@ order, so answers do not depend on the order in which a graph lists its
 edges.
 
 One forward search on the summed weights, cut at t, settles every node
-within d(s,t) of s exactly, and that is all the subgraph needs: a node
-lies on a shortest s-t path exactly when a chain of tight arcs (d(s,u)
-+ w(u,v) = d(s,v)) leads from it to t. The path that search finds also
-bounds every criterion's distance, so each per-criterion search prunes
-from its first pop. The searches read the graph's weight columns and a
+within d(s,t) of s exactly, and that is all the subgraph needs:
+``tight_subgraph`` walks the tight arcs (d(s,u) + w(u,v) = d(s,v))
+back from t. The path that search finds also bounds every criterion's
+distance, so each per-criterion search prunes from its first pop.
+The searches read the graph's weight columns and a
 summed column stored with the graph by its first query. The subgraph
 holds edge ids and the flow arc ids; no ``Edge`` is made.
 """
@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .dijkstra import Path, pred_edges, shortest_distances, trace_path
+from .dijkstra import Path, pred_edges, shortest_distances, tight_subgraph, trace_path
 from .graph import Graph, GraphError, InvariantError, NoPathError, check_endpoints
 # ``reverse`` is unused here but stays importable: bench/tracer.py wraps
 # ``mcpaths.allcriteria.reverse`` by name.
@@ -148,33 +148,9 @@ class ShortestSubgraph:
 
 
 def build_subgraph(aw: AggregatedWeights) -> ShortestSubgraph:
-    """Walk back from t over tight arcs, d(s,u) + w(u,v) = d(s,v).
-
-    Every such arc into a kept node is kept, and its tail is kept and
-    walked from in turn; these are exactly the nodes u with d(s,u) +
-    d(u,t) = d(s,t) and the arcs with d(s,u) + w(u,v) + d(v,t) = d(s,t).
-    A tight arc's tail lies within d(s,t) of s, so the cut forward
-    search has settled it. ``edges`` are in edge-id order, which fixes
-    the order in which ``max_flow_unit`` tries arcs and so the paths it
-    finds, whatever the order in which the graph lists its edges.
-    """
-    g = aw.graph
-    fwd, combined = aw.dist_from_source, aw.combined
-    into = g.adjacency(incoming=True)
-    nodes = {aw.dest}
-    queue = [aw.dest]
-    kept: list[int] = []
-    for v in queue:
-        dv = fwd[v]
-        for u, eid in into[v].items():
-            du = fwd[u]
-            if du is not None and du + combined[eid] == dv:
-                kept.append(eid)
-                if u not in nodes:
-                    nodes.add(u)
-                    queue.append(u)
-    kept.sort()
-    return ShortestSubgraph(g, aw.source, aw.dest, frozenset(nodes), tuple(kept))
+    """The ``tight_subgraph`` to t of the cut summed-weight search from s."""
+    nodes, edges = tight_subgraph(aw.graph, aw.combined, aw.dist_from_source, aw.dest)
+    return ShortestSubgraph(aw.graph, aw.source, aw.dest, nodes, edges)
 
 
 @dataclass

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from itertools import islice
 from typing import Sequence
 
@@ -56,6 +57,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
+    # The width argparse picks on an 80-column terminal, fixed so that no
+    # document depends on the terminal it is made in.
+    formatter = partial(argparse.HelpFormatter, width=78)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--graph", required=True, help="path to an mcgraph file")
     common.add_argument("--format", choices=("text", "json"), default="text")
@@ -65,11 +69,12 @@ def _build_parser() -> _Parser:
     endpoints.add_argument("--source", type=int, required=True)
     endpoints.add_argument("--dest", type=int, required=True)
 
-    parser = _Parser(prog="mcpaths", description="prioritized multi-criteria path queries")
+    parser = _Parser(prog="mcpaths", description="prioritized multi-criteria path queries",
+                     formatter_class=formatter)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, flags, _, _) in _COMMANDS.items():
         parents = [common] if flags is None else [common, endpoints]
-        command = sub.add_parser(name, parents=parents, help=help_text)
+        command = sub.add_parser(name, parents=parents, help=help_text, formatter_class=formatter)
         for flag, options in flags or ():
             command.add_argument(flag, **options)
     return parser

@@ -53,6 +53,7 @@ __all__ = [
     "packed_weights",
     "shortest_distances",
     "settle",
+    "tight_subgraph",
     "threshold_mask",
     "filter_by_threshold",
     "dijkstra",
@@ -256,6 +257,37 @@ def settle(
                 heapq.heappush(heap, (nd, v))
                 if v == target:
                     horizon = nd
+
+
+def tight_subgraph(
+    g: Graph, weight_by_eid: Sequence[int | None], dist: Sequence[int | None], t: int
+) -> tuple[frozenset[int], tuple[int, ...]]:
+    """The nodes and arcs on at least one shortest path to ``t``, arcs as
+    edge ids in id order.
+
+    ``dist`` holds one search's distances over ``weight_by_eid`` from its
+    source s, and ``t`` must be reached. The walk goes back from ``t``
+    over tight arcs, dist(u) + w(u, v) = dist(v): every such arc into a
+    kept node is kept, and its tail is kept and walked from in turn.
+    These are exactly the nodes u with d(s, u) + d(u, t) = d(s, t) and
+    the arcs with d(s, u) + w(u, v) + d(v, t) = d(s, t). A tight arc's
+    tail is no farther from s than its head, so a search cut at ``t``
+    has settled all the walk reads.
+    """
+    into = g.adjacency(incoming=True)
+    nodes = {t}
+    queue = [t]
+    kept: set[int] = set()  # an undirected zero-weight edge is tight both ways
+    for v in queue:
+        dv = dist[v]
+        for u, eid in into[v].items():
+            du = dist[u]
+            if du is not None and du + weight_by_eid[eid] == dv:
+                kept.add(eid)
+                if u not in nodes:
+                    nodes.add(u)
+                    queue.append(u)
+    return frozenset(nodes), tuple(sorted(kept))
 
 
 def threshold_mask(weight_by_eid: Sequence[int | None], threshold: int | None) -> frozenset[int]:

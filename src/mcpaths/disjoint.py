@@ -21,9 +21,9 @@ and t1 like t2 (same neighbours, dummy edges of equal weight), so the
 solver enumerates the s1-t1 routes once and reads every s2-t2 route as
 the mirror of one of them. Routes through the other pair's terminal
 never pair with anything and are masked out of the enumeration. When
-both paths must each be shortest, so is every edge that one backward
-search from t1 finds tight in neither direction. Routes are id tuples,
-and only the answer's two become ``Path``s.
+both paths must each be shortest, so is every edge outside the
+shortest s1-t1 subgraph, ``tight_subgraph``. Routes are id tuples, and
+only the answer's two become ``Path``s.
 
 One assembler builds both gadgets: it numbers the terminals after every
 other gadget node, appends the dummy edges right after the input's own
@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .dijkstra import Path, packed_weights, shortest_distances, trace_path
+from .dijkstra import Path, packed_weights, shortest_distances, tight_subgraph, trace_path
 from .graph import Graph, GraphError, InvariantError, check_endpoints
 from .lexweight import compute_layout
 from .oracle import DEFAULT_NODE_BOUND, VERIFY_PATH_CAP, simple_routes
@@ -180,30 +180,21 @@ def build_node_disjoint_gadget(g: Graph, s: int, t: int) -> GadgetGraph:
 def check_not_rigid(gg: GadgetGraph) -> bool:
     """True unless each terminal pair lies on the other pair's shortest paths.
 
-    Membership in L(x, y), the nodes on at least one shortest x-y path, is
-    decided by the distance identity d(x, u) + d(u, y) = d(x, y).
-    Disconnected terminal pairs have empty L-sets and are never rigid.
+    L(x, y), the nodes on at least one shortest x-y path, is the node set
+    of ``tight_subgraph`` over a search from x cut at y. Disconnected
+    terminal pairs have empty L-sets and are never rigid.
     ``two_disjoint_shortest`` does not call it: the exhaustive solver has
     no rigidity precondition.
     """
-    weights = gg.graph.weights[0]
+    g = gg.graph
+    weights = g.weights[0]
     s1, s2, t1, t2 = gg.terminals
 
-    def l_set_contains(a: int, b: int, members: tuple[int, ...]) -> bool:
-        from_a, _ = shortest_distances(gg.graph, weights, a)
-        from_b, _ = shortest_distances(gg.graph, weights, b)
-        span = from_a[b]
-        if span is None:
-            return False
-        return all(
-            from_a[u] is not None
-            and from_b[u] is not None
-            and from_a[u] + from_b[u] == span
-            for u in members
-        )
+    def l_set_contains(x: int, y: int, members: set[int]) -> bool:
+        dist, _ = shortest_distances(g, weights, x, target=y)
+        return dist[y] is not None and members <= tight_subgraph(g, weights, dist, y)[0]
 
-    rigid = l_set_contains(s2, t2, (s1, t1)) and l_set_contains(s1, t1, (s2, t2))
-    return not rigid
+    return not (l_set_contains(s2, t2, {s1, t1}) and l_set_contains(s1, t1, {s2, t2}))
 
 
 def solve_2dsp_exhaustive(gg: GadgetGraph, objective: str = OBJECTIVE_MIN_TOTAL) -> tuple[Path, Path] | None:
@@ -231,16 +222,11 @@ def solve_2dsp_exhaustive(gg: GadgetGraph, objective: str = OBJECTIVE_MIN_TOTAL)
     weights and original-graph node sequences, smaller path first, so the
     answer is unique and matches the exhaustive oracle's order.
 
-    ``each-shortest`` enumerates only routes over tight edges. One
-    backward search from t1, with s2 and t2 banned, gives d, and every
-    edge tight toward t1 in neither direction (neither d(b) + w = d(a)
-    nor d(a) + w = d(b)) is banned from the enumeration. This is exact:
-    along any route the steps' weights are at least their drops in d,
-    which telescope to d(s1), so a route is shortest exactly when every
-    step is tight toward t1, and none is lost. A route that crosses a
-    kept edge against its tight direction weighs more and is dropped with
-    the other non-shortest routes; zero-weight edges with d(a) = d(b) are
-    tight both ways and stay. ``min-total`` enumerates every route.
+    ``each-shortest`` enumerates only routes over the ``tight_subgraph``
+    of one search from s1 cut at t1, with s2 and t2 banned: every edge on
+    no shortest s1-t1 path is banned. A route may still cross a kept edge
+    against its tight direction, so only the lightest routes are kept.
+    ``min-total`` enumerates every route.
     """
     if objective not in (OBJECTIVE_EACH_SHORTEST, OBJECTIVE_MIN_TOTAL):
         raise GraphError(f"unknown objective {objective!r}")
@@ -250,18 +236,13 @@ def solve_2dsp_exhaustive(gg: GadgetGraph, objective: str = OBJECTIVE_MIN_TOTAL)
     s1, s2, t1, t2 = gg.terminals
     g = gg.graph
     weights = g.weights[0]
-    loose: set[int] = set()
+    banned: set[int] = set()
     if objective == OBJECTIVE_EACH_SHORTEST:
-        d, _ = shortest_distances(g, weights, t1, banned_nodes={s2, t2})
-        if d[s1] is None:
+        d, _ = shortest_distances(g, weights, s1, banned_nodes={s2, t2}, target=t1)
+        if d[t1] is None:
             return None
-        # A loose edge is tight toward t1 in neither direction; an edge with
-        # an end t1 never reached is loose too, since no s1-t1 route uses it.
-        for eid in g.ids:
-            a, b, w = d[g.tails[eid]], d[g.heads[eid]], weights[eid]
-            if a is None or b is None or (a != b + w and b != a + w):
-                loose.add(eid)
-    listed = list(islice(simple_routes(g, s1, t1, {s2, t2}, loose), VERIFY_PATH_CAP + 1))
+        banned = set(g.ids).difference(tight_subgraph(g, weights, d, t1)[1])
+    listed = list(islice(simple_routes(g, s1, t1, {s2, t2}, banned), VERIFY_PATH_CAP + 1))
     if len(listed) > VERIFY_PATH_CAP:
         raise SolverBoundError(f"exhaustive solver bound exceeded: more than {VERIFY_PATH_CAP} routes")
     # (gadget weight, original node sequence, nodes, edges): without parallel

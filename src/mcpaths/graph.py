@@ -150,6 +150,9 @@ class Graph:
         self.node_count = node_count
         self.q = q
         tails, heads, weights = tuple(tails), tuple(heads), tuple(map(tuple, weights))
+        if len(heads) != len(tails) or any(len(column) != len(tails) for column in weights):
+            raise GraphError(f"columns differ in length: {len(tails)} tails, {len(heads)} heads, "
+                             f"weight columns of {list(map(len, weights))}")
         if None in tails:
             ids = tuple(compress(range(len(tails)), map(is_not, tails, repeat(None))))
             size = ids[-1] + 1 if ids else 0

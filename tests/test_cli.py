@@ -260,23 +260,30 @@ USAGE_ERRORS_SHA256 = {(3, 11): "a57e69e360a1e776e0e7cf96b67555d89568996e70634b5
 def test_usage_error_documents_are_pinned(monkeypatch, tmp_path):
     if sys.version_info[:2] not in USAGE_ERRORS_SHA256:
         pytest.skip("argparse messages are pinned for Python 3.11 only")
-    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines at the terminal width
     graph = tmp_path / "bad.mcg"
     graph.write_text("mcgraph undirected 3 2\n0 1 7\n")
-    digest = hashlib.sha256()
     argvs = _usage_error_argvs(str(graph))
-    for argv in argvs:
-        code, doc = run_cli(argv)
-        assert code == 1 and doc["status"] == "error", argv
-        digest.update(f"{code}\n{render(doc)}\n\0".encode())
     assert len(argvs) == USAGE_ERRORS
-    assert digest.hexdigest() == USAGE_ERRORS_SHA256[sys.version_info[:2]]
+    # argparse would wrap at the terminal width; the documents must not
+    for columns in ("40", "80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        digest = hashlib.sha256()
+        for argv in argvs:
+            code, doc = run_cli(argv)
+            assert code == 1 and doc["status"] == "error", argv
+            digest.update(f"{code}\n{render(doc)}\n\0".encode())
+        assert digest.hexdigest() == USAGE_ERRORS_SHA256[sys.version_info[:2]], columns
 
 
 @pytest.mark.parametrize("argv", [["--help"], *([command, "-h"] for command in mcpaths.cli._COMMANDS)], ids=" ".join)
-def test_help_is_a_document(argv):
-    code, doc = run_cli(argv)
-    assert (code, doc["status"], doc["format"]) == (0, "ok", "text")
+def test_help_is_a_document(monkeypatch, argv):
+    docs = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        code, doc = run_cli(argv)
+        assert (code, doc["status"], doc["format"]) == (0, "ok", "text")
+        docs.append(render(doc))
+    assert docs[0] == docs[1]
     assert doc["message"].startswith(f"usage: mcpaths {argv[0] if len(argv) == 2 else '['}")
     if argv == ["--help"]:
         assert "{pack,sp,ksp,2dsp,kdisjoint}" in doc["message"]

@@ -18,7 +18,7 @@ from mcpaths import (
     extract_path,
     pack,
 )
-from mcpaths.dijkstra import filter_by_threshold, packed_weights, shortest_distances, shortest_path
+from mcpaths.dijkstra import filter_by_threshold, packed_weights, shortest_distances, shortest_path, tight_subgraph
 from mcpaths.graph import Edge, Graph
 from mcpaths.oracle import enumerate_simple_paths
 from conftest import large_packed_instance, random_graph
@@ -253,6 +253,35 @@ def test_a_bound_at_or_above_the_target_changes_nothing(case):
         got = shortest_distances(g, weights, source, bound=bound, **search)
     assert got == cut
     assert all(key <= bound for key in pushed)
+
+
+@pytest.mark.parametrize("directed", [True, False], ids=["directed", "undirected"])
+def test_tight_subgraph_is_every_shortest_path(directed):
+    # networkx's reading, with zero weights and ties: the nodes u with
+    # d(s, u) + d(u, t) = d(s, t), and the edges with an orientation (a, b)
+    # such that d(s, a) + w + d(b, t) = d(s, t). The cut search settles
+    # all the walk reads.
+    rng = random.Random(113)
+    for _ in range(80):
+        g = random_graph(rng, directed=directed, q_hi=1, weight_max=2, edge_prob=0.5)
+        s, t, column = 0, g.node_count - 1, g.weights[0]
+        dist, _ = shortest_distances(g, column, s, target=t)
+        if dist[t] is None:
+            continue
+        nxg = (nx.DiGraph if directed else nx.Graph)()
+        nxg.add_edges_from((g.tails[eid], g.heads[eid], {"w": column[eid]}) for eid in g.ids)
+        from_s = nx.single_source_dijkstra_path_length(nxg, s, weight="w")
+        to_t = nx.single_source_dijkstra_path_length(nxg.reverse() if directed else nxg, t, weight="w")
+        span = from_s[t]
+        nodes = {u for u in from_s if u in to_t and from_s[u] + to_t[u] == span}
+
+        def on_a_shortest_path(eid):
+            a, b, w = g.tails[eid], g.heads[eid], column[eid]
+            arcs = [(a, b)] if directed else [(a, b), (b, a)]
+            return any(x in from_s and y in to_t and from_s[x] + w + to_t[y] == span for x, y in arcs)
+
+        edges = tuple(filter(on_a_shortest_path, g.ids))
+        assert tight_subgraph(g, column, dist, t) == (frozenset(nodes), edges)
 
 
 def test_sp_matches_networkx_on_larger_graphs():

@@ -270,17 +270,19 @@ def test_solver_outputs_are_disjoint():
 
 
 def loose_edges(gg):
-    """Gadget edges tight toward t1 in neither direction, by networkx
-    distances from t1 over the gadget without s2 and t2."""
-    _, s2, t1, t2 = gg.terminals
+    """Gadget edges on no shortest s1-t1 path, by networkx distances over
+    the gadget without s2 and t2: no orientation (a, b) of the edge has
+    d_s1(a) + w + d_t1(b) = d_s1(t1)."""
+    s1, s2, t1, t2 = gg.terminals
     g = gg.graph
     nxg = nx.Graph()
     nxg.add_edges_from((g.tails[eid], g.heads[eid], {"w": g.weights[0][eid]}) for eid in g.ids)
     nxg.remove_nodes_from((s2, t2))
-    d = nx.single_source_dijkstra_path_length(nxg, t1, weight="w")
+    from_s1 = nx.single_source_dijkstra_path_length(nxg, s1, weight="w")
+    to_t1 = nx.single_source_dijkstra_path_length(nxg, t1, weight="w")
     return {
         eid for eid in g.ids
-        if not any(a in d and b in d and d[a] == d[b] + g.weights[0][eid]
+        if not any(a in from_s1 and b in to_t1 and from_s1[a] + g.weights[0][eid] + to_t1[b] == from_s1[t1]
                    for a, b in ((g.tails[eid], g.heads[eid]), (g.heads[eid], g.tails[eid])))
     }
 
@@ -295,9 +297,11 @@ def test_solver_enumerates_routes_once(monkeypatch):
     monkeypatch.setattr(disjoint, "simple_routes", counting)
     diamond = build_graph(False, 4, 1, [(0, 1, (1,)), (0, 2, (1,)), (1, 3, (1,)), (2, 3, (1,))])
     line = build_graph(False, 3, 1, [(0, 1, (1,)), (1, 2, (1,))])
-    # the chord 1-2, edge 4, is tight toward 3 in neither direction
+    # the chord 1-2, edge 4, is on no shortest path from 0 to 3
     uneven = build_graph(False, 4, 1, [(0, 1, (1,)), (0, 2, (2,)), (1, 3, (1,)), (2, 3, (2,)), (1, 2, (3,))])
-    for g, t in ((diamond, 3), (line, 2), (uneven, 3)):
+    # the spur 0-4, edge 4, is tight toward 3 but on no shortest path to it
+    spur = build_graph(False, 5, 1, [(0, 1, (1,)), (0, 2, (1,)), (1, 3, (1,)), (2, 3, (1,)), (0, 4, (1,))])
+    for g, t in ((diamond, 3), (line, 2), (uneven, 3), (spur, 3)):
         for mode in ("edge", "node"):
             for objective in ("min-total", "each-shortest"):
                 calls.clear()
@@ -307,10 +311,10 @@ def test_solver_enumerates_routes_once(monkeypatch):
                 # routes through the other pair's terminals are never listed
                 _, s2, _, t2 = gg.terminals
                 assert len(calls[0]) == 5 and set(calls[0][3]) == {s2, t2}
-                # each-shortest bans the loose edges, min-total no edge
+                # each-shortest bans the edges on no shortest route, min-total none
                 want = loose_edges(gg) if objective == "each-shortest" else set()
                 assert set(calls[0][4]) == want
-                if g is uneven and objective == "each-shortest":
+                if g in (uneven, spur) and objective == "each-shortest":
                     assert 4 in want
 
 
@@ -402,6 +406,58 @@ def test_solver_bound_refusal(monkeypatch):
         listed.clear()
         assert two_disjoint_shortest(k7, 0, 6, mode, "each-shortest") is None
         assert len(listed) == 1
+
+
+def _arms_and_clique(n, to_s, to_t=None):
+    """0 and 1 joined by the unit arms 0-2-1 and 0-3-1, beside a
+    zero-weight K_n on nodes 4 on, each joined to 0 by an edge of weight
+    ``to_s`` and, unless ``to_t`` is None, to 1 by one of ``to_t``."""
+    from itertools import combinations
+
+    clique = range(4, 4 + n)
+    triples = [(0, 2, (1,)), (2, 1, (1,)), (0, 3, (1,)), (3, 1, (1,))]
+    triples += [(u, v, (0,)) for u, v in combinations(clique, 2)] + [(0, x, (to_s,)) for x in clique]
+    if to_t is not None:
+        triples += [(x, 1, (to_t,)) for x in clique]
+    return build_graph(False, 4 + n, 1, triples)
+
+
+def test_each_shortest_lists_routes_on_shortest_paths_only(monkeypatch):
+    # Through the clique, 0 to 1 weighs at least 12, so no shortest path
+    # enters it, yet each clique edge is tight toward 1 both ways. Only
+    # the shortest-path subgraph is walked, so the clique's routes do not
+    # count toward the route cap: K8's pass 100,000 and K7's pass 50.
+    k8 = _arms_and_clique(8, 5, 7)
+    for mode in ("edge", "node"):
+        got = two_disjoint_shortest(k8, 0, 1, mode, "each-shortest")
+        assert (got.first.nodes, got.second.nodes) == ((0, 2, 1), (0, 3, 1))
+    monkeypatch.setattr(disjoint, "VERIFY_PATH_CAP", 50)
+    k7 = _arms_and_clique(7, 5, 7)
+    enum = tuple(enumerate_simple_paths(k7, 0, 1))
+    assert len(enum) > 50
+    for mode in ("edge", "node"):
+        got = two_disjoint_shortest(k7, 0, 1, mode, "each-shortest")
+        want = oracle_disjoint(enum, mode, "each-shortest")
+        assert (got.first.nodes, got.second.nodes) == (want[0].nodes, want[1].nodes)
+
+
+def test_each_shortest_does_not_walk_a_pocket_off_s(monkeypatch):
+    # A zero-weight K7 hung off 0 by unit edges leads nowhere. Walking
+    # every edge tight toward 1 took 13,707 out_arcs calls in edge mode.
+    steps = [0]
+    out_arcs = Graph.out_arcs
+
+    def counted(self, u):
+        steps[0] += 1
+        return out_arcs(self, u)
+
+    monkeypatch.setattr(Graph, "out_arcs", counted)
+    g = _arms_and_clique(7, 1)
+    for mode in ("edge", "node"):
+        steps[0] = 0
+        got = two_disjoint_shortest(g, 0, 1, mode, "each-shortest")
+        assert (got.first.nodes, got.second.nodes) == ((0, 2, 1), (0, 3, 1))
+        assert steps[0] <= 50, (mode, steps[0])
 
 
 def test_the_edge_gadget_walk_stops_past_t(monkeypatch):

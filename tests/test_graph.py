@@ -132,6 +132,19 @@ def test_graph_rejects_bad_edge_ids(eid):
     assert str(info.value) == f"edge {eid} (0, 1): edge id must be a non-negative int"
 
 
+@pytest.mark.parametrize(
+    "tails, heads, weights",
+    [([0], [1], [[]]), ([0, 1], [1, 0], [[1]]), ([0, 1], [1], [[1, 1]])],
+    ids=["empty-weights", "short-weights", "short-heads"],
+)
+def test_graph_rejects_columns_of_different_lengths(tails, heads, weights):
+    # Checked before anything else: an empty weight column used to fail
+    # the bulk checks with a bare ValueError, and a short one passed them
+    # and made searches index past its end.
+    with pytest.raises(GraphError, match="^columns differ in length: "):
+        Graph(True, 2, 1, tails, heads, weights)
+
+
 def test_query_endpoints_are_checked_with_one_message():
     line = build_graph(False, 3, 1, [(0, 1, (1,)), (1, 2, (1,))])
     arcs = build_graph(True, 3, 1, [(0, 1, (1,)), (1, 2, (1,))])
