@@ -10,13 +10,13 @@ Three query families share one graph model:
   via a shortest-path subgraph and unit-capacity max flow.
 
 The package exports the query API. Pipeline stages stay in their
-submodules. Brute-force reference implementations live in
-:mod:`mcpaths.oracle` and back both the test suite and the CLI
-``--verify`` flag.
+submodules. Reference implementations live in :mod:`mcpaths.oracle`:
+the brute-force queries behind the tests and the CLI ``--verify`` flag,
+and the full-map Dijkstra that ``shortest_path`` is tested against.
 """
 
 from .allcriteria import InfeasibleError, TooFewPathsError, k_disjoint_all_criteria
-from .dijkstra import Path, dijkstra, extract_path, shortest_path
+from .dijkstra import Path, shortest_path
 from .disjoint import (
     MODE_EDGE,
     MODE_NODE,
@@ -44,8 +44,6 @@ __all__ = [
     "pack",
     "unpack",
     "Path",
-    "dijkstra",
-    "extract_path",
     "shortest_path",
     "KspResult",
     "yen_ksp",

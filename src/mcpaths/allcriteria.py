@@ -28,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .dijkstra import Path, pred_edges, shortest_distances, tight_subgraph, trace_path
-from .graph import Graph, GraphError, InvariantError, NoPathError, check_endpoints
+from .graph import Graph, GraphError, InvariantError, NoPathError, check_endpoints, check_k
 # ``reverse`` is unused here but stays importable: bench/tracer.py wraps
 # ``mcpaths.allcriteria.reverse`` by name.
 from .graph import reverse  # noqa: F401
@@ -178,8 +178,7 @@ def max_flow_unit(sub: ShortestSubgraph, k: int) -> FlowState:
     min(k, max flow). Each node tries its arcs in edge-id order, the order
     of ``sub.edges``.
     """
-    if k < 1:
-        raise GraphError(f"k must be >= 1, got {k}")
+    check_k(k)
     s, t = sub.source, sub.dest
     tails, heads = sub.graph.tails, sub.graph.heads
     head = [x for eid in sub.edges for x in (heads[eid], tails[eid])]
@@ -294,8 +293,7 @@ def k_disjoint_all_criteria(g: Graph, s: int, t: int, k: int) -> tuple[Path, ...
     Raises InfeasibleError when no all-criteria-shortest path exists and
     TooFewPathsError when fewer than k disjoint ones do.
     """
-    if k < 1:
-        raise GraphError(f"k must be >= 1, got {k}")
+    check_k(k)
     aw = aggregate_and_distances(g, s, t)
     if not feasibility_check(aw):
         raise InfeasibleError()

@@ -19,9 +19,6 @@ from typing import Sequence
 
 from .allcriteria import InfeasibleError, TooFewPathsError, k_disjoint_all_criteria
 from .dijkstra import Path, packed_weights, shortest_path, threshold_mask
-# These three are unused here but stay importable: bench/tracer.py wraps
-# them in ``mcpaths.cli`` by name (ROADMAP, benchmark upkeep).
-from .dijkstra import dijkstra, extract_path, filter_by_threshold  # noqa: F401
 from .disjoint import MODE_EDGE, MODE_NODE, OBJECTIVE_EACH_SHORTEST, OBJECTIVE_MIN_TOTAL, two_disjoint_shortest
 from .fileio import parse_graph_file
 from .graph import Graph, GraphError, NoPathError
@@ -36,6 +33,10 @@ from .oracle import (
     oracle_disjoint,
     oracle_ksp,
 )
+# These three are unused here but stay importable: bench/tracer.py wraps
+# them in ``mcpaths.cli`` by name (ROADMAP, benchmark upkeep).
+from .dijkstra import filter_by_threshold  # noqa: F401
+from .oracle import dijkstra, extract_path  # noqa: F401
 
 __all__ = ["run_cli", "main"]
 

@@ -1,4 +1,4 @@
-"""Single-source search over packed weights, plus threshold edge masks.
+"""The search core over packed weights, plus threshold edge masks.
 
 The search is plain Dijkstra; the only twist is that distances are the
 arbitrary-precision packed integers from :mod:`mcpaths.lexweight`, so one
@@ -8,8 +8,9 @@ paths reconstructed from them reproducible. Every search runs one loop,
 ``settle``: ``shortest_distances`` seeds it with a single source, and
 the KSP reverse-tree repair seeds it with the nodes it searches again.
 
-``shortest_path`` answers one (source, dest) pair in three phases and
-returns the very path ``extract_path(dijkstra(...), dest)`` reads:
+``shortest_path``, the one single-pair query, answers (source, dest) in
+three phases and returns the very path the oracle's full-map reference
+``extract_path(mcpaths.oracle.dijkstra(...), dest)`` reads:
 
 1. A bidirectional search finds the distance D. A forward side grows
    from the source over out-arcs, a backward side from the destination
@@ -49,15 +50,12 @@ from .lexweight import BitLayout, compute_layout, pack
 
 __all__ = [
     "Path",
-    "DistanceMap",
     "packed_weights",
     "shortest_distances",
     "settle",
     "tight_subgraph",
     "threshold_mask",
     "filter_by_threshold",
-    "dijkstra",
-    "extract_path",
     "shortest_path",
     "pred_edges",
     "trace_path",
@@ -323,50 +321,6 @@ def filter_by_threshold(g: Graph, layout: BitLayout, threshold: int | None) -> G
     return Graph(g.directed, g.node_count, g.q, keep(g.tails), keep(g.heads), map(keep, g.weights))
 
 
-@dataclass
-class DistanceMap:
-    """Distances and predecessor links from one source.
-
-    ``target`` is the node the search was cut at, if any: once it is
-    reached, nodes farther than it are missing from the map.
-    """
-
-    graph: Graph
-    layout: BitLayout
-    source: int
-    dist: list[int | None]
-    pred: list[tuple[int, int] | None]
-    target: int | None
-
-
-def dijkstra(
-    g: Graph,
-    layout: BitLayout,
-    source: int,
-    *,
-    target: int | None = None,
-    threshold: int | None = None,
-) -> DistanceMap:
-    """Shortest packed distance from ``source`` to every node.
-
-    ``threshold`` masks every edge whose packed weight is at or above it,
-    so the map equals one over ``filter_by_threshold(g, layout,
-    threshold)`` without building that graph. With ``target`` set the
-    search stops once it passes the target, as in ``shortest_distances``:
-    only nodes no farther than the target are reached in the map. For one
-    path to one node, ``shortest_path`` returns what ``extract_path``
-    reads here after searching far fewer nodes.
-    """
-    check_endpoints(g, source=source)
-    if target is not None:
-        check_endpoints(g, dest=target)
-    weights = packed_weights(g, layout)
-    dist, pred = shortest_distances(
-        g, weights, source, banned_edges=threshold_mask(weights, threshold), target=target
-    )
-    return DistanceMap(g, layout, source, dist, pred, target)
-
-
 def pred_edges(pred: Sequence[tuple[int, int] | None], source: int, t: int) -> list[int]:
     """The edge ids of the ``pred`` links from ``source`` to a settled ``t``, in path order."""
     edge_ids: list[int] = []
@@ -377,31 +331,14 @@ def pred_edges(pred: Sequence[tuple[int, int] | None], source: int, t: int) -> l
     return edge_ids
 
 
-def extract_path(dm: DistanceMap, t: int) -> Path:
-    """Reconstruct one shortest path from the map's source to ``t``.
-
-    Raises NoPathError when ``t`` is unreachable, and GraphError when the
-    map was cut at a reached target before the search settled ``t``.
-    """
-    check_endpoints(dm.graph, dest=t)
-    if dm.dist[t] is None:
-        if dm.target is not None and dm.dist[dm.target] is not None:
-            raise GraphError(f"the distance map stops at target {dm.target}, before node {t}")
-        raise NoPathError(f"no path from {dm.source} to {t}")
-    path = trace_path(dm.graph, dm.layout, pred_edges(dm.pred, dm.source, t), dm.source)
-    if path.ew_length != dm.dist[t]:
-        raise InvariantError(f"path to {t} recosts to {path.ew_length}, not {dm.dist[t]}")
-    return path
-
-
 def shortest_path(
     g: Graph, layout: BitLayout, source: int, dest: int, *, threshold: int | None = None
 ) -> Path:
-    """The shortest path ``extract_path(dijkstra(g, layout, source,
-    target=dest, threshold=threshold), dest)`` returns, found in the
-    three phases the module docstring gives, with the same errors in the
-    same order: the source checked before the destination, and
-    NoPathError when no kept path joins them.
+    """The shortest path the oracle's reference ``extract_path(dijkstra(g,
+    layout, source, target=dest, threshold=threshold), dest)`` returns,
+    found in the three phases the module docstring gives, with the same
+    errors in the same order: the source checked before the destination,
+    and NoPathError when no kept path joins them.
     """
     check_endpoints(g, source=source, dest=dest)
     weights = packed_weights(g, layout)

@@ -34,6 +34,7 @@ __all__ = [
     "NoPathError",
     "build_graph",
     "check_endpoints",
+    "check_k",
     "reverse",
 ]
 
@@ -73,15 +74,17 @@ class Edge:
 def _first_fault(directed: bool, node_count: int, q: int, rows: Iterable[tuple]) -> GraphError | None:
     """The error naming the first faulty edge among ``(eid, u, v, weights)`` rows, or None.
 
-    Each edge is checked for, in order: its id, endpoints and weights
-    that are not ``int``, its endpoints' range, a self-loop, its weight
-    count, a negative weight, a parallel edge met earlier, and a
-    repeated id.
+    ``node_count`` and ``q`` come first, each checked for a type other
+    than ``int``, then for its range. Each edge is checked for, in order:
+    its id, endpoints and weights that are not ``int``, its endpoints'
+    range, a self-loop, its weight count, a negative weight, a parallel
+    edge met earlier, and a repeated id.
     """
-    if node_count < 0:
-        return GraphError(f"node_count must be >= 0, got {node_count}")
-    if q < 1:
-        return GraphError(f"criterion count must be >= 1, got {q}")
+    for name, value, least in (("node_count", node_count, 0), ("criterion count", q, 1)):
+        if type(value) is not int:
+            return GraphError(f"{name} must be an int, got {value!r}")
+        if value < least:
+            return GraphError(f"{name} must be >= {least}, got {value}")
     seen_pairs: set[tuple[int, int]] = set()
     seen_ids: set[int] = set()
     for index, (eid, u, v, weights) in enumerate(rows):
@@ -116,7 +119,7 @@ class Graph:
 
     ``tails[eid]`` and ``heads[eid]`` are the stored orientation of edge
     ``eid`` and ``weights[i][eid]`` its weight under criterion i; every
-    column is a tuple of length ``next_edge_id()`` with None at ids no
+    column is a tuple of length ``len(tails)`` with None at ids no
     edge carries. ``ids`` lists the ids that carry an edge, in id order.
     Edge ids are non-negative ``int``s, so the columns' memory grows with
     the largest id rather than with the edge count. The parser and
@@ -130,22 +133,24 @@ class Graph:
     order, and a node with no arc holds one shared empty map. Holding
     only ints, the dicts are not tracked by the garbage collector.
     ``adjacency`` hands these maps to searches whose result does not
-    depend on arc order. Walks that do depend on it read
-    ``out_arcs``/``in_arcs``: ``(neighbor, edge_id)`` pairs sorted by
-    neighbor id, each view built on the first call for its node and
-    stored under the first-writer rule of ``derived``. For undirected
-    graphs the two views are identical.
+    depend on arc order. Walks that do depend on it read ``out_arcs``:
+    ``(neighbor, edge_id)`` pairs sorted by neighbor id, each view built
+    on the first call for its node and stored under the first-writer
+    rule of ``derived``.
 
-    The constructor validates the columns in bulk; only when a check
+    The constructor rejects a ``node_count`` or ``q`` that is not an
+    ``int`` first, then validates the columns in bulk; only when a check
     fails are the edges walked one by one, in id order, to name the first
     faulty one. ``Graph.from_edges`` builds a graph from ``Edge`` objects.
     """
 
     __slots__ = ("directed", "node_count", "q", "tails", "heads", "weights", "ids",
-                 "_out", "_in", "_out_views", "_in_views", "_derived")
+                 "_out", "_in", "_out_views", "_derived")
 
     def __init__(self, directed: bool, node_count: int, q: int, tails: Sequence[int | None],
                  heads: Sequence[int | None], weights: Sequence[Sequence[int | None]]):
+        if type(node_count) is not int or type(q) is not int:
+            raise _first_fault(directed, node_count, q, ())
         self.directed = directed = bool(directed)
         self.node_count = node_count
         self.q = q
@@ -188,7 +193,6 @@ class Graph:
                 "a bulk edge check failed, but no edge is at fault")
         self._out, self._in = out, into
         self._out_views: dict[int, tuple[tuple[int, int], ...]] = {}
-        self._in_views = self._out_views if not directed else {}
         self._derived: dict[Hashable, object] = {}
 
     @classmethod
@@ -204,7 +208,7 @@ class Graph:
         eids, us, vs, ws = (list(map(attrgetter(name), edges)) for name in ("eid", "u", "v", "weights"))
         if (set(map(type, chain(eids, us, vs, chain.from_iterable(ws)))) <= {int}
                 and min(eids, default=0) >= 0 and len(set(eids)) == len(eids)
-                and set(map(len, ws)) <= {q}):
+                and type(q) is int and set(map(len, ws)) <= {q}):
             columns = [us, vs, *(tuple(map(itemgetter(i), ws)) for i in range(q))]
             if eids != list(range(len(eids))):
                 columns = [list(map(dict(zip(eids, c)).get, range(max(eids) + 1))) for c in columns]
@@ -243,13 +247,6 @@ class Graph:
         except KeyError:
             return self._out_views.setdefault(u, tuple(sorted(self._out[u].items())))
 
-    def in_arcs(self, u: int) -> tuple[tuple[int, int], ...]:
-        """Arcs entering ``u``; identical to ``out_arcs`` when undirected."""
-        try:
-            return self._in_views[u]
-        except KeyError:
-            return self._in_views.setdefault(u, tuple(sorted(self._in[u].items())))
-
     def edge(self, eid: int) -> Edge:
         """A view of edge ``eid``, made from the columns on each call;
         KeyError if no edge has that id."""
@@ -262,16 +259,9 @@ class Graph:
         """Every edge in id order; the views are made on first use and stored."""
         return self.derived("edges", lambda g: tuple(map(g.edge, g.ids)))
 
-    def has_node(self, u: int) -> bool:
-        return 0 <= u < self.node_count
-
     @property
     def edge_count(self) -> int:
         return len(self.ids)
-
-    def next_edge_id(self) -> int:
-        """Smallest id strictly above every existing edge id."""
-        return len(self.tails)
 
     def derived(self, key: Hashable, build: Callable[[Graph], T]) -> T:
         """The value ``build(self)`` stored under ``key``, built on first use.
@@ -298,8 +288,16 @@ def check_endpoints(g: Graph, **nodes: int) -> None:
     ``check_endpoints(g, source=s, dest=t)`` checks ``s`` before ``t``.
     """
     for name, node in nodes.items():
-        if not g.has_node(node):
+        if not 0 <= node < g.node_count:
             raise GraphError(f"{name} {node} out of range [0, {g.node_count})")
+
+
+def check_k(k: int) -> None:
+    """Reject a path count that is not an ``int`` (``bool`` is not one) or is below 1."""
+    if type(k) is not int:
+        raise GraphError(f"k must be an int, got {k!r}")
+    if k < 1:
+        raise GraphError(f"k must be >= 1, got {k}")
 
 
 def build_graph(

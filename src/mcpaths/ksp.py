@@ -39,7 +39,7 @@ from .dijkstra import Path, packed_weights, settle, shortest_distances, threshol
 # ``filter_by_threshold`` is unused here but stays importable: bench/tracer.py
 # wraps ``mcpaths.ksp.filter_by_threshold`` by name (ROADMAP, benchmark upkeep).
 from .dijkstra import filter_by_threshold  # noqa: F401
-from .graph import Graph, GraphError, InvariantError, check_endpoints
+from .graph import Graph, InvariantError, check_endpoints, check_k
 from .lexweight import BitLayout
 
 __all__ = ["KspResult", "yen_ksp"]
@@ -251,8 +251,7 @@ def yen_ksp(
     partition the s-t paths, no route is generated twice, and the
     smallest candidate on the heap is the next answer.
     """
-    if k < 1:
-        raise GraphError(f"k must be >= 1, got {k}")
+    check_k(k)
     check_endpoints(g, source=s, dest=t)
     if s == t:
         trivial = trace_path(g, layout, [], s)

@@ -1,23 +1,26 @@
-"""Brute-force reference implementations for desk-scale verification.
+"""Reference implementations for desk-scale verification.
 
 ``simple_routes`` walks every simple s-t path of a small graph as id
 tuples, masked rather than copied, ``enumerate_simple_paths`` streams
-them as ``Path``s, and each query answers by direct search over any
-iterable of such paths: slow but transparently correct. They back the
-property tests and the CLI ``--verify`` flag, which stops reading at its
-path cap. Comparisons run on raw criteria vectors, not packed integers,
-so the oracle stays independent of the bit-packing it checks.
+them as ``Path``s, and each brute-force query answers by direct search
+over any iterable of such paths: slow but transparently correct. They
+back the property tests and the CLI ``--verify`` flag, which stops
+reading at its path cap, and compare raw criteria vectors, not packed
+integers, so they stay independent of the bit-packing they check. The
+full-map ``dijkstra`` and ``extract_path``, which ``shortest_path`` is
+tested against, read the packed column.
 """
 
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass
 from itertools import starmap
 from typing import Collection, Iterable, Iterator
 
-from .dijkstra import Path
-from .graph import Graph, GraphError, check_endpoints
-from .lexweight import compute_layout, pack
+from .dijkstra import Path, packed_weights, pred_edges, shortest_distances, threshold_mask, trace_path
+from .graph import Graph, GraphError, InvariantError, NoPathError, check_endpoints, check_k
+from .lexweight import BitLayout, compute_layout, pack
 from .ksp import KspResult
 
 __all__ = [
@@ -27,6 +30,9 @@ __all__ = [
     "oracle_disjoint",
     "max_edge_disjoint_count",
     "all_criteria_shortest",
+    "DistanceMap",
+    "dijkstra",
+    "extract_path",
 ]
 
 DEFAULT_NODE_BOUND = 12
@@ -114,8 +120,7 @@ def _path_key(p: Path) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def oracle_ksp(paths: Iterable[Path], k: int) -> KspResult:
     """Top k paths under (length, node sequence), straight from the list."""
-    if k < 1:
-        raise GraphError(f"k must be >= 1, got {k}")
+    check_k(k)
     top = heapq.nsmallest(k, paths, key=_path_key)
     return KspResult(tuple(top), exhausted=len(top) < k)
 
@@ -235,3 +240,64 @@ def all_criteria_shortest(paths: Iterable[Path]) -> tuple[Path, ...]:
     paths = tuple(paths)
     minima = tuple(map(min, zip(*(p.criteria_length for p in paths))))
     return tuple(p for p in paths if p.criteria_length == minima)
+
+
+@dataclass
+class DistanceMap:
+    """Distances and predecessor links from one source.
+
+    ``target`` is the node the search was cut at, if any: once it is
+    reached, nodes farther than it are missing from the map.
+    """
+
+    graph: Graph
+    layout: BitLayout
+    source: int
+    dist: list[int | None]
+    pred: list[tuple[int, int] | None]
+    target: int | None
+
+
+def dijkstra(
+    g: Graph,
+    layout: BitLayout,
+    source: int,
+    *,
+    target: int | None = None,
+    threshold: int | None = None,
+) -> DistanceMap:
+    """Shortest packed distance from ``source`` to every node.
+
+    ``threshold`` masks every edge whose packed weight is at or above it,
+    so the map equals one over ``filter_by_threshold(g, layout,
+    threshold)`` without building that graph. With ``target`` set the
+    search stops once it passes the target, as in ``shortest_distances``:
+    only nodes no farther than the target are reached in the map. For one
+    path to one node, ``shortest_path`` returns what ``extract_path``
+    reads here after searching far fewer nodes.
+    """
+    check_endpoints(g, source=source)
+    if target is not None:
+        check_endpoints(g, dest=target)
+    weights = packed_weights(g, layout)
+    dist, pred = shortest_distances(
+        g, weights, source, banned_edges=threshold_mask(weights, threshold), target=target
+    )
+    return DistanceMap(g, layout, source, dist, pred, target)
+
+
+def extract_path(dm: DistanceMap, t: int) -> Path:
+    """Reconstruct one shortest path from the map's source to ``t``.
+
+    Raises NoPathError when ``t`` is unreachable, and GraphError when the
+    map was cut at a reached target before the search settled ``t``.
+    """
+    check_endpoints(dm.graph, dest=t)
+    if dm.dist[t] is None:
+        if dm.target is not None and dm.dist[dm.target] is not None:
+            raise GraphError(f"the distance map stops at target {dm.target}, before node {t}")
+        raise NoPathError(f"no path from {dm.source} to {t}")
+    path = trace_path(dm.graph, dm.layout, pred_edges(dm.pred, dm.source, t), dm.source)
+    if path.ew_length != dm.dist[t]:
+        raise InvariantError(f"path to {t} recosts to {path.ew_length}, not {dm.dist[t]}")
+    return path

@@ -10,7 +10,8 @@ import networkx as nx
 import pytest
 
 import mcpaths
-from mcpaths import BitLayout, Graph, build_graph, compute_layout, dijkstra, pack
+from mcpaths import BitLayout, Graph, build_graph, compute_layout, pack
+from mcpaths.oracle import dijkstra
 
 
 def subprocess_env() -> dict[str, str]:

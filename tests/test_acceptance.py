@@ -14,7 +14,6 @@ from mcpaths import (
     TooFewPathsError,
     build_graph,
     compute_layout,
-    dijkstra,
     k_disjoint_all_criteria,
     pack,
     two_disjoint_shortest,
@@ -32,6 +31,7 @@ from mcpaths.disjoint import build_node_disjoint_gadget, check_not_rigid
 from mcpaths.graph import Graph
 from mcpaths.oracle import (
     all_criteria_shortest,
+    dijkstra,
     enumerate_simple_paths,
     max_edge_disjoint_count,
     oracle_disjoint,

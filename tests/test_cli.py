@@ -17,15 +17,13 @@ from mcpaths import (
     TooFewPathsError,
     build_graph,
     compute_layout,
-    dijkstra,
-    extract_path,
     pack,
     parse_graph_file,
     yen_ksp,
 )
 from mcpaths.cli import _graph_doc, _layout_doc, _path_doc, render, run_cli
 from mcpaths.dijkstra import filter_by_threshold
-from mcpaths.oracle import VERIFY_PATH_CAP, enumerate_simple_paths
+from mcpaths.oracle import VERIFY_PATH_CAP, dijkstra, enumerate_simple_paths, extract_path
 from conftest import subprocess_env
 
 TABLE1 = """\

@@ -1,5 +1,6 @@
 import heapq
 import random
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -9,18 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mcpaths
+import mcpaths.cli
+import mcpaths.oracle
 from mcpaths import (
     GraphError,
     NoPathError,
     build_graph,
     compute_layout,
-    dijkstra,
-    extract_path,
     pack,
 )
 from mcpaths.dijkstra import filter_by_threshold, packed_weights, shortest_distances, shortest_path, tight_subgraph
 from mcpaths.graph import Edge, Graph
-from mcpaths.oracle import enumerate_simple_paths
+from mcpaths.oracle import dijkstra, enumerate_simple_paths, extract_path
 from conftest import large_packed_instance, random_graph
 
 
@@ -373,6 +374,13 @@ def test_three_phase_sp_meets_on_tentative_distances():
 
 def test_the_package_exports_the_single_pair_search():
     assert mcpaths.shortest_path is shortest_path and "shortest_path" in mcpaths.__all__
+    # The full-map search is the oracle's reference, not a second query.
+    assert "dijkstra" not in mcpaths.__all__ and "extract_path" not in mcpaths.__all__
+    assert len(mcpaths.__all__) == 25
+    assert mcpaths.dijkstra is sys.modules["mcpaths.dijkstra"]
+    assert not hasattr(mcpaths.dijkstra, "dijkstra") and not hasattr(mcpaths.dijkstra, "DistanceMap")
+    assert mcpaths.oracle.dijkstra is dijkstra and mcpaths.oracle.extract_path is extract_path
+    assert mcpaths.cli.dijkstra is mcpaths.oracle.dijkstra and mcpaths.cli.extract_path is mcpaths.oracle.extract_path
 
 
 def test_three_phase_sp_matches_networkx_on_larger_graphs():

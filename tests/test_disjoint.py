@@ -16,7 +16,6 @@ from mcpaths import (
     SolverBoundError,
     build_graph,
     compute_layout,
-    dijkstra,
     pack,
     two_disjoint_shortest,
 )
@@ -28,7 +27,7 @@ from mcpaths.disjoint import (
     check_not_rigid,
     solve_2dsp_exhaustive,
 )
-from mcpaths.oracle import enumerate_simple_paths, oracle_disjoint, simple_routes
+from mcpaths.oracle import dijkstra, enumerate_simple_paths, oracle_disjoint, simple_routes
 from conftest import random_graph, subprocess_env
 
 

@@ -8,15 +8,13 @@ from mcpaths import (
     GraphError,
     build_graph,
     compute_layout,
-    dijkstra,
-    extract_path,
     k_disjoint_all_criteria,
     two_disjoint_shortest,
     yen_ksp,
 )
-from mcpaths.allcriteria import aggregate_and_distances
+from mcpaths.allcriteria import aggregate_and_distances, build_subgraph, max_flow_unit
 from mcpaths.graph import Edge, Graph, reverse
-from mcpaths.oracle import enumerate_simple_paths
+from mcpaths.oracle import dijkstra, enumerate_simple_paths, extract_path, oracle_ksp
 from conftest import random_graph
 
 
@@ -143,6 +141,43 @@ def test_graph_rejects_columns_of_different_lengths(tails, heads, weights):
     # and made searches index past its end.
     with pytest.raises(GraphError, match="^columns differ in length: "):
         Graph(True, 2, 1, tails, heads, weights)
+
+
+@pytest.mark.parametrize(
+    "node_count, q, message",
+    [(2.0, 1, "node_count must be an int, got 2.0"), (True, 1, "node_count must be an int, got True"),
+     (2, 1.0, "criterion count must be an int, got 1.0"), (2, True, "criterion count must be an int, got True")],
+    ids=["float-nodes", "bool-nodes", "float-q", "bool-q"],
+)
+def test_graph_rejects_a_node_count_or_q_that_is_not_an_int(node_count, q, message):
+    # A float q was accepted and then failed compute_layout with a bare
+    # TypeError; a float node_count failed the adjacency build with one.
+    # The type is checked before the columns, and build_graph names it too.
+    for build in (lambda: Graph(True, node_count, q, [0], [1], [[1]]),
+                  lambda: Graph(True, node_count, q, [0], [], [[1]]),
+                  lambda: build_graph(True, node_count, q, [(0, 1, (1,))])):
+        with pytest.raises(GraphError) as info:
+            build()
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("k", [2.5, True, "2", 0], ids=["float", "bool", "str", "zero"])
+def test_k_must_be_an_int_of_at_least_one(k):
+    # At 2.5, yen_ksp listed 3 paths and k_disjoint_all_criteria raised
+    # TooFewPathsError; "2" in either, and 2.5 in oracle_ksp, raised a
+    # bare TypeError.
+    g = build_graph(True, 4, 1, [(0, 1, (1,)), (1, 3, (1,)), (0, 2, (1,)), (2, 3, (1,)), (0, 3, (5,))])
+    message = f"k must be >= 1, got {k}" if type(k) is int else f"k must be an int, got {k!r}"
+    queries = [
+        lambda: yen_ksp(g, compute_layout(g), 0, 3, k),
+        lambda: k_disjoint_all_criteria(g, 0, 3, k),
+        lambda: max_flow_unit(build_subgraph(aggregate_and_distances(g, 0, 3)), k),
+        lambda: oracle_ksp(enumerate_simple_paths(g, 0, 3), k),
+    ]
+    for query in queries:
+        with pytest.raises(GraphError) as info:
+            query()
+        assert str(info.value) == message
 
 
 def test_query_endpoints_are_checked_with_one_message():
