@@ -18,7 +18,7 @@ from itertools import islice
 from typing import Sequence
 
 from .allcriteria import InfeasibleError, TooFewPathsError, k_disjoint_all_criteria
-from .dijkstra import Path, packed_weights, shortest_path, threshold_mask
+from .dijkstra import Path, packed_weights, shortest_path, threshold_column
 from .disjoint import MODE_EDGE, MODE_NODE, OBJECTIVE_EACH_SHORTEST, OBJECTIVE_MIN_TOTAL, two_disjoint_shortest
 from .fileio import parse_graph_file
 from .graph import Graph, GraphError, NoPathError
@@ -252,14 +252,15 @@ def _verify(g: Graph, layout: BitLayout, query: dict, check, answer) -> str:
     """The oracle's verdict on one answer.
 
     A query with endpoints is checked against the simple paths of ``g``
-    with its threshold's edges masked, within the oracle's node bound and
+    with its threshold's edges dropped, within the oracle's node bound and
     path cap; ``pack`` has no endpoints and checks its edges alone.
     """
     paths = None
     if "source" in query:
         if g.node_count > DEFAULT_NODE_BOUND:
             return f"skipped: graph exceeds oracle bound ({DEFAULT_NODE_BOUND} nodes)"
-        dropped = threshold_mask(packed_weights(g, layout), query.get("threshold"))
+        column = threshold_column(packed_weights(g, layout), query.get("threshold"))
+        dropped = {eid for eid, w in enumerate(column) if w is None}
         found = enumerate_simple_paths(g, query["source"], query["dest"], banned_edges=dropped)
         paths = tuple(islice(found, VERIFY_PATH_CAP + 1))
         if len(paths) > VERIFY_PATH_CAP:

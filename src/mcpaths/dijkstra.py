@@ -1,4 +1,4 @@
-"""The search core over packed weights, plus threshold edge masks.
+"""The search core over packed weights, plus the threshold column.
 
 The search is plain Dijkstra; the only twist is that distances are the
 arbitrary-precision packed integers from :mod:`mcpaths.lexweight`, so one
@@ -7,6 +7,8 @@ ties are popped lowest node id first, which makes distance maps and the
 paths reconstructed from them reproducible. Every search runs one loop,
 ``settle``: ``shortest_distances`` seeds it with a single source, and
 the KSP reverse-tree repair seeds it with the nodes it searches again.
+Every search skips an arc whose column weight is None, which is how
+``threshold_column`` drops the edges a threshold query leaves out.
 
 ``shortest_path``, the one single-pair query, answers (source, dest) in
 three phases and returns the very path the oracle's full-map reference
@@ -54,7 +56,7 @@ __all__ = [
     "shortest_distances",
     "settle",
     "tight_subgraph",
-    "threshold_mask",
+    "threshold_column",
     "filter_by_threshold",
     "shortest_path",
     "pred_edges",
@@ -150,11 +152,11 @@ def shortest_distances(
     """One fresh Dijkstra search from ``source``, run by ``settle``.
 
     ``weight_by_eid`` is a column of ``g``: the weight of edge ``eid``
-    sits at index ``eid``. Returns (dist, pred) where ``pred[v]`` is
-    ``(edge_id, previous_node)`` on one shortest path to ``v``, or None.
-    ``banned_nodes`` and ``banned_edges`` mask parts of the graph without
-    copying it; with ``incoming=True`` the search walks arcs backwards
-    (distance to a destination instead of from a source).
+    sits at index ``eid``, and an edge reading None is skipped. Returns
+    (dist, pred) where ``pred[v]`` is ``(edge_id, previous_node)`` on one
+    shortest path to ``v``, or None. ``banned_nodes`` and ``banned_edges``
+    mask parts of the graph without copying it; with ``incoming=True`` the
+    search walks arcs backwards (distance to a destination, not from a source).
 
     With ``target`` set, the search stops at the first pop farther than
     ``dist[target]``: every node at distance <= d(target) is settled
@@ -186,7 +188,6 @@ def settle(
     *,
     banned_nodes: Collection[int] = (),
     banned_edges: Collection[int] = (),
-    mask: Collection[int] = (),
     incoming: bool = False,
     target: int | None = None,
     bound: int | None = None,
@@ -201,14 +202,12 @@ def settle(
     and fills ``dist`` in place. Arcs are read from ``g.adjacency`` in
     edge-id order, not by neighbour; ``dist`` and ``pred`` do not depend
     on that order, because ``pred[v]`` moves only on a strictly shorter
-    distance and no node has two arcs to one neighbour. Edges in
-    ``banned_edges`` or in ``mask`` are skipped alike; the two are apart
-    so that the KSP tree repair, banning a few edges on top of a shared
-    threshold mask, need not copy the mask. A ``best[v]`` prefilled with
-    no queued entry behind it caps ``v``: no push reaches ``v`` at that
-    distance or more. ``shortest_path`` prunes that way, at no cost to
-    the loop, with ``dist`` and ``best`` as defaultdicts, so only the
-    nodes it touches take memory.
+    distance and no node has two arcs to one neighbour. An arc is skipped
+    when its column weight is None or its edge is in ``banned_edges``. A
+    ``best[v]`` prefilled with no queued entry behind it caps ``v``: no
+    push reaches ``v`` at that distance or more. ``shortest_path`` prunes
+    that way, at no cost to the loop, with ``dist`` and ``best`` as
+    defaultdicts, so only the nodes it touches take memory.
 
     With ``target`` set, the loop keeps a horizon: ``dist[target]`` when
     that is final, else ``best[target]`` once the target is queued. It
@@ -244,12 +243,13 @@ def settle(
             continue
         dist[u] = d
         for v, eid in adjacency[u].items():
-            if dist[v] is not None:
+            w = weight_by_eid[eid]
+            if dist[v] is not None or w is None:
                 continue
-            nd = d + weight_by_eid[eid]
+            nd = d + w
             # The bans are tested last, on the few arcs that would push.
             if ((best[v] is None or nd < best[v]) and (horizon is None or nd <= horizon)
-                    and v not in banned_nodes and eid not in banned_edges and eid not in mask):
+                    and v not in banned_nodes and eid not in banned_edges):
                 best[v] = nd
                 pred[v] = (eid, u)
                 heapq.heappush(heap, (nd, v))
@@ -288,35 +288,31 @@ def tight_subgraph(
     return frozenset(nodes), tuple(sorted(kept))
 
 
-def threshold_mask(weight_by_eid: Sequence[int | None], threshold: int | None) -> frozenset[int]:
-    """Ids of the edges a threshold drops: packed weight at or above it.
-
-    ``weight_by_eid`` is a column indexed by edge id; its None holes are
-    ids no edge carries and are never dropped. ``None`` drops nothing.
-    Passed as ``banned_edges``, the mask makes a search see exactly the
-    graph ``filter_by_threshold`` would build.
+def threshold_column(weight_by_eid: Sequence[int | None], threshold: int | None) -> Sequence[int | None]:
+    """The column ``weight_by_eid`` with None at each id whose weight is at
+    or above ``threshold``; holes stay None, and with no threshold the
+    column itself is returned. A search over it sees exactly the graph
+    ``filter_by_threshold`` builds.
     """
     if threshold is None:
-        return frozenset()
-    return frozenset(
-        eid for eid, w in enumerate(weight_by_eid) if w is not None and w >= threshold
-    )
+        return weight_by_eid
+    return tuple(None if w is None or w >= threshold else w for w in weight_by_eid)
 
 
 def filter_by_threshold(g: Graph, layout: BitLayout, threshold: int | None) -> Graph:
     """Drop every edge whose packed weight is at or above the threshold.
 
     ``None`` disables filtering. Edge ids of the survivors are preserved.
-    May disconnect the graph. Queries and the brute-force oracle mask
-    edges with ``threshold_mask`` instead, so nothing in ``src/`` calls
-    this; it stays only for ``bench/tracer.py`` and the tests.
+    May disconnect the graph. Queries and the oracle search the
+    ``threshold_column`` instead, so nothing in ``src/`` calls this; it
+    stays only for ``bench/tracer.py`` and the tests.
     """
     if threshold is None:
         return g
-    dropped = threshold_mask(packed_weights(g, layout), threshold)
+    kept = threshold_column(packed_weights(g, layout), threshold)
 
     def keep(column: Sequence) -> list:
-        return [None if eid in dropped else x for eid, x in enumerate(column)]
+        return [None if w is None else x for x, w in zip(column, kept)]
 
     return Graph(g.directed, g.node_count, g.q, keep(g.tails), keep(g.heads), map(keep, g.weights))
 
@@ -341,8 +337,7 @@ def shortest_path(
     and NoPathError when no kept path joins them.
     """
     check_endpoints(g, source=source, dest=dest)
-    weights = packed_weights(g, layout)
-    mask = threshold_mask(weights, threshold)
+    weights = threshold_column(packed_weights(g, layout), threshold)
     # Phase 1: the distance D, as ``mu``, from a bidirectional search.
     # Its state is kept in dicts, so it costs nothing per node it never
     # reaches.
@@ -366,14 +361,17 @@ def shortest_path(
             continue
         dist[u] = d
         for v, eid in adjacency[u].items():
-            nd = d + weights[eid]
+            w = weights[eid]
+            if w is None:
+                continue
+            nd = d + w
             # The meeting test reads the other side's tentative distance,
             # and runs on every kept arc, settled ends included.
             meet = other.get(v)
-            if meet is not None and (mu is None or nd + meet < mu) and eid not in mask:
+            if meet is not None and (mu is None or nd + meet < mu):
                 mu = nd + meet
             known = best.get(v)
-            if (known is None or nd < known) and v not in dist and eid not in mask:
+            if (known is None or nd < known) and v not in dist:
                 best[v] = nd
                 heapq.heappush(heap, (nd, v))
     if mu is None:
@@ -385,7 +383,7 @@ def shortest_path(
     best[source] = 0
     dist = defaultdict(lambda: None)
     pred: dict[int, tuple[int, int] | None] = {}
-    settle(g, weights, dist, best, pred, [(0, source)], mask=mask, target=dest, bound=mu)
+    settle(g, weights, dist, best, pred, [(0, source)], target=dest, bound=mu)
     if dist[dest] != mu:
         raise InvariantError(f"the pruned search reads {dist[dest]} at {dest}, not {mu}")
     path = trace_path(g, layout, pred_edges(pred, source, dest), source)

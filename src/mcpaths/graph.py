@@ -283,11 +283,14 @@ class Graph:
 
 
 def check_endpoints(g: Graph, **nodes: int) -> None:
-    """Reject query endpoints outside the graph, named by their keyword.
+    """Reject query endpoints that are not an ``int`` (``bool`` is not one)
+    or lie outside the graph, named by their keyword.
 
     ``check_endpoints(g, source=s, dest=t)`` checks ``s`` before ``t``.
     """
     for name, node in nodes.items():
+        if type(node) is not int:
+            raise GraphError(f"{name} must be an int, got {node!r}")
         if not 0 <= node < g.node_count:
             raise GraphError(f"{name} {node} out of range [0, {g.node_count})")
 

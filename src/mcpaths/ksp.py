@@ -35,7 +35,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Collection, NamedTuple, Sequence
 
-from .dijkstra import Path, packed_weights, settle, shortest_distances, threshold_mask, trace_path
+from .dijkstra import Path, packed_weights, settle, shortest_distances, threshold_column, trace_path
 # ``filter_by_threshold`` is unused here but stays importable: bench/tracer.py
 # wraps ``mcpaths.ksp.filter_by_threshold`` by name (ROADMAP, benchmark upkeep).
 from .dijkstra import filter_by_threshold  # noqa: F401
@@ -69,8 +69,8 @@ class _Route(NamedTuple):
 
 
 class _ReverseTree:
-    """Shortest distances to ``dest`` under the threshold mask, kept so
-    that each search with more nodes and edges banned repairs them.
+    """Shortest distances to ``dest`` over the query's threshold column,
+    kept so that each search with nodes and edges banned repairs them.
 
     One full backward search gives every reached node's distance and its
     tree edge toward ``dest``. A ban changes the distance only of nodes
@@ -85,10 +85,9 @@ class _ReverseTree:
     """
 
     def __init__(self, g: Graph, weights: Sequence[int | None], dest: int,
-                 masked: frozenset[int], cut_at: int | None = None):
-        self.g, self.weights, self.dest, self.masked = g, weights, dest, masked
-        self.dist, pred = shortest_distances(g, weights, dest, banned_edges=masked,
-                                             incoming=True, target=cut_at)
+                 cut_at: int | None = None):
+        self.g, self.weights, self.dest = g, weights, dest
+        self.dist, pred = shortest_distances(g, weights, dest, incoming=True, target=cut_at)
         # Node -> the nodes whose tree edge leads to it; tree edge id -> the
         # node it leads from. None on a cut tree.
         self.children: dict[int, list[int]] | None = None
@@ -105,16 +104,15 @@ class _ReverseTree:
     ) -> list[int | None]:
         """Distances to ``dest`` with the bans, as a fresh backward search
         cut at ``source`` reads them on every node it settles; every other
-        node reads None or more than the distance of ``source``.
+        node reads None or more than the distance of ``source``, a banned one None.
 
-        ``cut`` holds the banned edges beyond the tree's own mask, which
-        is never copied. The red nodes, each reached banned node, each
-        node whose tree edge is cut and their subtrees, lose their
-        distance; each red node that is not banned is seeded from its
-        arcs into the rest, and ``settle`` searches the red nodes alone,
-        cut at ``source`` as a fresh search is. With no bans there is
-        nothing to repair, and the tree's own list, which the caller must
-        not mutate, is returned.
+        ``cut`` holds the banned edges. The red nodes, each reached banned
+        node, each node whose tree edge is cut and their subtrees, lose
+        their distance; each red node that is not banned is seeded from
+        its arcs into the rest, and ``settle`` searches the red nodes
+        alone, cut at ``source`` as a fresh search is. With no bans there
+        is nothing to repair, and the tree's own list, which the caller
+        must not mutate, is returned.
         """
         if not banned_nodes and not cut:
             return self.dist
@@ -132,24 +130,25 @@ class _ReverseTree:
                 stack += self.children.get(v, ())
         best: list[int | None] = [None] * len(dist)
         heap = []
-        outgoing, weights, masked = self.g.adjacency(), self.weights, self.masked
+        outgoing, weights = self.g.adjacency(), self.weights
         for v in red:
             if v in banned_nodes:
                 continue
             seed = None
-            # The bans are tested last, on the few arcs that would lower the seed.
+            # The cut is tested last, on the few arcs that would lower the seed.
             for x, eid in outgoing[v].items():
-                if dist[x] is None:
+                w = weights[eid]
+                if dist[x] is None or w is None:
                     continue
-                d = weights[eid] + dist[x]
-                if (seed is None or d < seed) and eid not in cut and eid not in masked:
+                d = w + dist[x]
+                if (seed is None or d < seed) and eid not in cut:
                     seed = d
             if seed is not None:
                 best[v] = seed
                 heap.append((seed, v))
         heapq.heapify(heap)
-        settle(self.g, self.weights, dist, best, {}, heap, banned_nodes=banned_nodes,
-               banned_edges=cut, mask=masked, incoming=True, target=source)
+        settle(self.g, weights, dist, best, {}, heap, banned_nodes=banned_nodes,
+               banned_edges=cut, incoming=True, target=source)
         return dist
 
 
@@ -159,18 +158,18 @@ def _lexmin_shortest(
     """Shortest path to the tree's ``dest`` with the lexicographically
     smallest node sequence.
 
-    The edges in the tree's threshold mask, shared by every search, and
-    in ``cut``, this search's own, are banned, read apart so that neither
-    is copied into the other. Reads every node's distance to ``dest``
-    from ``tree`` repaired for the bans: a node no farther than
-    ``source`` reads its exact distance and any other None or more. Every
-    step of the walk is tight (``w + to_dest[v] == remaining``), so
-    ``to_dest`` never rises along it and every visited node lies on the
-    current level ``remaining`` or above. A shortest path from a step
-    that drops below that level therefore meets no visited node, while a
-    zero-weight step is checked by ``leaves_level``.
+    Reads every node's distance to ``dest`` from ``tree`` repaired for
+    the bans: a node no farther than ``source`` reads its exact distance,
+    any other None or more, and a banned node None. Every step of the
+    walk is tight (``w + to_dest[v] == remaining``), which no arc reading
+    None in the tree's column and no arc into a banned node is, so of the
+    bans only ``cut`` is tested apart. ``to_dest`` never rises along the
+    walk, and every visited node lies on the current level ``remaining``
+    or above. A shortest path from a step that drops below that level
+    therefore meets no visited node, while a zero-weight step is checked
+    by ``leaves_level``.
     """
-    g, weights, dest, masked = tree.g, tree.weights, tree.dest, tree.masked
+    g, weights, dest = tree.g, tree.weights, tree.dest
     to_dest = tree.distances(source, banned_nodes, cut)
     remaining = to_dest[source]
     if remaining is None:
@@ -191,9 +190,9 @@ def _lexmin_shortest(
                 return True
             for x, eid in g.out_arcs(u):
                 w = weights[eid]
-                if to_dest[x] is None or w + to_dest[x] != remaining:
+                if w is None or to_dest[x] is None or w + to_dest[x] != remaining:
                     continue
-                if x in visited or x in seen or x in banned_nodes or eid in cut or eid in masked:
+                if x in visited or x in seen or eid in cut:
                     continue
                 if w > 0:
                     return True
@@ -201,15 +200,15 @@ def _lexmin_shortest(
                 stack.append(x)
         return False
 
-    # Both walks test the bans last, on the few tight arcs.
+    # Both walks test the cut last, on the few tight arcs.
     at = source
     while at != dest:
         chosen = None
         for v, eid in g.out_arcs(at):
             w = weights[eid]
-            if to_dest[v] is None or w + to_dest[v] != remaining:
+            if w is None or to_dest[v] is None or w + to_dest[v] != remaining:
                 continue
-            if v in visited or v in banned_nodes or eid in cut or eid in masked:
+            if v in visited or eid in cut:
                 continue
             if w == 0 and not leaves_level(v):
                 continue
@@ -236,9 +235,9 @@ def yen_ksp(
 ) -> KspResult:
     """The k smallest simple s-t paths under (packed length, node sequence).
 
-    The threshold masks every edge whose packed weight is at or above it,
-    so every returned path survives it; the mask joins every search's
-    banned edges, the zero-level check included. Returns all existing
+    The threshold drops every edge whose packed weight is at or above it,
+    so every returned path survives it: every search and walk reads the
+    ``threshold_column``, the zero-level check included. Returns all existing
     paths with ``exhausted=True`` when fewer than k exist; ``s == t``
     yields the single empty path.
 
@@ -256,11 +255,10 @@ def yen_ksp(
     if s == t:
         trivial = trace_path(g, layout, [], s)
         return KspResult((trivial,), exhausted=k > 1)
-    weights = packed_weights(g, layout)
-    masked = threshold_mask(weights, threshold)
+    weights = threshold_column(packed_weights(g, layout), threshold)
 
     # A single search, with no bans, needs the tree only as far as s.
-    tree = _ReverseTree(g, weights, t, masked, cut_at=s if k == 1 else None)
+    tree = _ReverseTree(g, weights, t, cut_at=s if k == 1 else None)
     first = _lexmin_shortest(tree, s, frozenset(), frozenset())
     if first is None:
         return KspResult((), exhausted=True)

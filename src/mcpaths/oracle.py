@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import starmap
 from typing import Collection, Iterable, Iterator
 
-from .dijkstra import Path, packed_weights, pred_edges, shortest_distances, threshold_mask, trace_path
+from .dijkstra import Path, packed_weights, pred_edges, shortest_distances, threshold_column, trace_path
 from .graph import Graph, GraphError, InvariantError, NoPathError, check_endpoints, check_k
 from .lexweight import BitLayout, compute_layout, pack
 from .ksp import KspResult
@@ -268,7 +268,7 @@ def dijkstra(
 ) -> DistanceMap:
     """Shortest packed distance from ``source`` to every node.
 
-    ``threshold`` masks every edge whose packed weight is at or above it,
+    ``threshold`` drops every edge whose packed weight is at or above it,
     so the map equals one over ``filter_by_threshold(g, layout,
     threshold)`` without building that graph. With ``target`` set the
     search stops once it passes the target, as in ``shortest_distances``:
@@ -279,10 +279,8 @@ def dijkstra(
     check_endpoints(g, source=source)
     if target is not None:
         check_endpoints(g, dest=target)
-    weights = packed_weights(g, layout)
-    dist, pred = shortest_distances(
-        g, weights, source, banned_edges=threshold_mask(weights, threshold), target=target
-    )
+    weights = threshold_column(packed_weights(g, layout), threshold)
+    dist, pred = shortest_distances(g, weights, source, target=target)
     return DistanceMap(g, layout, source, dist, pred, target)
 
 

@@ -20,9 +20,9 @@ from mcpaths import (
 )
 from mcpaths.allcriteria import _summed_column
 from mcpaths.cli import run_cli
-from mcpaths.dijkstra import filter_by_threshold, packed_weights, threshold_mask
+from mcpaths.dijkstra import filter_by_threshold, packed_weights, threshold_column
 from mcpaths.fileio import parse_graph_file
-from mcpaths.graph import Edge
+from mcpaths.graph import Edge, Graph
 from mcpaths.oracle import dijkstra, extract_path
 
 
@@ -72,13 +72,40 @@ def test_columns_equal_a_fresh_computation(g, data):
     if foreign != layout and carried:  # () is a singleton
         assert packed_weights(g, foreign) is not got
     assert packed_weights(g, layout) is columns["packed"][0]
-    # The holes are never masked.
-    assert threshold_mask(got, 0) == frozenset(carried)
+    # Threshold 0 drops every edge, and the holes stay None.
+    assert threshold_column(got, 0) == (None,) * len(got)
     if any(layout.bits):
         i = data.draw(st.sampled_from([i for i, bits in enumerate(layout.bits) if bits]))
         narrower = tuple(total >> (j == i) for j, total in enumerate(layout.totals))
         with pytest.raises(GraphError, match="layout does not fit the graph"):
             packed_weights(g, compute_layout(build_graph(True, 2, g.q, [(0, 1, narrower)])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_threshold_column_reads_none_exactly_at_the_dropped_ids(data):
+    directed = data.draw(st.booleans())
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    q = data.draw(st.integers(min_value=1, max_value=3))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) if pairs else []
+    # Sparse ids, so the column has holes between and after the edges.
+    eids = data.draw(st.lists(st.integers(min_value=0, max_value=3 * len(chosen) + 2), unique=True,
+                              min_size=len(chosen), max_size=len(chosen)))
+    weights = st.lists(st.integers(min_value=0, max_value=2), min_size=q, max_size=q)
+    g = Graph.from_edges(directed, n, q, [Edge(u, v, tuple(data.draw(weights)), eid)
+                                          for eid, (u, v) in zip(eids, chosen)])
+    packed = packed_weights(g, compute_layout(g))
+    assert threshold_column(packed, None) is packed
+    present = sorted({w for w in packed if w is not None})
+    threshold = data.draw(st.sampled_from([0, 1, *present, present[-1] + 1] if present else [0, 1]))
+    got = threshold_column(packed, threshold)
+    assert type(got) is tuple and len(got) == len(packed)
+    for eid, w in enumerate(packed):
+        if w is None:
+            assert got[eid] is None  # a hole stays one
+        else:
+            assert got[eid] == (None if w >= threshold else w)
 
 
 def test_a_layout_that_does_not_fit_the_graph_is_refused():

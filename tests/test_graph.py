@@ -9,6 +9,7 @@ from mcpaths import (
     build_graph,
     compute_layout,
     k_disjoint_all_criteria,
+    shortest_path,
     two_disjoint_shortest,
     yen_ksp,
 )
@@ -213,6 +214,27 @@ def test_query_endpoints_are_checked_with_one_message():
         with pytest.raises(GraphError) as info:
             two_disjoint_shortest(g, 0, t, "edge", "bogus")
         assert str(info.value) == "unknown objective 'bogus'"
+
+
+def test_query_endpoints_must_be_ints():
+    # Two arms of weight 2 and a direct arc of weight 5 from 0 to 3.
+    g = build_graph(True, 4, 1, [(0, 1, (1,)), (1, 3, (1,)), (0, 2, (1,)), (2, 3, (1,)), (0, 3, (5,))])
+    diamond = build_graph(False, 4, 1, [(0, 1, (1,)), (1, 3, (1,)), (0, 2, (1,)), (2, 3, (1,))])
+    layout = compute_layout(g)
+    # True == 1 and 3.0 == 3, so each would pass the range check alone.
+    queries = [
+        (lambda: shortest_path(g, layout, 0, True), "dest must be an int, got True"),
+        (lambda: yen_ksp(g, layout, 0.0, 3, 2), "source must be an int, got 0.0"),
+        (lambda: k_disjoint_all_criteria(g, 0, 3.0, 1), "dest must be an int, got 3.0"),
+        (lambda: two_disjoint_shortest(diamond, 0, 3.0, "edge"), "dest must be an int, got 3.0"),
+        (lambda: enumerate_simple_paths(g, True, 3), "source must be an int, got True"),
+        (lambda: dijkstra(g, layout, 0, target=3.0), "dest must be an int, got 3.0"),
+        (lambda: dijkstra(g, layout, False), "source must be an int, got False"),
+    ]
+    for query, message in queries:
+        with pytest.raises(GraphError) as info:
+            query()
+        assert str(info.value) == message
 
 
 @given(edge_lists(), st.booleans())

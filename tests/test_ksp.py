@@ -15,7 +15,7 @@ from mcpaths import (
     pack,
     yen_ksp,
 )
-from mcpaths.dijkstra import packed_weights, shortest_distances, threshold_mask
+from mcpaths.dijkstra import packed_weights, shortest_distances, threshold_column
 from mcpaths.fileio import parse_graph_file
 from mcpaths.oracle import enumerate_simple_paths, oracle_ksp
 from conftest import large_packed_instance, random_graph
@@ -164,7 +164,8 @@ def zero_heavy_queries(draw):
 def test_matches_oracle_on_zero_heavy_graphs(query):
     g, layout, s, t, k, threshold = query
     got = yen_ksp(g, layout, s, t, k, threshold)
-    dropped = threshold_mask(packed_weights(g, layout), threshold)
+    column = threshold_column(packed_weights(g, layout), threshold)
+    dropped = {eid for eid, w in enumerate(column) if w is None}
     want = oracle_ksp(enumerate_simple_paths(g, s, t, banned_edges=dropped), k)
     assert [(p.ew_length, p.nodes) for p in got.paths] == [
         (p.ew_length, p.nodes) for p in want.paths
@@ -174,9 +175,9 @@ def test_matches_oracle_on_zero_heavy_graphs(query):
 
 @st.composite
 def repair_queries(draw):
-    """A reverse tree's graph, destination and threshold mask, plus the
-    banned nodes, banned edges and spur of one repair, on graphs with
-    many zero-weight and tied edges."""
+    """A reverse tree's graph, packed column, threshold column and
+    destination, plus the banned nodes, cut edges and spur of one repair,
+    on graphs with many zero-weight and tied edges."""
     directed = draw(st.booleans())
     n = draw(st.integers(min_value=1, max_value=12))
     q = draw(st.integers(min_value=1, max_value=2))
@@ -189,37 +190,42 @@ def repair_queries(draw):
     present = sorted(w for w in weights if w is not None)
     threshold = draw(st.sampled_from([None, 1, present[len(present) // 2] + 1]) if present
                      else st.none())
-    masked = threshold_mask(weights, threshold)
     nodes = st.integers(min_value=0, max_value=n - 1)
     edges = st.lists(st.sampled_from(range(len(chosen))), max_size=4) if chosen else st.just([])
     dest, spur = draw(nodes), draw(nodes)
     banned_nodes = frozenset(draw(st.lists(nodes, max_size=3)))
-    return g, weights, dest, masked, spur, banned_nodes, masked.union(draw(edges))
+    return (g, weights, threshold_column(weights, threshold), dest, spur, banned_nodes,
+            frozenset(draw(edges)))
 
 
 @settings(max_examples=400, deadline=None)
 @given(repair_queries())
 def test_repaired_tree_reads_a_fresh_backward_search(query):
-    g, weights, dest, masked, spur, banned_nodes, banned_edges = query
-    tree = mcpaths.ksp._ReverseTree(g, weights, dest, masked)
-    # yen_ksp hands a repair only the edges its spur cuts, never the mask.
-    got = tree.distances(spur, banned_nodes, banned_edges - masked)
+    g, weights, column, dest, spur, banned_nodes, cut = query
+    tree = mcpaths.ksp._ReverseTree(g, column, dest)
+    got = tree.distances(spur, banned_nodes, cut)
+    # The reference is the other edge rule: the plain packed column, with
+    # the ids the threshold drops banned as a set alongside the cut.
+    dropped = frozenset(eid for eid, w in enumerate(column) if w is None)
     fresh, _ = shortest_distances(g, weights, dest, banned_nodes=banned_nodes,
-                                  banned_edges=banned_edges, incoming=True, target=spur)
+                                  banned_edges=dropped | cut, incoming=True, target=spur)
     for v in range(g.node_count):
         if fresh[v] is not None:
             assert got[v] == fresh[v]
         else:
             assert got[v] is None or fresh[spur] is not None and got[v] > fresh[spur]
-    assert tree.distances(spur, banned_nodes, banned_edges) == got
+    # The walks take no tight arc into a banned node, as it reads None.
+    assert all(got[v] is None for v in banned_nodes)
+    # Cutting the dropped edges as well changes nothing.
+    assert tree.distances(spur, banned_nodes, dropped | cut) == got
     # A tree cut at the spur, asked with no bans, reads the fresh cut search.
-    plain, _ = shortest_distances(g, weights, dest, banned_edges=masked, incoming=True,
+    plain, _ = shortest_distances(g, weights, dest, banned_edges=dropped, incoming=True,
                                   target=spur)
-    got = mcpaths.ksp._ReverseTree(g, weights, dest, masked, cut_at=spur).distances(
+    got = mcpaths.ksp._ReverseTree(g, column, dest, cut_at=spur).distances(
         spur, frozenset(), ())
     assert all(got[v] == d for v, d in enumerate(plain) if d is not None)
     # A repair leaves the tree as it was.
-    assert tree.dist == shortest_distances(g, weights, dest, banned_edges=masked, incoming=True)[0]
+    assert tree.dist == shortest_distances(g, weights, dest, banned_edges=dropped, incoming=True)[0]
 
 
 def _yen_peak_bytes_per_node(directed: bool) -> float:
