@@ -7,8 +7,11 @@ ties are popped lowest node id first, which makes distance maps and the
 paths reconstructed from them reproducible. Every search runs one loop,
 ``settle``: ``shortest_distances`` seeds it with a single source, and
 the KSP reverse-tree repair seeds it with the nodes it searches again.
-Every search skips an arc whose column weight is None, which is how
-``threshold_column`` drops the edges a threshold query leaves out.
+Every search skips an arc whose column weight is None, which is how a
+threshold query leaves edges out: ``threshold_column`` marks them in a
+stored packed column, and ``shortest_path`` on a graph that stores none
+packs each edge when its searches first read it, None at or above the
+threshold, so that query builds no column of the whole graph.
 
 ``shortest_path``, the one single-pair query, answers (source, dest) in
 three phases and returns the very path the oracle's full-map reference
@@ -45,7 +48,7 @@ from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import repeat
 from operator import add, ge, lshift
-from typing import Collection, MutableMapping, MutableSequence, Sequence
+from typing import Collection, Mapping, MutableMapping, MutableSequence, Sequence
 
 from .graph import Graph, GraphError, InvariantError, NoPathError, check_endpoints
 from .lexweight import BitLayout, compute_layout, pack
@@ -116,10 +119,8 @@ def packed_weights(g: Graph, layout: BitLayout) -> tuple[int | None, ...]:
     sum, all in chained ``map`` calls. The column for the graph's own
     layout (``compute_layout(g)``) is built on first use and stored with
     the graph, so every later query reads the same tuple; any other
-    layout gets a fresh column. That layout must fit the graph: one
-    segment per criterion, each at least as wide as the graph's own, and
-    each above the next one's top, or a path sum could carry into the
-    segment above and reorder the answers.
+    layout gets a fresh column, and must fit the graph as
+    ``_check_layout`` says.
     """
 
     def build(g: Graph) -> tuple[int | None, ...]:
@@ -127,15 +128,55 @@ def packed_weights(g: Graph, layout: BitLayout) -> tuple[int | None, ...]:
                    for column, offset in zip(g.weights, layout.offsets)]
         return g.column(reduce(partial(map, add), shifted))
 
+    if _check_layout(g, layout):
+        return g.derived("packed", build)
+    return build(g)
+
+
+def _check_layout(g: Graph, layout: BitLayout) -> bool:
+    """Whether ``layout`` is the graph's own, ``compute_layout(g)``, in O(q).
+
+    Any other layout must fit the graph: one segment per criterion, each
+    at least as wide as the graph's own, and each above the next one's
+    top, or a path sum could carry into the segment above and reorder the
+    answers. GraphError refuses one that does not.
+    """
     own = compute_layout(g)
     if layout == own:
-        return g.derived("packed", build)
+        return True
     tops = [*map(add, layout.offsets[1:], layout.bits[1:]), 0]
     if not (len(layout.bits) == len(layout.offsets) == g.q
             and all(map(ge, layout.bits, own.bits)) and all(map(ge, layout.offsets, tops))):
         raise GraphError(f"layout does not fit the graph: needs {g.q} segments at least {list(own.bits)} bits wide, "
                          f"in priority order; got bits {list(layout.bits)} at offsets {list(layout.offsets)}")
-    return build(g)
+    return False
+
+
+class _PackedOnRead(dict):
+    """The threshold column of one ``shortest_path`` query on a graph that
+    stores no packed column, filled as the searches read it.
+
+    The first read of an edge id packs that edge's weights by ``pack``'s
+    rule, keeps None instead when the packed weight is at or above the
+    threshold, and stores the value; later reads find it. Ids the
+    searches never read are never packed.
+    """
+
+    __slots__ = ("segments", "threshold")
+
+    def __init__(self, g: Graph, layout: BitLayout, threshold: int | None):
+        super().__init__()
+        self.segments = tuple(zip(g.weights, layout.offsets))
+        self.threshold = threshold
+
+    def __missing__(self, eid: int) -> int | None:
+        w = 0
+        for column, offset in self.segments:
+            w += column[eid] << offset
+        if self.threshold is not None and w >= self.threshold:
+            w = None
+        self[eid] = w
+        return w
 
 
 def shortest_distances(
@@ -180,7 +221,7 @@ def shortest_distances(
 
 def settle(
     g: Graph,
-    weight_by_eid: Sequence[int | None],
+    weight_by_eid: Sequence[int | None] | Mapping[int, int | None],
     dist: MutableMapping[int, int | None] | MutableSequence[int | None],
     best: MutableMapping[int, int | None] | MutableSequence[int | None],
     pred: MutableMapping[int, tuple[int, int] | None] | MutableSequence[tuple[int, int] | None],
@@ -203,7 +244,9 @@ def settle(
     edge-id order, not by neighbour; ``dist`` and ``pred`` do not depend
     on that order, because ``pred[v]`` moves only on a strictly shorter
     distance and no node has two arcs to one neighbour. An arc is skipped
-    when its column weight is None or its edge is in ``banned_edges``. A
+    when its column weight is None or its edge is in ``banned_edges``.
+    Weights are read only as ``weight_by_eid[eid]``, so a mapping that
+    packs an edge on its first read serves as well as a column. A
     ``best[v]`` prefilled with no queued entry behind it caps ``v``: no
     push reaches ``v`` at that distance or more. ``shortest_path`` prunes
     that way, at no cost to the loop, with ``dist`` and ``best`` as
@@ -292,7 +335,9 @@ def threshold_column(weight_by_eid: Sequence[int | None], threshold: int | None)
     """The column ``weight_by_eid`` with None at each id whose weight is at
     or above ``threshold``; holes stay None, and with no threshold the
     column itself is returned. A search over it sees exactly the graph
-    ``filter_by_threshold`` builds.
+    ``filter_by_threshold`` builds. KSP, the oracle and ``shortest_path``
+    on a graph that stores its packed column search it; ``shortest_path``
+    on any other graph reads the same values packed edge by edge.
     """
     if threshold is None:
         return weight_by_eid
@@ -334,10 +379,19 @@ def shortest_path(
     layout, source, target=dest, threshold=threshold), dest)`` returns,
     found in the three phases the module docstring gives, with the same
     errors in the same order: the source checked before the destination,
-    and NoPathError when no kept path joins them.
+    the layout, and NoPathError when no kept path joins them.
+
+    A graph that already stores its packed column for ``layout`` is
+    searched over that column, through ``threshold_column``. On any other
+    graph the query packs only the edges its phases read, each once, and
+    stores nothing with the graph; a caller who asks many queries of one
+    graph can store the column first with ``packed_weights(g, layout)``.
     """
     check_endpoints(g, source=source, dest=dest)
-    weights = threshold_column(packed_weights(g, layout), threshold)
+    if _check_layout(g, layout) and g.stored("packed"):
+        weights = threshold_column(packed_weights(g, layout), threshold)
+    else:
+        weights = _PackedOnRead(g, layout, threshold)
     # Phase 1: the distance D, as ``mu``, from a bidirectional search.
     # Its state is kept in dicts, so it costs nothing per node it never
     # reaches.

@@ -20,7 +20,7 @@ from mcpaths import (
 )
 from mcpaths.allcriteria import _summed_column
 from mcpaths.cli import run_cli
-from mcpaths.dijkstra import filter_by_threshold, packed_weights, threshold_column
+from mcpaths.dijkstra import _PackedOnRead, filter_by_threshold, packed_weights, threshold_column
 from mcpaths.fileio import parse_graph_file
 from mcpaths.graph import Edge, Graph
 from mcpaths.oracle import dijkstra, extract_path
@@ -81,20 +81,25 @@ def test_columns_equal_a_fresh_computation(g, data):
             packed_weights(g, compute_layout(build_graph(True, 2, g.q, [(0, 1, narrower)])))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_a_threshold_column_reads_none_exactly_at_the_dropped_ids(data):
-    directed = data.draw(st.booleans())
-    n = data.draw(st.integers(min_value=1, max_value=8))
-    q = data.draw(st.integers(min_value=1, max_value=3))
+@st.composite
+def sparse_id_graphs(draw):
+    """Directed or undirected graphs with zero weights and ties, their edge
+    ids sparse, so a column has holes between and after the edges."""
+    directed = draw(st.booleans())
+    n = draw(st.integers(min_value=1, max_value=8))
+    q = draw(st.integers(min_value=1, max_value=3))
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
-    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) if pairs else []
-    # Sparse ids, so the column has holes between and after the edges.
-    eids = data.draw(st.lists(st.integers(min_value=0, max_value=3 * len(chosen) + 2), unique=True,
-                              min_size=len(chosen), max_size=len(chosen)))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) if pairs else []
+    eids = draw(st.lists(st.integers(min_value=0, max_value=3 * len(chosen) + 2), unique=True,
+                         min_size=len(chosen), max_size=len(chosen)))
     weights = st.lists(st.integers(min_value=0, max_value=2), min_size=q, max_size=q)
-    g = Graph.from_edges(directed, n, q, [Edge(u, v, tuple(data.draw(weights)), eid)
-                                          for eid, (u, v) in zip(eids, chosen)])
+    return Graph.from_edges(directed, n, q, [Edge(u, v, tuple(draw(weights)), eid)
+                                             for eid, (u, v) in zip(eids, chosen)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_id_graphs(), st.data())
+def test_a_threshold_column_reads_none_exactly_at_the_dropped_ids(g, data):
     packed = packed_weights(g, compute_layout(g))
     assert threshold_column(packed, None) is packed
     present = sorted({w for w in packed if w is not None})
@@ -106,6 +111,27 @@ def test_a_threshold_column_reads_none_exactly_at_the_dropped_ids(data):
             assert got[eid] is None  # a hole stays one
         else:
             assert got[eid] == (None if w >= threshold else w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_id_graphs(), st.data())
+def test_packing_on_read_reads_the_threshold_column(g, data):
+    # What sp searches on a graph that stores no packed column, under the
+    # graph's own layout or a wider one that fits it.
+    layout = compute_layout(g)
+    if data.draw(st.booleans()):
+        wider = tuple(total + data.draw(st.integers(0, 9)) for total in layout.totals)
+        layout = compute_layout(build_graph(True, 2, g.q, [(0, 1, wider)]))
+    packed = packed_weights(g, layout)
+    present = [w for w in packed if w is not None]
+    near = [w + data.draw(st.integers(0, 1)) for w in present]
+    for threshold in (None, 0, *near):
+        want = threshold_column(packed, threshold)
+        memo = _PackedOnRead(g, layout, threshold)
+        order = data.draw(st.permutations(list(g.ids)))
+        assert [memo[eid] for eid in order] == [want[eid] for eid in order]
+        # Only the ids read are kept, and a second read finds the same values.
+        assert len(memo) == len(order) and [memo[eid] for eid in order] == [want[eid] for eid in order]
 
 
 def test_a_layout_that_does_not_fit_the_graph_is_refused():

@@ -328,16 +328,26 @@ def _three_phase_path(g, layout, s, t, threshold):
 @st.composite
 def sp_queries(draw):
     """A graph of up to 12 nodes with zero-weight edges and tied packed
-    weights, a threshold (None or near a packed weight), and an (s, t)
-    pair drawn freely, so s = t and unreachable pairs both come up."""
+    weights, its edge ids sparse in half the draws, that stores its packed
+    column; a layout, its own or a wider one that fits it; a threshold
+    (None or near a packed weight); and an (s, t) pair drawn freely, so
+    s = t and unreachable pairs both come up."""
     directed = draw(st.booleans())
     n = draw(st.integers(min_value=1, max_value=12))
     q = draw(st.integers(min_value=1, max_value=2))
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3 * n)) if pairs else []
+    eids = range(len(chosen))
+    if draw(st.booleans()):
+        eids = draw(st.lists(st.integers(min_value=0, max_value=3 * len(chosen) + 2), unique=True,
+                             min_size=len(chosen), max_size=len(chosen)))
     weights = st.one_of(st.just((0,) * q), st.tuples(*[st.integers(min_value=0, max_value=2)] * q))
-    g = build_graph(directed, n, q, [(u, v, draw(weights)) for u, v in chosen])
+    g = Graph.from_edges(directed, n, q, [Edge(u, v, draw(weights), eid) for eid, (u, v) in zip(eids, chosen)])
     layout = compute_layout(g)
+    packed_weights(g, layout)
+    if draw(st.booleans()):
+        wider = tuple(total + draw(st.integers(min_value=0, max_value=9)) for total in layout.totals)
+        layout = compute_layout(build_graph(True, 2, q, [(0, 1, wider)]))
     packed = [w for w in packed_weights(g, layout) if w is not None]
     threshold = None
     if packed and draw(st.booleans()):
@@ -349,13 +359,18 @@ def sp_queries(draw):
 @settings(max_examples=400, deadline=None)
 @given(sp_queries())
 def test_three_phase_sp_reads_the_full_search_path(query):
+    # Once on the graph as drawn, which stores its packed column, and once
+    # on a copy that stores none, so the query packs the edges it reads.
     g, layout, s, t, threshold = query
     want = _full_search_path(g, layout, s, t, threshold)
-    got = _three_phase_path(g, layout, s, t, threshold)
-    if isinstance(want, str):
-        assert got == want
-    else:
-        assert (got.edges, got.ew_length) == (want.edges, want.ew_length)
+    fresh = Graph(g.directed, g.node_count, g.q, g.tails, g.heads, g.weights)
+    for h in (g, fresh):
+        got = _three_phase_path(h, layout, s, t, threshold)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert (got.edges, got.ew_length) == (want.edges, want.ew_length)
+    assert g.stored("packed") and not fresh.stored("packed")
 
 
 def test_three_phase_sp_meets_on_tentative_distances():
@@ -416,10 +431,10 @@ def _pops(search):
     return result, count[0]
 
 
-def test_three_phase_sp_pops_a_fifth_of_the_one_sided_search():
-    # The benchmark's sp shape, scaled down: undirected, 3n edges, three
-    # criteria of 0-999, on a random spanning chain so every pair is
-    # joined. Pops count stale heap entries too.
+def _sp_bench_shape():
+    """The benchmark's sp shape, scaled down: undirected, 3n edges, three
+    criteria of 0-999, on a random spanning chain so every pair is
+    joined. Returns the graph and ten (s, t) queries on it."""
     rng = random.Random(2000)
     n = 2000
     chain = rng.sample(range(n), n)
@@ -429,16 +444,51 @@ def test_three_phase_sp_pops_a_fifth_of_the_one_sided_search():
         pairs.add((u, v))
     weights = [tuple(rng.randint(0, 999) for _ in range(3)) for _ in pairs]
     g = build_graph(False, n, 3, [(u, v, w) for (u, v), w in zip(sorted(pairs), weights)])
+    return g, [rng.sample(range(n), 2) for _ in range(10)]
+
+
+def test_three_phase_sp_pops_a_fifth_of_the_one_sided_search():
+    # Pops count stale heap entries too.
+    g, queries = _sp_bench_shape()
     layout = compute_layout(g)
     one_sided = three_phase = 0
-    for _ in range(10):
-        s, t = rng.sample(range(n), 2)
+    for s, t in queries:
         want, pops = _pops(lambda: extract_path(dijkstra(g, layout, s, target=t), t))
         one_sided += pops
         got, pops = _pops(lambda: shortest_path(g, layout, s, t))
         three_phase += pops
         assert got == want
     assert 5 * three_phase < one_sided, (three_phase, one_sided)
+
+
+def test_sp_on_a_graph_without_its_column_packs_only_the_edges_it_reads(monkeypatch):
+    g, queries = _sp_bench_shape()
+    layout = compute_layout(g)
+    packs: list[int] = []
+    pack_on_read = mcpaths.dijkstra._PackedOnRead.__missing__
+
+    def counted(memo, eid):
+        packs[-1] += 1
+        return pack_on_read(memo, eid)
+
+    def tripwire(*args):
+        raise AssertionError("an sp query built a whole column")
+
+    monkeypatch.setattr(mcpaths.dijkstra._PackedOnRead, "__missing__", counted)
+    with monkeypatch.context() as wired:
+        wired.setattr(mcpaths.dijkstra, "packed_weights", tripwire)
+        wired.setattr(mcpaths.dijkstra, "threshold_column", tripwire)
+        paths = []
+        for s, t in queries:
+            packs.append(0)
+            paths.append(shortest_path(g, layout, s, t))
+    assert not g.stored("packed")
+    assert 5 * sum(packs) < len(queries) * g.edge_count, packs
+    # A graph that stores its column is searched over it: nothing is packed.
+    packed_weights(g, layout)
+    packs.append(0)
+    assert [shortest_path(g, layout, s, t) for s, t in queries] == paths
+    assert packs[-1] == 0
 
 
 def test_three_phase_sp_allocates_nothing_per_declared_node():
