@@ -8,10 +8,10 @@ paths reconstructed from them reproducible. Every search runs one loop,
 ``settle``: ``shortest_distances`` seeds it with a single source, and
 the KSP reverse-tree repair seeds it with the nodes it searches again.
 Every search skips an arc whose column weight is None, which is how a
-threshold query leaves edges out: ``threshold_column`` marks them in a
-stored packed column, and ``shortest_path`` on a graph that stores none
-packs each edge when its searches first read it, None at or above the
-threshold, so that query builds no column of the whole graph.
+threshold query leaves edges out: ``threshold_column`` marks them in the
+packed column, and ``shortest_path`` packs each edge when its searches
+first read it, None at or above the threshold, so it builds no column
+of the whole graph.
 
 ``shortest_path``, the one single-pair query, answers (source, dest) in
 three phases and returns the very path the oracle's full-map reference
@@ -153,26 +153,25 @@ def _check_layout(g: Graph, layout: BitLayout) -> bool:
 
 
 class _PackedOnRead(dict):
-    """The threshold column of one ``shortest_path`` query on a graph that
-    stores no packed column, filled as the searches read it.
+    """The threshold column of one ``shortest_path`` query, filled as the
+    searches read it.
 
-    The first read of an edge id packs that edge's weights by ``pack``'s
-    rule, keeps None instead when the packed weight is at or above the
+    The first read of an edge id packs that edge's weights by ``pack``,
+    keeps None instead when the packed weight is at or above the
     threshold, and stores the value; later reads find it. Ids the
     searches never read are never packed.
     """
 
-    __slots__ = ("segments", "threshold")
+    __slots__ = ("g", "layout", "threshold")
 
     def __init__(self, g: Graph, layout: BitLayout, threshold: int | None):
         super().__init__()
-        self.segments = tuple(zip(g.weights, layout.offsets))
+        self.g = g
+        self.layout = layout
         self.threshold = threshold
 
     def __missing__(self, eid: int) -> int | None:
-        w = 0
-        for column, offset in self.segments:
-            w += column[eid] << offset
+        w = pack(self.layout, [column[eid] for column in self.g.weights])
         if self.threshold is not None and w >= self.threshold:
             w = None
         self[eid] = w
@@ -335,9 +334,8 @@ def threshold_column(weight_by_eid: Sequence[int | None], threshold: int | None)
     """The column ``weight_by_eid`` with None at each id whose weight is at
     or above ``threshold``; holes stay None, and with no threshold the
     column itself is returned. A search over it sees exactly the graph
-    ``filter_by_threshold`` builds. KSP, the oracle and ``shortest_path``
-    on a graph that stores its packed column search it; ``shortest_path``
-    on any other graph reads the same values packed edge by edge.
+    ``filter_by_threshold`` builds. KSP and the oracle search it;
+    ``shortest_path`` reads the same values packed edge by edge.
     """
     if threshold is None:
         return weight_by_eid
@@ -381,17 +379,12 @@ def shortest_path(
     errors in the same order: the source checked before the destination,
     the layout, and NoPathError when no kept path joins them.
 
-    A graph that already stores its packed column for ``layout`` is
-    searched over that column, through ``threshold_column``. On any other
-    graph the query packs only the edges its phases read, each once, and
-    stores nothing with the graph; a caller who asks many queries of one
-    graph can store the column first with ``packed_weights(g, layout)``.
+    The query packs only the edges its phases read, each once, and stores
+    nothing with the graph.
     """
     check_endpoints(g, source=source, dest=dest)
-    if _check_layout(g, layout) and g.stored("packed"):
-        weights = threshold_column(packed_weights(g, layout), threshold)
-    else:
-        weights = _PackedOnRead(g, layout, threshold)
+    _check_layout(g, layout)
+    weights = _PackedOnRead(g, layout, threshold)
     # Phase 1: the distance D, as ``mu``, from a bidirectional search.
     # Its state is kept in dicts, so it costs nothing per node it never
     # reaches.

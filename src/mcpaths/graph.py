@@ -277,10 +277,6 @@ class Graph:
         except KeyError:
             return self._derived.setdefault(key, build(self))  # type: ignore[return-value]
 
-    def stored(self, key: Hashable) -> bool:
-        """Whether a value is stored under ``key``, so ``derived`` would read it, not build it."""
-        return key in self._derived
-
     def __repr__(self) -> str:
         kind = "directed" if self.directed else "undirected"
         return f"Graph({kind}, nodes={self.node_count}, edges={self.edge_count}, q={self.q})"

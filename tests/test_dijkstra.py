@@ -328,10 +328,10 @@ def _three_phase_path(g, layout, s, t, threshold):
 @st.composite
 def sp_queries(draw):
     """A graph of up to 12 nodes with zero-weight edges and tied packed
-    weights, its edge ids sparse in half the draws, that stores its packed
-    column; a layout, its own or a wider one that fits it; a threshold
-    (None or near a packed weight); and an (s, t) pair drawn freely, so
-    s = t and unreachable pairs both come up."""
+    weights, its edge ids sparse in half the draws; a layout, its own or
+    a wider one that fits it; a threshold (None or near a packed weight);
+    and an (s, t) pair drawn freely, so s = t and unreachable pairs both
+    come up."""
     directed = draw(st.booleans())
     n = draw(st.integers(min_value=1, max_value=12))
     q = draw(st.integers(min_value=1, max_value=2))
@@ -344,7 +344,6 @@ def sp_queries(draw):
     weights = st.one_of(st.just((0,) * q), st.tuples(*[st.integers(min_value=0, max_value=2)] * q))
     g = Graph.from_edges(directed, n, q, [Edge(u, v, draw(weights), eid) for eid, (u, v) in zip(eids, chosen)])
     layout = compute_layout(g)
-    packed_weights(g, layout)
     if draw(st.booleans()):
         wider = tuple(total + draw(st.integers(min_value=0, max_value=9)) for total in layout.totals)
         layout = compute_layout(build_graph(True, 2, q, [(0, 1, wider)]))
@@ -359,18 +358,13 @@ def sp_queries(draw):
 @settings(max_examples=400, deadline=None)
 @given(sp_queries())
 def test_three_phase_sp_reads_the_full_search_path(query):
-    # Once on the graph as drawn, which stores its packed column, and once
-    # on a copy that stores none, so the query packs the edges it reads.
     g, layout, s, t, threshold = query
     want = _full_search_path(g, layout, s, t, threshold)
-    fresh = Graph(g.directed, g.node_count, g.q, g.tails, g.heads, g.weights)
-    for h in (g, fresh):
-        got = _three_phase_path(h, layout, s, t, threshold)
-        if isinstance(want, str):
-            assert got == want
-        else:
-            assert (got.edges, got.ew_length) == (want.edges, want.ew_length)
-    assert g.stored("packed") and not fresh.stored("packed")
+    got = _three_phase_path(g, layout, s, t, threshold)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert (got.edges, got.ew_length) == (want.edges, want.ew_length)
 
 
 def test_three_phase_sp_meets_on_tentative_distances():
@@ -461,9 +455,10 @@ def test_three_phase_sp_pops_a_fifth_of_the_one_sided_search():
     assert 5 * three_phase < one_sided, (three_phase, one_sided)
 
 
-def test_sp_on_a_graph_without_its_column_packs_only_the_edges_it_reads(monkeypatch):
+def test_sp_packs_only_the_edges_it_reads(monkeypatch):
     g, queries = _sp_bench_shape()
     layout = compute_layout(g)
+    stored = dict(g._derived)
     packs: list[int] = []
     pack_on_read = mcpaths.dijkstra._PackedOnRead.__missing__
 
@@ -478,17 +473,11 @@ def test_sp_on_a_graph_without_its_column_packs_only_the_edges_it_reads(monkeypa
     with monkeypatch.context() as wired:
         wired.setattr(mcpaths.dijkstra, "packed_weights", tripwire)
         wired.setattr(mcpaths.dijkstra, "threshold_column", tripwire)
-        paths = []
         for s, t in queries:
             packs.append(0)
-            paths.append(shortest_path(g, layout, s, t))
-    assert not g.stored("packed")
+            shortest_path(g, layout, s, t)
+    assert g._derived == stored  # the queries stored nothing with the graph
     assert 5 * sum(packs) < len(queries) * g.edge_count, packs
-    # A graph that stores its column is searched over it: nothing is packed.
-    packed_weights(g, layout)
-    packs.append(0)
-    assert [shortest_path(g, layout, s, t) for s, t in queries] == paths
-    assert packs[-1] == 0
 
 
 def test_three_phase_sp_allocates_nothing_per_declared_node():
