@@ -150,7 +150,7 @@ class ShortestSubgraph:
 def build_subgraph(aw: AggregatedWeights) -> ShortestSubgraph:
     """The ``tight_subgraph`` to t of the cut summed-weight search from s."""
     nodes, edges = tight_subgraph(aw.graph, aw.combined, aw.dist_from_source, aw.dest)
-    return ShortestSubgraph(aw.graph, aw.source, aw.dest, nodes, edges)
+    return ShortestSubgraph(aw.graph, aw.source, aw.dest, frozenset(nodes), tuple(sorted(edges)))
 
 
 @dataclass

@@ -6,7 +6,8 @@ run minimizes every criterion simultaneously in priority order. Queue
 ties are popped lowest node id first, which makes distance maps and the
 paths reconstructed from them reproducible. Every search runs one loop,
 ``settle``: ``shortest_distances`` seeds it with a single source, and
-the KSP reverse-tree repair seeds it with the nodes it searches again.
+each KSP spur search runs it as A*, keyed by the reverse tree's
+distances to the destination.
 Every search skips an arc whose column weight is None, which is how a
 threshold query leaves edges out: ``threshold_column`` marks them in the
 packed column, and ``shortest_path`` packs each edge when its searches
@@ -223,7 +224,7 @@ def settle(
     weight_by_eid: Sequence[int | None] | Mapping[int, int | None],
     dist: MutableMapping[int, int | None] | MutableSequence[int | None],
     best: MutableMapping[int, int | None] | MutableSequence[int | None],
-    pred: MutableMapping[int, tuple[int, int] | None] | MutableSequence[tuple[int, int] | None],
+    pred: MutableMapping[int, tuple[int, int] | None] | MutableSequence[tuple[int, int] | None] | None,
     heap: list[tuple[int, int]],
     *,
     banned_nodes: Collection[int] = (),
@@ -231,32 +232,41 @@ def settle(
     incoming: bool = False,
     target: int | None = None,
     bound: int | None = None,
+    potential: Sequence[int | None] | None = None,
 ) -> None:
     """The Dijkstra loop every search runs, over prefilled state.
 
     A node whose ``dist`` is set is final: it is never queued or relaxed
     again, and its value is taken as exact. ``heap`` holds the seeded
-    ``(distance, node)`` pairs, ``best[v]`` the least distance queued for
+    ``(key, node)`` pairs, ``best[v]`` the least distance queued for
     ``v`` so far; ``pred[v]`` is written as ``(edge_id, previous_node)``
-    whenever ``best[v]`` drops. The loop pops in (distance, id) order
-    and fills ``dist`` in place. Arcs are read from ``g.adjacency`` in
-    edge-id order, not by neighbour; ``dist`` and ``pred`` do not depend
-    on that order, because ``pred[v]`` moves only on a strictly shorter
-    distance and no node has two arcs to one neighbour. An arc is skipped
-    when its column weight is None or its edge is in ``banned_edges``.
-    Weights are read only as ``weight_by_eid[eid]``, so a mapping that
-    packs an edge on its first read serves as well as a column. A
-    ``best[v]`` prefilled with no queued entry behind it caps ``v``: no
-    push reaches ``v`` at that distance or more. ``shortest_path`` prunes
-    that way, at no cost to the loop, with ``dist`` and ``best`` as
-    defaultdicts, so only the nodes it touches take memory.
+    whenever ``best[v]`` drops, unless ``pred`` is None. The loop pops in
+    (key, id) order and fills ``dist`` in place. Arcs are read from
+    ``g.adjacency`` in edge-id order, not by neighbour; ``dist`` and
+    ``pred`` do not depend on that order, because ``pred[v]`` moves only
+    on a strictly shorter distance and no node has two arcs to one
+    neighbour. An arc is skipped when its column weight is None or its
+    edge is in ``banned_edges``. Weights are read only as
+    ``weight_by_eid[eid]``, so a mapping that packs an edge on its first
+    read serves as well as a column. A ``best[v]`` prefilled with no
+    queued entry behind it caps ``v``: no push reaches ``v`` at that
+    distance or more. ``shortest_path`` prunes that way, at no cost to
+    the loop, with ``dist`` and ``best`` as defaultdicts, so only the
+    nodes it touches take memory.
 
-    With ``target`` set, the loop keeps a horizon: ``dist[target]`` when
-    that is final, else ``best[target]`` once the target is queued. It
-    stops at the first pop farther than the horizon; nodes still queued
-    then read None in ``pred``. No key above the horizon is pushed
-    either, and that is exact: the target's own entry sits in the heap
-    at the horizon or below it, so such a key would never be popped
+    A node's key is its distance, or with a ``potential`` h its distance
+    plus h(v): the search is then A* (Hart, Nilsson and Raphael 1968). A
+    node whose h is None is never queued. With h consistent, h(u) <= w +
+    h(v) on every arc the search may take, and 0 at the target, each node
+    still settles at its exact distance, and the search settles only the
+    nodes keyed at most d(target).
+
+    With ``target`` set, the loop keeps a horizon: the key of ``dist[target]``
+    when that is final, else of ``best[target]`` once the target is
+    queued. It stops at the first pop keyed above the horizon; nodes
+    still queued then read None in ``pred``. No key above the horizon is
+    pushed either, and that is exact: the target's own entry sits in the
+    heap at the horizon or below it, so such a key would never be popped
     before the stop, and its ``pred`` would be cleared there. A skipped
     node's ``best`` and ``pred`` are left as they were, both either
     unset or above the horizon too.
@@ -273,46 +283,57 @@ def settle(
     if bound is not None and (horizon is None or bound < horizon):
         horizon = bound
     while heap:
-        d, u = heapq.heappop(heap)
-        if horizon is not None and d > horizon:
-            # Nodes still queued were relaxed but never settled.
-            heap.append((d, u))
-            for _, v in heap:
-                if dist[v] is None:
-                    pred[v] = None
+        key, u = heapq.heappop(heap)
+        if horizon is not None and key > horizon:
+            if pred is not None:
+                # Nodes still queued were relaxed but never settled.
+                heap.append((key, u))
+                for _, v in heap:
+                    if dist[v] is None:
+                        pred[v] = None
             break
         if dist[u] is not None:
             continue
-        dist[u] = d
+        # The first entry of ``u`` popped is its least, the one ``best`` holds.
+        dist[u] = d = best[u]
         for v, eid in adjacency[u].items():
             w = weight_by_eid[eid]
             if dist[v] is not None or w is None:
                 continue
-            nd = d + w
+            nd = key = d + w
+            if potential is not None:
+                h = potential[v]
+                if h is None:
+                    continue
+                key += h
             # The bans are tested last, on the few arcs that would push.
-            if ((best[v] is None or nd < best[v]) and (horizon is None or nd <= horizon)
+            if ((best[v] is None or nd < best[v]) and (horizon is None or key <= horizon)
                     and v not in banned_nodes and eid not in banned_edges):
                 best[v] = nd
-                pred[v] = (eid, u)
-                heapq.heappush(heap, (nd, v))
+                if pred is not None:
+                    pred[v] = (eid, u)
+                heapq.heappush(heap, (key, v))
                 if v == target:
-                    horizon = nd
+                    horizon = key
 
 
 def tight_subgraph(
-    g: Graph, weight_by_eid: Sequence[int | None], dist: Sequence[int | None], t: int
-) -> tuple[frozenset[int], tuple[int, ...]]:
-    """The nodes and arcs on at least one shortest path to ``t``, arcs as
-    edge ids in id order.
+    g: Graph, weight_by_eid: Sequence[int | None], dist: Sequence[int | None], t: int,
+    banned_edges: Collection[int] = (),
+) -> tuple[list[int], set[int]]:
+    """The nodes and arcs on at least one shortest path to ``t``: the nodes
+    in the order the walk reaches them, ``t`` first, and the edge ids.
 
     ``dist`` holds one search's distances over ``weight_by_eid`` from its
     source s, and ``t`` must be reached. The walk goes back from ``t``
     over tight arcs, dist(u) + w(u, v) = dist(v): every such arc into a
-    kept node is kept, and its tail is kept and walked from in turn.
-    These are exactly the nodes u with d(s, u) + d(u, t) = d(s, t) and
-    the arcs with d(s, u) + w(u, v) + d(v, t) = d(s, t). A tight arc's
-    tail is no farther from s than its head, so a search cut at ``t``
-    has settled all the walk reads.
+    kept node is kept, and its tail is kept and walked from in turn. An
+    arc reading None, an edge in ``banned_edges`` and an arc from a node
+    ``dist`` reads None at are never tight. These are exactly the nodes
+    u with d(s, u) + d(u, t) = d(s, t) and the arcs the search could take
+    with d(s, u) + w(u, v) + d(v, t) = d(s, t). A tight arc's tail is no
+    farther from s than its head, so a search cut at ``t`` has settled
+    all the walk reads.
     """
     into = g.adjacency(incoming=True)
     nodes = {t}
@@ -322,12 +343,13 @@ def tight_subgraph(
         dv = dist[v]
         for u, eid in into[v].items():
             du = dist[u]
-            if du is not None and du + weight_by_eid[eid] == dv:
+            if (du is not None and (w := weight_by_eid[eid]) is not None and du + w == dv
+                    and eid not in banned_edges):
                 kept.add(eid)
                 if u not in nodes:
                     nodes.add(u)
                     queue.append(u)
-    return frozenset(nodes), tuple(sorted(kept))
+    return queue, kept
 
 
 def threshold_column(weight_by_eid: Sequence[int | None], threshold: int | None) -> Sequence[int | None]:

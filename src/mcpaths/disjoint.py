@@ -125,7 +125,7 @@ def _assemble(g: Graph, s: int, t: int, mode: str, origin: dict[int, int], tails
         heads += (x, x) if end == s else (t1, t2)
     weights = packed_weights(g, compute_layout(g)) + (dummy_weight,) * (len(tails) - base)
     return GadgetGraph(
-        graph=Graph(False, n + 4, 1, tails, heads, [weights]),
+        graph=Graph(False, n + 4, 1, tails, heads, [weights], _ints=True),
         terminals=(s1, s2, t1, t2),
         dummy_edges=frozenset(range(base, len(tails))),
         node_origin=origin,
@@ -192,7 +192,7 @@ def check_not_rigid(gg: GadgetGraph) -> bool:
 
     def l_set_contains(x: int, y: int, members: set[int]) -> bool:
         dist, _ = shortest_distances(g, weights, x, target=y)
-        return dist[y] is not None and members <= tight_subgraph(g, weights, dist, y)[0]
+        return dist[y] is not None and members.issubset(tight_subgraph(g, weights, dist, y)[0])
 
     return not (l_set_contains(s2, t2, {s1, t1}) and l_set_contains(s1, t1, {s2, t2}))
 

@@ -174,7 +174,7 @@ def parse_graph_file(text: str) -> Graph:
     tails, heads, *weights = map(tuple, columns) if columns else [()] * (2 + q)
     del columns  # the lists go before Graph() builds the adjacency
     try:
-        return Graph(directed, node_count, q, tails, heads, weights)
+        return Graph(directed, node_count, q, tails, heads, weights, _ints=True)
     except GraphError as exc:
         if exc._edge_index is None:
             raise

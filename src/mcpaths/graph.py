@@ -139,16 +139,20 @@ class Graph:
     rule of ``derived``.
 
     The constructor rejects a ``node_count`` or ``q`` that is not an
-    ``int`` first, then validates the columns in bulk; only when a check
-    fails are the edges walked one by one, in id order, to name the first
-    faulty one. ``Graph.from_edges`` builds a graph from ``Edge`` objects.
+    ``int`` first, then validates the columns in bulk, value types
+    included; only when a check fails are the edges walked one by one,
+    in id order, to name the first faulty one. Callers whose values are
+    ints by construction pass ``_ints=True`` to skip the type screen:
+    the parser, the 2dsp gadget and ``Graph.from_edges``, which builds
+    a graph from ``Edge`` objects and screens them itself.
     """
 
     __slots__ = ("directed", "node_count", "q", "tails", "heads", "weights", "ids",
                  "_out", "_in", "_out_views", "_derived")
 
     def __init__(self, directed: bool, node_count: int, q: int, tails: Sequence[int | None],
-                 heads: Sequence[int | None], weights: Sequence[Sequence[int | None]]):
+                 heads: Sequence[int | None], weights: Sequence[Sequence[int | None]], *,
+                 _ints: bool = False):
         if type(node_count) is not int or type(q) is not int:
             raise _first_fault(directed, node_count, q, ())
         self.directed = directed = bool(directed)
@@ -168,6 +172,8 @@ class Graph:
         us, vs = self.present(tails), self.present(heads)
 
         valid = node_count >= 0 and q >= 1 and len(weights) == q
+        if valid and ids and not _ints:
+            valid = {*map(type, chain(us, vs, *map(self.present, weights)))} <= {int}
         if valid and ids:
             valid = (
                 min(us) >= 0 and min(vs) >= 0 and max(us) < node_count and max(vs) < node_count
@@ -213,7 +219,7 @@ class Graph:
             if eids != list(range(len(eids))):
                 columns = [list(map(dict(zip(eids, c)).get, range(max(eids) + 1))) for c in columns]
             try:
-                return cls(directed, node_count, q, columns[0], columns[1], columns[2:])
+                return cls(directed, node_count, q, columns[0], columns[1], columns[2:], _ints=True)
             except GraphError:
                 pass
         raise _first_fault(directed, node_count, q, zip(eids, us, vs, ws)) or InvariantError(

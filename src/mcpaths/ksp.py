@@ -7,21 +7,23 @@ against exhaustive enumeration.
 
 To honour that order exactly, every shortest-path subcall here returns
 the lexicographically smallest node sequence among equally short paths:
-a backward search gives every node's distance to the destination, and
-a greedy walk takes the smallest neighbour down that gradient. A step
-over a positive-weight edge always leads on to the destination. A
-zero-weight step stays on its distance level, where the walk's own
-earlier nodes may cut it off, so it is taken only when a search within
-that level, avoiding the walk, reaches the destination or an edge down
-to a lower level.
+a search gives the distance to the destination of every node on a
+shortest path, and a greedy walk takes the smallest neighbour down that
+gradient. A step over a positive-weight edge always leads on to the
+destination. A zero-weight step stays on its distance level, where the
+walk's own earlier nodes may cut it off, so it is taken only when a
+search within that level, avoiding the walk, reaches the destination or
+an edge down to a lower level.
 
 Every search reads that backward search's reverse shortest-path tree
-(Yen 1971). A query for more than one path runs it once in full; each
-search, the first and every spur's, then repairs the tree for its bans
-instead of searching afresh. Only the nodes whose tree path to the
-destination crosses a banned node or edge lose their distance (Feng
-2014), and only those are searched again. A query for one path makes
-the one search it needs, with no bans, so its tree is cut at the source.
+(Yen 1971). A query for more than one path runs it once in full; the
+first search reads it as it stands, and each spur's runs A* forward
+from the spur with its bans, keyed by the tree's distances (Hart,
+Nilsson and Raphael 1968). Bans only lengthen paths, so those distances
+never overestimate and the search settles little more than the spur's
+own detour; the tight arcs back from the destination then give the
+distances the walk needs. A query for one path makes the one search it
+needs, with no bans, so its tree is cut at the source.
 
 Spurs follow Lawler's deviation rule: an accepted path spurs only from
 the node where it left the path it was found from. Candidates wait in
@@ -35,7 +37,8 @@ import heapq
 from dataclasses import dataclass
 from typing import Collection, NamedTuple, Sequence
 
-from .dijkstra import Path, packed_weights, settle, shortest_distances, threshold_column, trace_path
+from .dijkstra import (Path, packed_weights, settle, shortest_distances, threshold_column, tight_subgraph,
+                       trace_path)
 # ``filter_by_threshold`` is unused here but stays importable: bench/tracer.py
 # wraps ``mcpaths.ksp.filter_by_threshold`` by name (ROADMAP, benchmark upkeep).
 from .dijkstra import filter_by_threshold  # noqa: F401
@@ -70,86 +73,52 @@ class _Route(NamedTuple):
 
 class _ReverseTree:
     """Shortest distances to ``dest`` over the query's threshold column,
-    kept so that each search with nodes and edges banned repairs them.
-
-    One full backward search gives every reached node's distance and its
-    tree edge toward ``dest``. A ban changes the distance only of nodes
-    whose tree path to ``dest`` crosses it (Feng 2014's red nodes); every
-    other node keeps a tree path that avoids the ban, and bans only
-    lengthen paths, so its distance stays exact. The children index and
-    the tree-edge map hold only the reached nodes.
+    from one backward search, and the spur searches that read them.
 
     A tree ``cut_at`` a node is that search cut at it, as a fresh search
     from there would be. It serves only the search from that node with
-    no bans, so it builds neither index.
+    no bans.
     """
 
     def __init__(self, g: Graph, weights: Sequence[int | None], dest: int,
                  cut_at: int | None = None):
-        self.g, self.weights, self.dest = g, weights, dest
-        self.dist, pred = shortest_distances(g, weights, dest, incoming=True, target=cut_at)
-        # Node -> the nodes whose tree edge leads to it; tree edge id -> the
-        # node it leads from. None on a cut tree.
-        self.children: dict[int, list[int]] | None = None
-        self.below: dict[int, int] = {}
-        if cut_at is None:
-            self.children = {}
-            for v, link in enumerate(pred):
-                if link is not None:
-                    self.children.setdefault(link[1], []).append(v)
-                    self.below[link[0]] = v
+        self.g, self.weights, self.dest, self.cut_at = g, weights, dest, cut_at
+        self.dist = shortest_distances(g, weights, dest, incoming=True, target=cut_at)[0]
 
     def distances(
         self, source: int, banned_nodes: frozenset[int], cut: Collection[int]
     ) -> list[int | None]:
-        """Distances to ``dest`` with the bans, as a fresh backward search
-        cut at ``source`` reads them on every node it settles; every other
-        node reads None or more than the distance of ``source``, a banned one None.
+        """Distances to ``dest`` with the bans, ``cut`` the banned edges:
+        exact on every node of a shortest ``source``-``dest`` path, None
+        on every other node.
 
-        ``cut`` holds the banned edges. The red nodes, each reached banned
-        node, each node whose tree edge is cut and their subtrees, lose
-        their distance; each red node that is not banned is seeded from
-        its arcs into the rest, and ``settle`` searches the red nodes
-        alone, cut at ``source`` as a fresh search is. With no bans there
-        is nothing to repair, and the tree's own list, which the caller
-        must not mutate, is returned.
+        With no bans the tree's own list serves, which the caller must
+        not mutate; it is exact on those nodes too. Otherwise an A*
+        search runs forward from ``source`` to ``dest`` with the bans,
+        keyed by the tree's distances: bans only lengthen paths, so those
+        are a consistent potential, and the search settles only the nodes
+        keyed at most D, the banned distance of ``source``. The
+        ``tight_subgraph`` back from ``dest`` over its distances g, with
+        the cut banned, holds exactly the nodes of a shortest path, and
+        each reads D - g(v).
         """
         if not banned_nodes and not cut:
             return self.dist
-        if self.children is None:
-            raise InvariantError("a cut reverse tree cannot be repaired for bans")
-        dist = self.dist.copy()
-        stack = [v for v in banned_nodes if dist[v] is not None]
-        stack += [self.below[e] for e in cut if e in self.below]
-        red = []
-        while stack:
-            v = stack.pop()
-            if dist[v] is not None:
-                dist[v] = None
-                red.append(v)
-                stack += self.children.get(v, ())
-        best: list[int | None] = [None] * len(dist)
-        heap = []
-        outgoing, weights = self.g.adjacency(), self.weights
-        for v in red:
-            if v in banned_nodes:
-                continue
-            seed = None
-            # The cut is tested last, on the few arcs that would lower the seed.
-            for x, eid in outgoing[v].items():
-                w = weights[eid]
-                if dist[x] is None or w is None:
-                    continue
-                d = w + dist[x]
-                if (seed is None or d < seed) and eid not in cut:
-                    seed = d
-            if seed is not None:
-                best[v] = seed
-                heap.append((seed, v))
-        heapq.heapify(heap)
-        settle(self.g, weights, dist, best, {}, heap, banned_nodes=banned_nodes,
-               banned_edges=cut, incoming=True, target=source)
-        return dist
+        if self.cut_at is not None:
+            raise InvariantError("a cut reverse tree is no potential for a search with bans")
+        g, weights, dest = self.g, self.weights, self.dest
+        to_dest: list[int | None] = [None] * len(self.dist)
+        dist, best = to_dest.copy(), to_dest.copy()
+        best[source] = 0
+        # The seed pops first whatever its key; from a source the tree
+        # does not reach, no arc leads to a node it does.
+        settle(g, weights, dist, best, None, [(0, source)], banned_nodes=banned_nodes,
+               banned_edges=cut, target=dest, potential=self.dist)
+        span = dist[dest]
+        if span is not None:
+            for v in tight_subgraph(g, weights, dist, dest, cut)[0]:
+                to_dest[v] = span - dist[v]
+        return to_dest
 
 
 def _lexmin_shortest(
@@ -158,16 +127,17 @@ def _lexmin_shortest(
     """Shortest path to the tree's ``dest`` with the lexicographically
     smallest node sequence.
 
-    Reads every node's distance to ``dest`` from ``tree`` repaired for
-    the bans: a node no farther than ``source`` reads its exact distance,
-    any other None or more, and a banned node None. Every step of the
-    walk is tight (``w + to_dest[v] == remaining``), which no arc reading
-    None in the tree's column and no arc into a banned node is, so of the
-    bans only ``cut`` is tested apart. ``to_dest`` never rises along the
-    walk, and every visited node lies on the current level ``remaining``
-    or above. A shortest path from a step that drops below that level
-    therefore meets no visited node, while a zero-weight step is checked
-    by ``leaves_level``.
+    Reads the distances to ``dest`` with the bans from ``tree``: exact on
+    every node of a shortest ``source``-``dest`` path; every other node
+    reads None, or with no bans its exact distance, which no tight step
+    from such a path reaches. Every step of the walk is tight (``w +
+    to_dest[v] == remaining``), which no arc reading None in the tree's
+    column and no arc into a banned node is, so of the bans only ``cut``
+    is tested apart. ``to_dest`` never rises along the walk, and every
+    visited node lies on the current level ``remaining`` or above. A
+    shortest path from a step that drops below that level therefore
+    meets no visited node, while a zero-weight step is checked by
+    ``leaves_level``.
     """
     g, weights, dest = tree.g, tree.weights, tree.dest
     to_dest = tree.distances(source, banned_nodes, cut)

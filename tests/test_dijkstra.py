@@ -282,7 +282,9 @@ def test_tight_subgraph_is_every_shortest_path(directed):
             return any(x in from_s and y in to_t and from_s[x] + w + to_t[y] == span for x, y in arcs)
 
         edges = tuple(filter(on_a_shortest_path, g.ids))
-        assert tight_subgraph(g, column, dist, t) == (frozenset(nodes), edges)
+        got_nodes, got_edges = tight_subgraph(g, column, dist, t)
+        assert (got_nodes[0], set(got_nodes), sorted(got_edges)) == (t, nodes, list(edges))
+        assert len(got_nodes) == len(nodes)
 
 
 def test_sp_matches_networkx_on_larger_graphs():

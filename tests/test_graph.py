@@ -99,16 +99,25 @@ def test_build_rejects_bad_vectors():
         ((0, 1, (None,)), "None", Graph.from_edges),
         ((True, 2, (1,)), "True", Graph.from_edges),
         ((0, 2, (1.5,)), "1.5", Graph.from_edges),
+        ((0, 1, (1.5,)), "1.5", Graph),
+        ((0, 1, (False,)), "False", Graph),
+        ((True, 2, (1,)), "True", Graph),
+        ((0, 1.0, (1,)), "1.0", Graph),
     ],
     ids=["float-weight", "bool-weight", "str-weight", "float-endpoint", "bool-endpoint", "str-endpoint",
          "none-endpoint", "from-edges-none-endpoint", "from-edges-str-endpoint", "from-edges-none-weight",
-         "from-edges-bool-endpoint", "from-edges-float-weight"],
+         "from-edges-bool-endpoint", "from-edges-float-weight", "columns-float-weight",
+         "columns-bool-weight", "columns-bool-endpoint", "columns-float-endpoint"],
 )
 def test_build_rejects_non_int_endpoints_and_weights(triple, bad, entry):
+    # Graph() built float and bool columns, and compute_layout then raised
+    # AttributeError on a float weight.
     u, v, weights = triple
     with pytest.raises(GraphError) as info:
         if entry is build_graph:
             build_graph(False, 3, 1, [triple])
+        elif entry is Graph:
+            Graph(False, 3, 1, [u], [v], [weights])
         else:
             Graph.from_edges(False, 3, 1, [Edge(u, v, weights, 0)])
     assert str(info.value) == f"edge 0 ({u}, {v}): endpoints and weights must be int, got {bad}"
@@ -117,6 +126,9 @@ def test_build_rejects_non_int_endpoints_and_weights(triple, bad, entry):
 def test_build_names_the_first_faulty_edge_whatever_its_fault():
     with pytest.raises(GraphError, match=r"^edge 0 \(0, 5\): endpoint out of range"):
         build_graph(False, 3, 1, [(0, 5, (1,)), (0, 1, (1.5,))])
+    # Columns with a hole at id 1: the walk goes in id order past it.
+    with pytest.raises(GraphError, match=r"^edge 2 \(1, 2\): endpoints and weights must be int, got True$"):
+        Graph(True, 4, 1, [0, None, 1, 2], [1, None, 2, 3], [[1, None, True, 2.5]])
 
 
 @pytest.mark.parametrize(

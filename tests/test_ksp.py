@@ -1,6 +1,8 @@
+import heapq
 import random
 import tracemalloc
 from itertools import islice
+from unittest import mock
 
 import networkx as nx
 import pytest
@@ -10,12 +12,13 @@ from hypothesis import strategies as st
 import mcpaths.ksp
 from mcpaths import (
     GraphError,
+    InvariantError,
     build_graph,
     compute_layout,
     pack,
     yen_ksp,
 )
-from mcpaths.dijkstra import packed_weights, shortest_distances, threshold_column
+from mcpaths.dijkstra import packed_weights, shortest_distances, threshold_column, tight_subgraph
 from mcpaths.fileio import parse_graph_file
 from mcpaths.oracle import enumerate_simple_paths, oracle_ksp
 from conftest import large_packed_instance, random_graph
@@ -174,10 +177,11 @@ def test_matches_oracle_on_zero_heavy_graphs(query):
 
 
 @st.composite
-def repair_queries(draw):
+def spur_queries(draw):
     """A reverse tree's graph, packed column, threshold column and
-    destination, plus the banned nodes, cut edges and spur of one repair,
-    on graphs with many zero-weight and tied edges."""
+    destination, plus the banned nodes, cut edges and spur of one spur
+    search, on graphs with many zero-weight and tied edges. As in a KSP
+    spur, the spur itself is never banned."""
     directed = draw(st.booleans())
     n = draw(st.integers(min_value=1, max_value=12))
     q = draw(st.integers(min_value=1, max_value=2))
@@ -193,39 +197,75 @@ def repair_queries(draw):
     nodes = st.integers(min_value=0, max_value=n - 1)
     edges = st.lists(st.sampled_from(range(len(chosen))), max_size=4) if chosen else st.just([])
     dest, spur = draw(nodes), draw(nodes)
-    banned_nodes = frozenset(draw(st.lists(nodes, max_size=3)))
+    banned_nodes = frozenset(draw(st.lists(nodes, max_size=3))) - {spur}
     return (g, weights, threshold_column(weights, threshold), dest, spur, banned_nodes,
             frozenset(draw(edges)))
 
 
 @settings(max_examples=400, deadline=None)
-@given(repair_queries())
-def test_repaired_tree_reads_a_fresh_backward_search(query):
+@given(spur_queries())
+def test_spur_search_reads_exact_distances_on_its_shortest_paths(query):
     g, weights, column, dest, spur, banned_nodes, cut = query
     tree = mcpaths.ksp._ReverseTree(g, column, dest)
-    got = tree.distances(spur, banned_nodes, cut)
     # The reference is the other edge rule: the plain packed column, with
-    # the ids the threshold drops banned as a set alongside the cut.
+    # the ids the threshold drops banned as a set alongside the cut, and
+    # two fresh searches with the bans, forward from the spur and backward
+    # from dest. A node is on a shortest spur-dest path when its distances
+    # sum to the span.
     dropped = frozenset(eid for eid, w in enumerate(column) if w is None)
-    fresh, _ = shortest_distances(g, weights, dest, banned_nodes=banned_nodes,
-                                  banned_edges=dropped | cut, incoming=True, target=spur)
-    for v in range(g.node_count):
-        if fresh[v] is not None:
-            assert got[v] == fresh[v]
-        else:
-            assert got[v] is None or fresh[spur] is not None and got[v] > fresh[spur]
-    # The walks take no tight arc into a banned node, as it reads None.
-    assert all(got[v] is None for v in banned_nodes)
+    bans = {"banned_nodes": banned_nodes, "banned_edges": dropped | cut}
+    from_spur, _ = shortest_distances(g, weights, spur, **bans)
+    to_dest, _ = shortest_distances(g, weights, dest, incoming=True, **bans)
+    span = from_spur[dest]
+    want = [b if a is not None and b is not None and a + b == span else None
+            for a, b in zip(from_spur, to_dest)]
+    got = tree.distances(spur, banned_nodes, cut)
+    if banned_nodes or cut:
+        assert got == want
+    else:
+        # With no bans the tree's own list serves, exact on every node.
+        assert got is tree.dist and got == to_dest
     # Cutting the dropped edges as well changes nothing.
-    assert tree.distances(spur, banned_nodes, dropped | cut) == got
-    # A tree cut at the spur, asked with no bans, reads the fresh cut search.
+    if banned_nodes or dropped | cut:
+        assert tree.distances(spur, banned_nodes, dropped | cut) == want
+    # A tree cut at the spur, asked with no bans, reads the fresh cut
+    # search; it is no potential for a search with bans.
     plain, _ = shortest_distances(g, weights, dest, banned_edges=dropped, incoming=True,
                                   target=spur)
-    got = mcpaths.ksp._ReverseTree(g, column, dest, cut_at=spur).distances(
-        spur, frozenset(), ())
+    cut_tree = mcpaths.ksp._ReverseTree(g, column, dest, cut_at=spur)
+    got = cut_tree.distances(spur, frozenset(), ())
     assert all(got[v] == d for v, d in enumerate(plain) if d is not None)
-    # A repair leaves the tree as it was.
+    if banned_nodes or cut:
+        with pytest.raises(InvariantError):
+            cut_tree.distances(spur, banned_nodes, cut)
+    # A spur search leaves the tree as it was.
     assert tree.dist == shortest_distances(g, weights, dest, banned_edges=dropped, incoming=True)[0]
+
+
+def test_a_cut_edge_tight_through_a_tie_keeps_its_tail_off_the_path():
+    # 0-1-2 and 0-2 both reach 2 at 2, so with 1-2 cut the arc 1->2 is
+    # still tight over the spur search's distances, and node 1 is keyed
+    # at the span (1 + h(1) = 3). Only 0-2-3 remains, and 1 must read None.
+    g = build_graph(True, 4, 1, [(0, 1, (1,)), (1, 2, (1,)), (0, 2, (2,)), (2, 3, (1,))])
+    column = packed_weights(g, compute_layout(g))
+    tree = mcpaths.ksp._ReverseTree(g, column, 3)
+    assert tree.distances(0, frozenset(), {1}) == [3, None, 1, 0]
+    dist, _ = shortest_distances(g, column, 0, banned_edges={1}, target=3)
+    assert tight_subgraph(g, column, dist, 3, {1}) == ([3, 2, 0], {2, 3})
+    assert tight_subgraph(g, column, dist, 3) == ([3, 2, 1, 0], {0, 1, 2, 3})
+
+
+@pytest.mark.parametrize("directed", [True, False], ids=["directed", "undirected"])
+def test_the_tight_walk_skips_arcs_the_threshold_drops(directed):
+    # Over the threshold column the arc 0-2 reads None. The walk used to
+    # add its weight untested and raise TypeError.
+    g = build_graph(directed, 3, 1, [(0, 1, (1,)), (1, 2, (1,)), (0, 2, (5,))])
+    layout = compute_layout(g)
+    column = threshold_column(packed_weights(g, layout), 5)
+    dist, _ = shortest_distances(g, column, 0, target=2)
+    assert dist == [0, 1, 2] and column[2] is None
+    assert tight_subgraph(g, column, dist, 2) == ([2, 1, 0], {0, 1})
+    assert [p.nodes for p in yen_ksp(g, layout, 0, 2, 2, 5).paths] == [(0, 1, 2)]
 
 
 def _yen_peak_bytes_per_node(directed: bool) -> float:
@@ -247,8 +287,9 @@ def _yen_peak_bytes_per_node(directed: bool) -> float:
 
 
 def test_a_ksp_query_costs_a_few_pointers_per_declared_node():
-    # The tree keeps one distance list; a repair adds a copy and its
-    # queue bounds. Nothing is kept per node the tree did not reach.
+    # The tree keeps one distance list; a spur search adds three more,
+    # its distances, their queue bounds and the distances to dest it hands
+    # the walk. Nothing else is kept per node the searches did not reach.
     assert _yen_peak_bytes_per_node(directed=False) <= 48
     assert _yen_peak_bytes_per_node(directed=True) <= 48
 
@@ -291,7 +332,8 @@ def test_zero_weight_step_into_a_dead_end_pocket_is_skipped(search_calls):
 
 def test_one_backward_search_per_query(search_calls):
     # Past k=1 the query makes one full backward search from the
-    # destination and each lexmin search repairs that tree instead.
+    # destination, and each spur's lexmin search runs A* forward over
+    # that tree instead of searching backward again.
     rng = random.Random(5)
     g = random_graph(rng, directed=False, n_lo=10, n_hi=10, q_lo=1, q_hi=1, weight_max=1)
     result = yen_ksp(g, compute_layout(g), 0, 9, 8)
@@ -302,6 +344,41 @@ def test_one_backward_search_per_query(search_calls):
     assert (source, options.get("incoming"), options.get("target")) == (9, True, None)
     # The first search plus 26 spurs; spurring from every index takes 44.
     assert lexmin == [27]
+
+
+def test_spur_searches_settle_only_their_own_detours():
+    # A seeded 2,000-node, 8,000-edge undirected query, q=3, weights
+    # 1-100 and a tenth of the edges all-zero, k=16. Heap pops outside
+    # the one backward search are the spur searches' (stale pops and the
+    # 15 candidate pops included). Repairing the reverse tree for each
+    # spur's bans popped 63,067; A* over the tree pops 10,899.
+    rng = random.Random(1)
+    n = 2000
+    pairs: set[tuple[int, int]] = set()
+    while len(pairs) < 8000:
+        u, v = rng.sample(range(n), 2)
+        pairs.add((min(u, v), max(u, v)))
+    g = build_graph(False, n, 3, [
+        (u, v, (0, 0, 0) if rng.random() < 0.1 else tuple(rng.randint(1, 100) for _ in range(3)))
+        for u, v in sorted(pairs)])
+    pops = [0, 0]  # all, and those of the backward search
+    real_pop, real_search = heapq.heappop, mcpaths.ksp.shortest_distances
+
+    def pop(heap):
+        pops[0] += 1
+        return real_pop(heap)
+
+    def search(*args, **kwargs):
+        before = pops[0]
+        try:
+            return real_search(*args, **kwargs)
+        finally:
+            pops[1] += pops[0] - before
+
+    with mock.patch.object(heapq, "heappop", pop), mock.patch.object(mcpaths.ksp, "shortest_distances", search):
+        result = yen_ksp(g, compute_layout(g), 0, n - 1, 16)
+    assert len(result.paths) == 16
+    assert pops[0] - pops[1] <= 63_067 // 2, pops
 
 
 def test_ksp_costs_match_networkx_on_larger_graphs():
