@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Sequence
 
 from .dijkstra import Path, pred_edges, shortest_distances, tight_subgraph, trace_path
 from .graph import Graph, GraphError, InvariantError, NoPathError, check_endpoints, check_k
@@ -83,7 +84,7 @@ class AggregatedWeights:
     source: int
     dest: int
     combined: tuple[int | None, ...]
-    dist_from_source: tuple[int | None, ...]
+    dist_from_source: Sequence[int | None]
     per_criterion_dist: tuple[int, ...]
 
     @property
@@ -118,7 +119,7 @@ def aggregate_and_distances(g: Graph, s: int, t: int) -> AggregatedWeights:
     dist_fwd, pred = shortest_distances(g, combined, s, target=t)
     if dist_fwd[t] is None:
         raise NoPathError(f"no path from {s} to {t}")
-    path = pred_edges(pred, s, t)
+    path = pred_edges(g, pred, s, t)
     per_criterion = []
     for i, column in enumerate(g.weights):
         dist_i, _ = shortest_distances(
@@ -127,7 +128,7 @@ def aggregate_and_distances(g: Graph, s: int, t: int) -> AggregatedWeights:
         if dist_i[t] is None:
             raise InvariantError(f"criterion {i} cannot reach {t} from {s}")
         per_criterion.append(dist_i[t])
-    return AggregatedWeights(g, s, t, combined, tuple(dist_fwd), tuple(per_criterion))
+    return AggregatedWeights(g, s, t, combined, dist_fwd, tuple(per_criterion))
 
 
 def feasibility_check(aw: AggregatedWeights) -> bool:

@@ -5,9 +5,16 @@ arbitrary-precision packed integers from :mod:`mcpaths.lexweight`, so one
 run minimizes every criterion simultaneously in priority order. Queue
 ties are popped lowest node id first, which makes distance maps and the
 paths reconstructed from them reproducible. Every search runs one loop,
-``settle``: ``shortest_distances`` seeds it with a single source, and
+``settle``, from one source: ``shortest_distances`` runs it afresh, and
 each KSP spur search runs it as A*, keyed by the reverse tree's
-distances to the destination.
+distances to the destination. The loop allocates nothing per queue
+entry or predecessor link. A queue entry is the one int ``key << shift
+| node``, with ``shift`` the bit length of the node count; ints order
+as the (key, node) pairs would, lowest id first on a tie. ``pred[v]``
+is the id of the edge the search reached ``v`` by, and the node before
+``v`` is that edge's other end, ``tails[e] ^ heads[e] ^ v``, which
+``pred_edges`` follows back; ``Graph`` rejects self-loops, so the
+other end is never ``v`` itself.
 Every search skips an arc whose column weight is None, which is how a
 threshold query leaves edges out: ``threshold_column`` marks them in the
 packed column, and ``shortest_path`` packs each edge when its searches
@@ -189,15 +196,16 @@ def shortest_distances(
     incoming: bool = False,
     target: int | None = None,
     bound: int | None = None,
-) -> tuple[list[int | None], list[tuple[int, int] | None]]:
+) -> tuple[list[int | None], list[int | None]]:
     """One fresh Dijkstra search from ``source``, run by ``settle``.
 
     ``weight_by_eid`` is a column of ``g``: the weight of edge ``eid``
     sits at index ``eid``, and an edge reading None is skipped. Returns
-    (dist, pred) where ``pred[v]`` is ``(edge_id, previous_node)`` on one
-    shortest path to ``v``, or None. ``banned_nodes`` and ``banned_edges``
-    mask parts of the graph without copying it; with ``incoming=True`` the
-    search walks arcs backwards (distance to a destination, not from a source).
+    (dist, pred) where ``pred[v]`` is the id of the last edge on one
+    shortest path to ``v``, or None; ``pred_edges`` walks the links back.
+    ``banned_nodes`` and ``banned_edges`` mask parts of the graph without
+    copying it; with ``incoming=True`` the search walks arcs backwards
+    (distance to a destination, not from a source).
 
     With ``target`` set, the search stops at the first pop farther than
     ``dist[target]``: every node at distance <= d(target) is settled
@@ -209,12 +217,10 @@ def shortest_distances(
     """
     n = g.node_count
     dist: list[int | None] = [None] * n
-    pred: list[tuple[int, int] | None] = [None] * n
+    pred: list[int | None] = [None] * n
     if source in banned_nodes:
         return dist, pred
-    best: list[int | None] = [None] * n
-    best[source] = 0
-    settle(g, weight_by_eid, dist, best, pred, [(0, source)], banned_nodes=banned_nodes,
+    settle(g, weight_by_eid, dist, [None] * n, pred, source, banned_nodes=banned_nodes,
            banned_edges=banned_edges, incoming=incoming, target=target, bound=bound)
     return dist, pred
 
@@ -224,8 +230,8 @@ def settle(
     weight_by_eid: Sequence[int | None] | Mapping[int, int | None],
     dist: MutableMapping[int, int | None] | MutableSequence[int | None],
     best: MutableMapping[int, int | None] | MutableSequence[int | None],
-    pred: MutableMapping[int, tuple[int, int] | None] | MutableSequence[tuple[int, int] | None] | None,
-    heap: list[tuple[int, int]],
+    pred: MutableMapping[int, int | None] | MutableSequence[int | None] | None,
+    source: int,
     *,
     banned_nodes: Collection[int] = (),
     banned_edges: Collection[int] = (),
@@ -234,25 +240,27 @@ def settle(
     bound: int | None = None,
     potential: Sequence[int | None] | None = None,
 ) -> None:
-    """The Dijkstra loop every search runs, over prefilled state.
+    """The Dijkstra loop every search runs, from ``source``, over prefilled state.
 
     A node whose ``dist`` is set is final: it is never queued or relaxed
-    again, and its value is taken as exact. ``heap`` holds the seeded
-    ``(key, node)`` pairs, ``best[v]`` the least distance queued for
-    ``v`` so far; ``pred[v]`` is written as ``(edge_id, previous_node)``
-    whenever ``best[v]`` drops, unless ``pred`` is None. The loop pops in
-    (key, id) order and fills ``dist`` in place. Arcs are read from
-    ``g.adjacency`` in edge-id order, not by neighbour; ``dist`` and
-    ``pred`` do not depend on that order, because ``pred[v]`` moves only
-    on a strictly shorter distance and no node has two arcs to one
-    neighbour. An arc is skipped when its column weight is None or its
-    edge is in ``banned_edges``. Weights are read only as
-    ``weight_by_eid[eid]``, so a mapping that packs an edge on its first
-    read serves as well as a column. A ``best[v]`` prefilled with no
-    queued entry behind it caps ``v``: no push reaches ``v`` at that
-    distance or more. ``shortest_path`` prunes that way, at no cost to
-    the loop, with ``dist`` and ``best`` as defaultdicts, so only the
-    nodes it touches take memory.
+    again, and its value is taken as exact. ``best[v]`` is the least
+    distance queued for ``v`` so far. The loop sets ``best[source]`` to 0
+    and queues the source first, at key 0 whatever its potential; each
+    queue entry is the one int ``key << shift | v``, ``shift`` the bit
+    length of the node count, so the loop pops in (key, id) order and
+    fills ``dist`` in place. Whenever ``best[v]`` drops, ``pred[v]`` is
+    set to the id of the edge that reached ``v``, unless ``pred`` is
+    None. Arcs are read from ``g.adjacency`` in edge-id order, not by
+    neighbour; ``dist`` and ``pred`` do not depend on that order,
+    because ``pred[v]`` moves only on a strictly shorter distance and no
+    node has two arcs to one neighbour. An arc is skipped when its
+    column weight is None or its edge is in ``banned_edges``. Weights
+    are read only as ``weight_by_eid[eid]``, so a mapping that packs an
+    edge on its first read serves as well as a column. A ``best[v]``
+    prefilled with no queued entry behind it caps ``v``: no push reaches
+    ``v`` at that distance or more. ``shortest_path`` prunes that way, at
+    no cost to the loop, with ``dist`` and ``best`` as defaultdicts, so
+    only the nodes it touches take memory.
 
     A node's key is its distance, or with a ``potential`` h its distance
     plus h(v): the search is then A* (Hart, Nilsson and Raphael 1968). A
@@ -261,15 +269,16 @@ def settle(
     still settles at its exact distance, and the search settles only the
     nodes keyed at most d(target).
 
-    With ``target`` set, the loop keeps a horizon: the key of ``dist[target]``
-    when that is final, else of ``best[target]`` once the target is
-    queued. It stops at the first pop keyed above the horizon; nodes
-    still queued then read None in ``pred``. No key above the horizon is
-    pushed either, and that is exact: the target's own entry sits in the
-    heap at the horizon or below it, so such a key would never be popped
-    before the stop, and its ``pred`` would be cleared there. A skipped
-    node's ``best`` and ``pred`` are left as they were, both either
-    unset or above the horizon too.
+    With ``target`` set, the loop keeps a horizon: the key of
+    ``dist[target]`` when that is final, else of ``best[target]`` once
+    the target is queued, which the source is from the start. It stops
+    at the first pop keyed above the horizon; nodes still queued then
+    read None in ``pred``. No key above the horizon is pushed either,
+    and that is exact: the target's own entry sits in the heap at the
+    horizon or below it, so such a key would never be popped before the
+    stop, and its ``pred`` would be cleared there. A skipped node's
+    ``best`` and ``pred`` are left as they were, both either unset or
+    above the horizon too.
 
     ``bound`` caps the starting horizon: given the length of some path
     to the target, the search prunes from its first pop instead of from
@@ -277,19 +286,24 @@ def settle(
     neither ``dist`` nor ``pred``; a lower one leaves the target unreached.
     """
     adjacency = g.adjacency(incoming)
+    shift = g.node_count.bit_length()
+    mask = (1 << shift) - 1
+    best[source] = 0
+    heap = [source]
     horizon = None
     if target is not None:
         horizon = best[target] if dist[target] is None else dist[target]
     if bound is not None and (horizon is None or bound < horizon):
         horizon = bound
     while heap:
-        key, u = heapq.heappop(heap)
-        if horizon is not None and key > horizon:
+        entry = heapq.heappop(heap)
+        u = entry & mask
+        if horizon is not None and entry >> shift > horizon:
             if pred is not None:
                 # Nodes still queued were relaxed but never settled.
-                heap.append((key, u))
-                for _, v in heap:
-                    if dist[v] is None:
+                heap.append(entry)
+                for entry in heap:
+                    if dist[v := entry & mask] is None:
                         pred[v] = None
             break
         if dist[u] is not None:
@@ -311,8 +325,8 @@ def settle(
                     and v not in banned_nodes and eid not in banned_edges):
                 best[v] = nd
                 if pred is not None:
-                    pred[v] = (eid, u)
-                heapq.heappush(heap, (key, v))
+                    pred[v] = eid
+                heapq.heappush(heap, key << shift | v)
                 if v == target:
                     horizon = key
 
@@ -382,12 +396,19 @@ def filter_by_threshold(g: Graph, layout: BitLayout, threshold: int | None) -> G
     return Graph(g.directed, g.node_count, g.q, keep(g.tails), keep(g.heads), map(keep, g.weights))
 
 
-def pred_edges(pred: Sequence[tuple[int, int] | None], source: int, t: int) -> list[int]:
-    """The edge ids of the ``pred`` links from ``source`` to a settled ``t``, in path order."""
+def pred_edges(g: Graph, pred: Sequence[int | None] | Mapping[int, int | None], source: int, t: int) -> list[int]:
+    """The edge ids of the ``pred`` links from ``source`` to a settled ``t``, in path order.
+
+    ``pred[v]`` is the id of the edge a search of ``g`` reached ``v`` by;
+    the node before ``v`` is that edge's other end, ``tails[e] ^ heads[e]
+    ^ v``, since ``Graph`` has no self-loops.
+    """
+    tails, heads = g.tails, g.heads
     edge_ids: list[int] = []
     while t != source:
-        eid, t = pred[t]
+        eid = pred[t]
         edge_ids.append(eid)
+        t ^= tails[eid] ^ heads[eid]
     edge_ids.reverse()
     return edge_ids
 
@@ -413,22 +434,25 @@ def shortest_path(
     dist_f: dict[int, int] = {}
     dist_b: dict[int, int] = {}
     best_f, best_b = {source: 0}, {dest: 0}
-    heap_f, heap_b = [(0, source)], [(0, dest)]
+    # Heap entries are ``d << shift | node``, as in ``settle``.
+    shift = g.node_count.bit_length()
+    mask = (1 << shift) - 1
+    heap_f, heap_b = [source], [dest]
     forward, backward = g.adjacency(), g.adjacency(incoming=True)
     mu = 0 if source == dest else None
     while heap_f and heap_b:
-        top_f, top_b = heap_f[0][0], heap_b[0][0]
-        if mu is not None and top_f + top_b >= mu:
+        if mu is not None and (heap_f[0] >> shift) + (heap_b[0] >> shift) >= mu:
             break
         # The side with the shorter heap steps, the forward one on a tie.
         if len(heap_f) <= len(heap_b):
             heap, dist, best, other, adjacency = heap_f, dist_f, best_f, best_b, forward
         else:
             heap, dist, best, other, adjacency = heap_b, dist_b, best_b, best_f, backward
-        d, u = heapq.heappop(heap)
+        entry = heapq.heappop(heap)
+        u = entry & mask
         if u in dist:
             continue
-        dist[u] = d
+        dist[u] = d = entry >> shift
         for v, eid in adjacency[u].items():
             w = weights[eid]
             if w is None:
@@ -442,20 +466,19 @@ def shortest_path(
             known = best.get(v)
             if (known is None or nd < known) and v not in dist:
                 best[v] = nd
-                heapq.heappush(heap, (nd, v))
+                heapq.heappush(heap, nd << shift | v)
     if mu is None:
         raise NoPathError(f"no path from {source} to {dest}")
     # Phase 2: ``best`` prefilled one above each node's push cap D - lb(v),
     # so settle's own ``nd < best[v]`` test is the prune.
-    cap = mu - heap_b[0][0] + 1 if heap_b else 0
+    cap = mu - (heap_b[0] >> shift) + 1 if heap_b else 0
     best = defaultdict(lambda: cap, {v: mu - d + 1 for v, d in dist_b.items()})
-    best[source] = 0
     dist = defaultdict(lambda: None)
-    pred: dict[int, tuple[int, int] | None] = {}
-    settle(g, weights, dist, best, pred, [(0, source)], target=dest, bound=mu)
+    pred: dict[int, int | None] = {}
+    settle(g, weights, dist, best, pred, source, target=dest, bound=mu)
     if dist[dest] != mu:
         raise InvariantError(f"the pruned search reads {dist[dest]} at {dest}, not {mu}")
-    path = trace_path(g, layout, pred_edges(pred, source, dest), source)
+    path = trace_path(g, layout, pred_edges(g, pred, source, dest), source)
     if path.ew_length != mu:
         raise InvariantError(f"path to {dest} recosts to {path.ew_length}, not {mu}")
     return path

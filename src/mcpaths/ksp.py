@@ -109,10 +109,9 @@ class _ReverseTree:
         g, weights, dest = self.g, self.weights, self.dest
         to_dest: list[int | None] = [None] * len(self.dist)
         dist, best = to_dest.copy(), to_dest.copy()
-        best[source] = 0
         # The seed pops first whatever its key; from a source the tree
         # does not reach, no arc leads to a node it does.
-        settle(g, weights, dist, best, None, [(0, source)], banned_nodes=banned_nodes,
+        settle(g, weights, dist, best, None, source, banned_nodes=banned_nodes,
                banned_edges=cut, target=dest, potential=self.dist)
         span = dist[dest]
         if span is not None:

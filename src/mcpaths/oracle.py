@@ -246,15 +246,18 @@ def all_criteria_shortest(paths: Iterable[Path]) -> tuple[Path, ...]:
 class DistanceMap:
     """Distances and predecessor links from one source.
 
-    ``target`` is the node the search was cut at, if any: once it is
-    reached, nodes farther than it are missing from the map.
+    ``pred[v]`` is the id of the edge the search reached ``v`` by, or
+    None; the node before ``v`` is that edge's other end, and
+    ``pred_edges`` walks the links back to the source. ``target`` is the
+    node the search was cut at, if any: once it is reached, nodes farther
+    than it are missing from the map.
     """
 
     graph: Graph
     layout: BitLayout
     source: int
     dist: list[int | None]
-    pred: list[tuple[int, int] | None]
+    pred: list[int | None]
     target: int | None
 
 
@@ -295,7 +298,7 @@ def extract_path(dm: DistanceMap, t: int) -> Path:
         if dm.target is not None and dm.dist[dm.target] is not None:
             raise GraphError(f"the distance map stops at target {dm.target}, before node {t}")
         raise NoPathError(f"no path from {dm.source} to {t}")
-    path = trace_path(dm.graph, dm.layout, pred_edges(dm.pred, dm.source, t), dm.source)
+    path = trace_path(dm.graph, dm.layout, pred_edges(dm.graph, dm.pred, dm.source, t), dm.source)
     if path.ew_length != dm.dist[t]:
         raise InvariantError(f"path to {t} recosts to {path.ew_length}, not {dm.dist[t]}")
     return path

@@ -41,7 +41,7 @@ def reference_distances(g, weights, source, banned_nodes, banned_edges, incoming
                 continue
             if v not in best or d + weights[eid] < best[v]:
                 best[v] = d + weights[eid]
-                pred[v] = (eid, u)
+                pred[v] = eid
     if target is not None and dist[target] is not None:
         for v in range(g.node_count):
             if dist[v] is not None and dist[v] > dist[target]:
@@ -53,9 +53,11 @@ def reference_distances(g, weights, source, banned_nodes, banned_edges, incoming
 def search_queries(draw):
     """Graphs whose edge ids run in random order against the neighbours,
     with mostly-zero and tied weights, plus the masks, cut and direction
-    of one search."""
+    of one search. Node counts include the powers of two, whose top id
+    fills the bits a queue entry keeps for the node, and the cut may be
+    the source itself."""
     directed = draw(st.booleans())
-    n = draw(st.integers(min_value=1, max_value=9))
+    n = draw(st.integers(min_value=1, max_value=9) | st.sampled_from([1, 2, 4, 8, 16]))
     q = draw(st.integers(min_value=1, max_value=2))
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=20)) if pairs else []
@@ -71,7 +73,7 @@ def search_queries(draw):
     banned_nodes = frozenset(draw(st.lists(nodes, max_size=2)))
     banned_edges = frozenset(draw(st.lists(st.sampled_from(range(len(triples))), max_size=3))
                              if triples else ())
-    target = draw(st.none() | nodes)
+    target = draw(st.none() | nodes | st.just(source))
     return g, source, banned_nodes, banned_edges, draw(st.booleans()), target
 
 

@@ -203,6 +203,9 @@ def test_a_cut_search_pushes_no_key_past_the_target(monkeypatch):
     monkeypatch.undo()
 
     assert extract_path(dm, t).nodes == (s, a, t)
+    # A queue entry is the one int ``key << shift | node``.
+    shift = g.node_count.bit_length()
+    pushed = [(entry >> shift, entry & ((1 << shift) - 1)) for entry in pushed]
     tentative = None
     for key, node in pushed:
         assert tentative is None or key <= tentative, (key, node)
@@ -247,7 +250,7 @@ def test_a_bound_at_or_above_the_target_changes_nothing(case):
     push = heapq.heappush
 
     def record(heap, item):
-        pushed.append(item[0])
+        pushed.append(item >> g.node_count.bit_length())
         push(heap, item)
 
     with mock.patch.object(heapq, "heappush", record):
@@ -498,3 +501,51 @@ def test_three_phase_sp_allocates_nothing_per_declared_node():
     finally:
         tracemalloc.stop()
     assert peak < n, peak
+
+
+def _heap_calls(query):
+    """``heapq.heappush`` and ``heappop`` calls one call of ``query`` makes."""
+    counts = {"push": 0, "pop": 0}
+    push, pop = heapq.heappush, heapq.heappop
+
+    def counted_push(heap, item):
+        counts["push"] += 1
+        push(heap, item)
+
+    def counted_pop(heap):
+        counts["pop"] += 1
+        return pop(heap)
+
+    with mock.patch.object(heapq, "heappush", counted_push), mock.patch.object(heapq, "heappop", counted_pop):
+        result = query()
+    return result, counts
+
+
+def test_queue_work_is_pinned():
+    # The counts of the searches' queue operations before queue entries
+    # became single ints: the encoding changes their cost, not their number.
+    rng = random.Random(32)
+    n, chain_len = 300, 10
+    ids = rng.sample(range(n), n)
+    s, t, rest = ids[0], ids[1], iter(ids[2:])
+    triples = []
+    for _ in range(4):  # a C8-shape instance: four planted unit chains
+        hops = [s, *(next(rest) for _ in range(chain_len - 1)), t]
+        triples += [(u, v, (1, 1, 1)) for u, v in zip(hops, hops[1:])]
+    seen = {(u, v) for u, v, _ in triples}
+    while len(triples) < 1500:
+        u, v = rng.sample(range(n), 2)
+        if (u, v) not in seen:
+            seen.add((u, v))
+            triples.append((u, v, tuple(rng.randint(3 * chain_len + 1, 10 * chain_len - 1) for _ in range(3))))
+    g = build_graph(True, n, 3, triples)
+    paths, counts = _heap_calls(lambda: mcpaths.k_disjoint_all_criteria(g, s, t, 4))
+    assert [p.criteria_length for p in paths] == [(chain_len,) * 3] * 4
+    assert counts == {"push": 277, "pop": 153}
+
+    g = random_graph(random.Random(33), directed=False, n_lo=40, n_hi=40, q_hi=2, weight_max=4,
+                     edge_prob=0.12)
+    layout = compute_layout(g)
+    result, counts = _heap_calls(lambda: mcpaths.yen_ksp(g, layout, 0, g.node_count - 1, 4))
+    assert len(result.paths) == 4 and not result.exhausted
+    assert counts == {"push": 474, "pop": 333}
